@@ -12,6 +12,7 @@ mismatch, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -69,7 +70,7 @@ from .kernels import (
     sw_squared_distances,
 )
 from .pipeline import embed_dataset
-from .sliced import load_pq_embedding, save_pq_embedding
+from .sliced import load_pq_store, save_pq_store
 from .synthetic import generate_regression_dataset, generate_timing_graph
 from .wl import WlConfig, save_wl_embedding, sqrt_skip_iterations, embed as wl_embed
 
@@ -103,25 +104,18 @@ class _Stages:
         self.timings = {}
         self._t0 = time.perf_counter()
 
+    @contextlib.contextmanager
     def time(self, name):
-        return _StageContext(self, name)
+        """Add the wall-clock time of the ``with`` body to stage ``name``."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = 1000.0 * (time.perf_counter() - start)
+            self.timings[name] = self.timings.get(name, 0.0) + elapsed
 
     def total_ms(self) -> float:
         return 1000.0 * (time.perf_counter() - self._t0)
-
-
-class _StageContext:
-    def __init__(self, stages, name):
-        self.stages, self.name = stages, name
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        elapsed = 1000.0 * (time.perf_counter() - self._start)
-        self.stages.timings[self.name] = self.stages.timings.get(self.name, 0.0) + elapsed
-        return False
 
 
 def _write_manifest(path, command, parameters, stages, extra=None):
@@ -153,29 +147,14 @@ def _default_jobs() -> int:
     return int(os.environ.get("SWWL_JOBS", "1"))
 
 
-def _cache_paths(directory: Path):
-    return sorted(p for p in directory.glob("*.pq") if ".it" not in p.name)
-
-
-def _load_embeddings(directory, expect_ids=None):
-    directory = Path(directory)
-    paths = _cache_paths(directory)
-    if not paths:
-        raise ValidationError(f"no embedding caches found in {directory}")
-    embeddings = [load_pq_embedding(p) for p in paths]
-    for emb in embeddings[1:]:
-        if emb.fingerprint != embeddings[0].fingerprint:
-            raise ConfigMismatchError(
-                f"cache directory {directory} mixes configurations"
-            )
-    if expect_ids is not None:
-        cached = [e.graph_id for e in embeddings]
-        if cached != list(expect_ids):
-            raise ConfigMismatchError(
-                f"embedding caches in {directory} do not match the dataset "
-                f"records in order ({len(cached)} caches, {len(expect_ids)} records)"
-            )
-    return embeddings
+def _load_store(directory, expect_ids):
+    store = load_pq_store(directory)
+    if list(store.ids) != list(expect_ids):
+        raise ConfigMismatchError(
+            f"embeddings in {directory} do not match the dataset records in order "
+            f"({len(store.ids)} embeddings, {len(expect_ids)} records)"
+        )
+    return store
 
 
 def cmd_generate(args) -> int:
@@ -247,19 +226,16 @@ def cmd_embed(args) -> int:
             jobs=args.jobs,
         )
     with stages.time("write"):
-        for i, emb in enumerate(result.embeddings):
-            save_pq_embedding(emb, out_dir / f"{i:05d}.pq")
-        if result.per_iteration is not None:
-            for pos, block in enumerate(result.per_iteration):
-                for i, emb in enumerate(block):
-                    save_pq_embedding(emb, out_dir / f"{i:05d}.it{pos}.pq")
+        save_pq_store(out_dir, result.embeddings, result.per_iteration)
         if args.wl_out:
             wl_dir = Path(args.wl_out)
             wl_dir.mkdir(parents=True, exist_ok=True)
+            # zero-padded to the widest index, so names sort in dataset order
+            width = len(str(len(dataset) - 1))
             for i, rec in enumerate(dataset.records):
                 save_wl_embedding(
                     wl_embed(rec.graph, config, graph_id=rec.id),
-                    wl_dir / f"{i:05d}.wl",
+                    wl_dir / f"{i:0{width}d}.wl",
                 )
     _write_manifest(
         out_dir / "manifest.json",
@@ -292,30 +268,20 @@ def cmd_embed(args) -> int:
 def cmd_gram(args) -> int:
     stages = _Stages()
     with stages.time("load"):
-        embeddings = _load_embeddings(args.embeddings)
+        store = load_pq_store(args.embeddings)
     if args.distances_only:
         with stages.time("assemble"):
-            values = sw_squared_distances(embeddings)
-        fp = embeddings[0].fingerprint.to_dict()
+            values = sw_squared_distances(store.embeddings(0))
+        fp = store.fingerprints[0].to_dict()
         fp.update({"kind": "sw-squared-distances", "gamma": 0.0})
-        gram = GramMatrix(
-            values=values, row_ids=tuple(e.graph_id for e in embeddings), fingerprint=fp
-        )
+        gram = GramMatrix(values=values, row_ids=store.ids, fingerprint=fp)
     elif args.aniso:
         if not args.gammas:
             raise ValidationError("--aniso requires --gammas")
+        if len(store.blocks) == 1:
+            raise ValidationError(f"{args.embeddings} has no per-iteration blocks (embed --aniso)")
         gammas = np.array([float(t) for t in args.gammas.split(",")])
-        directory = Path(args.embeddings)
-        n_blocks = len(gammas)
-        per_iter = []
-        with stages.time("load"):
-            for pos in range(n_blocks):
-                paths = sorted(directory.glob(f"*.it{pos}.pq"))
-                if not paths:
-                    raise ValidationError(
-                        f"no per-iteration caches *.it{pos}.pq in {directory}"
-                    )
-                per_iter.append([load_pq_embedding(p) for p in paths])
+        per_iter = [store.embeddings(k) for k in range(1, len(store.blocks))]
         with stages.time("assemble"):
             gram = assemble_gram_aniso(per_iter, gammas, nugget=args.nugget)
     else:
@@ -326,7 +292,7 @@ def cmd_gram(args) -> int:
         )
         with stages.time("assemble"):
             gram = assemble_gram(
-                embeddings, None, cfg, nugget_on_diagonal=args.nugget > 0
+                store.embeddings(0), None, cfg, nugget_on_diagonal=args.nugget > 0
             )
     report = None
     if args.check_psd:
@@ -369,17 +335,16 @@ def cmd_fit(args) -> int:
     stages = _Stages()
     with stages.time("load"):
         dataset = load_dataset(args.input)
-        embeddings = _load_embeddings(args.embeddings, expect_ids=dataset.ids)
+        store = _load_store(args.embeddings, dataset.ids)
         targets = dataset.targets()
     with stages.time("optimize"):
-        features = np.vstack([e.values for e in embeddings])
         scalars = dataset.scalar_matrix() if dataset.scalar_dim else None
         model = gp_fit(
-            features,
+            store.blocks[0],
             scalars,
             targets,
             ids=tuple(dataset.ids),
-            fingerprint=embeddings[0].fingerprint,
+            fingerprint=store.fingerprints[0],
             settings=GpSettings(
                 nugget=args.nugget,
                 multistarts=args.multistarts,
@@ -423,12 +388,11 @@ def cmd_predict(args) -> int:
     with stages.time("load"):
         model = load_model(args.model)
         dataset = load_dataset(args.input)
-        embeddings = _load_embeddings(args.embeddings, expect_ids=dataset.ids)
+        store = _load_store(args.embeddings, dataset.ids)
     with stages.time("predict"):
-        features = np.vstack([e.values for e in embeddings])
         scalars = dataset.scalar_matrix() if dataset.scalar_dim else None
         dist = gp_predict(
-            model, features, scalars, fingerprint=embeddings[0].fingerprint
+            model, store.blocks[0], scalars, fingerprint=store.fingerprints[0]
         )
     metrics = {}
     if dataset.has_targets:
@@ -627,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--standardize-stats", help="reuse training statistics from file")
-    p.add_argument("--aniso", action="store_true", help="also write per-iteration caches")
+    p.add_argument("--aniso", action="store_true", help="also store one block per kept iteration")
     p.add_argument("--wl-out", help="optional directory for raw WL embedding caches")
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=cmd_embed)

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .sliced import PqEmbedding, check_compatible, sw_estimate
+from .sliced import PqEmbedding, check_compatible, features_matrix, sw_estimate
 
 GRAM_MAGIC = "SWWL-G1"
 
@@ -144,15 +144,6 @@ def tensorized_kernel(
     for sa, sb, ls in zip(scalars_a, scalars_b, cfg.matern_lengthscales):
         value *= matern52(abs(sa - sb), ls)
     return float(value)
-
-
-def features_matrix(embeddings: list[PqEmbedding]) -> np.ndarray:
-    """Stack embeddings into an (N, P*Q) matrix after a compatibility check."""
-    if not embeddings:
-        raise ValidationError("no embeddings given")
-    for emb in embeddings[1:]:
-        check_compatible(embeddings[0], emb)
-    return np.vstack([e.values for e in embeddings])
 
 
 def sw_squared_distances(embeddings: list[PqEmbedding]) -> np.ndarray:

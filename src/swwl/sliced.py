@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -31,13 +32,15 @@ from .errors import (
     DegenerateDrawError,
     DimensionMismatchError,
     EmptyInputError,
+    ParseError,
     SizeMismatchError,
     TooLargeError,
     ValidationError,
 )
 
 GENERATOR_NAME = "philox-normal-v1"
-PQ_CACHE_MAGIC = "SWWL-P1"
+PQ_STORE_MAGIC = "SWWL-S1"
+PQ_STORE_NAME = "embeddings.pq"
 
 _MIN_DIRECTION_NORM = 1e-300
 _MAX_REDRAWS = 100
@@ -202,18 +205,27 @@ class PqFingerprint:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PqFingerprint":
-        iterations = obj.get("iterations")
-        return cls(
-            seed=int(obj["seed"]),
-            n_projections=int(obj["projections"]),
-            n_quantiles=int(obj["quantiles"]),
-            r=float(obj["r"]),
-            dim=int(obj["s"]),
-            block=obj.get("block"),
-            iterations=None if iterations is None else tuple(iterations),
-            standardized=bool(obj.get("standardized", False)),
-            generator=obj.get("generator", GENERATOR_NAME),
-        )
+        """Inverse of :meth:`to_dict`; a missing or ill-typed key is a ParseError."""
+        try:
+            block, iterations = obj.get("block"), obj.get("iterations")
+            fp = cls(
+                seed=int(obj["seed"]),
+                n_projections=int(obj["projections"]),
+                n_quantiles=int(obj["quantiles"]),
+                r=float(obj["r"]),
+                dim=int(obj["s"]),
+                block=None if block is None else int(block),
+                iterations=None if iterations is None else tuple(int(h) for h in iterations),
+                standardized=bool(obj.get("standardized", False)),
+                generator=str(obj.get("generator", GENERATOR_NAME)),
+            )
+            # conversion must be lossless: "5", 1.5 or [0, "a"] are refused
+            canonical = fp.to_dict()
+            if canonical != {**canonical, **obj}:
+                raise ValueError("ill-typed value")
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed embedding fingerprint {obj!r}: {exc!r}") from exc
+        return fp
 
 
 @dataclass(frozen=True)
@@ -276,6 +288,15 @@ def check_compatible(a: PqEmbedding, b: PqEmbedding) -> None:
         )
 
 
+def features_matrix(embeddings: list[PqEmbedding]) -> np.ndarray:
+    """Stack embeddings into an (N, P*Q) matrix after a compatibility check."""
+    if not embeddings:
+        raise ValidationError("no embeddings given")
+    for emb in embeddings[1:]:
+        check_compatible(embeddings[0], emb)
+    return np.vstack([e.values for e in embeddings])
+
+
 def sw_estimate(a: PqEmbedding, b: PqEmbedding) -> float:
     """Estimated sliced Wasserstein distance: r-norm of the embedding gap."""
     check_compatible(a, b)
@@ -329,16 +350,53 @@ def w_exact_tiny(a: EmpiricalMeasure, b: EmpiricalMeasure, r: float = 2.0) -> fl
     return (best / n) ** (1.0 / r)
 
 
-def save_pq_embedding(embedding: PqEmbedding, path) -> None:
-    header = embedding.fingerprint.to_dict()
-    header["graph_id"] = embedding.graph_id
-    write_container(path, PQ_CACHE_MAGIC, header, {"values": embedding.values})
+@dataclass(frozen=True)
+class PqStore:
+    """The embeddings of one dataset as matrices, rows in dataset order.
+
+    ``blocks[0]`` is the (N, P*Q) feature matrix; for the anisotropic variant
+    ``blocks[1 + h]`` embeds kept iteration h alone. ``fingerprints[k]``
+    describes ``blocks[k]``.
+    """
+
+    ids: tuple[str, ...]
+    blocks: tuple[np.ndarray, ...]
+    fingerprints: tuple[PqFingerprint, ...]
+
+    def embeddings(self, k: int) -> list[PqEmbedding]:
+        return [
+            PqEmbedding(values=row, fingerprint=self.fingerprints[k], graph_id=i)
+            for row, i in zip(self.blocks[k], self.ids)
+        ]
 
 
-def load_pq_embedding(path) -> PqEmbedding:
-    header, arrays = read_container(path, PQ_CACHE_MAGIC)
-    return PqEmbedding(
-        values=arrays["values"],
-        fingerprint=PqFingerprint.from_dict(header),
-        graph_id=header.get("graph_id", ""),
-    )
+def save_pq_store(directory, embeddings, per_iteration) -> None:
+    """Write one embed run (``EmbedResult`` fields) as one container in ``directory``."""
+    blocks = [embeddings, *(per_iteration or [])]
+    ids = [e.graph_id for e in embeddings]
+    if any([e.graph_id for e in block] != ids for block in blocks[1:]):
+        raise ConfigMismatchError("iteration blocks cover different records")
+    arrays = {f"block{k}": features_matrix(block) for k, block in enumerate(blocks)}
+    header = {"ids": ids, "fingerprints": [b[0].fingerprint.to_dict() for b in blocks]}
+    write_container(Path(directory) / PQ_STORE_NAME, PQ_STORE_MAGIC, header, arrays)
+
+
+def load_pq_store(directory) -> PqStore:
+    """Read the store written by :func:`save_pq_store`; ParseError if malformed."""
+    path = Path(directory) / PQ_STORE_NAME
+    header, arrays = read_container(path, PQ_STORE_MAGIC)
+    ids, fps = header.get("ids"), header.get("fingerprints")
+    if not isinstance(ids, list) or not ids or not all(isinstance(i, str) for i in ids):
+        raise ParseError(f"{path}: 'ids' must be a non-empty list of strings")
+    if not isinstance(fps, list) or not fps:
+        raise ParseError(f"{path}: 'fingerprints' must be a non-empty list")
+    fingerprints = tuple(PqFingerprint.from_dict(fp) for fp in fps)
+    if list(arrays) != [f"block{k}" for k in range(len(fingerprints))]:
+        raise ParseError(f"{path}: arrays {list(arrays)} do not match the fingerprints")
+    for fp, block in zip(fingerprints, arrays.values()):
+        width = fp.n_projections * fp.n_quantiles
+        if block.shape != (len(ids), width):
+            raise ParseError(
+                f"{path}: block of shape {block.shape}, expected {len(ids)} ids x P*Q={width}"
+            )
+    return PqStore(ids=tuple(ids), blocks=tuple(arrays.values()), fingerprints=fingerprints)

@@ -10,6 +10,7 @@ from swwl import AttributedGraph, Dataset, GraphRecord, load_dataset, save_datas
 from swwl.cli import main
 from swwl.gp import load_model
 from swwl.kernels import load_gram_binary, load_gram_text
+from swwl.sliced import PQ_STORE_NAME, load_pq_store
 
 
 def run(*argv):
@@ -32,8 +33,8 @@ def workspace(tmp_path_factory):
     return root
 
 
-def read_bytes_map(directory, pattern="*.pq"):
-    return {p.name: p.read_bytes() for p in sorted(directory.glob(pattern))}
+def store_bytes(directory):
+    return (directory / PQ_STORE_NAME).read_bytes()
 
 
 def test_generate_outputs_and_manifest(workspace):
@@ -47,12 +48,16 @@ def test_generate_outputs_and_manifest(workspace):
     assert manifest["total_ms"] >= 0.95 * sum(manifest["timings_ms"].values())
 
 
-def test_embed_writes_cache_per_record(workspace):
-    caches = sorted((workspace / "emb-train").glob("*.pq"))
-    assert len(caches) == 12
-    manifest = json.loads((workspace / "emb-train" / "manifest.json").read_text())
+def test_embed_writes_one_store(workspace):
+    emb = workspace / "emb-train"
+    assert sorted(p.name for p in emb.iterdir()) == sorted([PQ_STORE_NAME, "manifest.json"])
+    store = load_pq_store(emb)
+    ids = load_dataset(workspace / "train.jsonl").ids
+    assert store.ids == tuple(ids)
+    assert len(store.blocks) == 1 and store.blocks[0].shape == (12, 6 * 12)
+    manifest = json.loads((emb / "manifest.json").read_text())
     assert manifest["parameters"]["iterations"] == [0, 1]
-    assert len(manifest["ids"]) == 12
+    assert manifest["ids"] == list(ids)
 
 
 def test_embed_rerun_is_byte_identical(workspace, tmp_path):
@@ -61,7 +66,7 @@ def test_embed_rerun_is_byte_identical(workspace, tmp_path):
         "embed", "--input", workspace / "train.jsonl", "--out", out,
         "--iterations", "0,1", "--projections", 6, "--quantiles", 12, "--seed", 9,
     ) == 0
-    assert read_bytes_map(out) == read_bytes_map(workspace / "emb-train")
+    assert store_bytes(out) == store_bytes(workspace / "emb-train")
 
 
 def test_embed_sqrt_skip_schedule(tmp_path):
@@ -139,19 +144,28 @@ def test_gram_missing_caches_exits_2(tmp_path):
                "--gamma", 1.0) == 2
 
 
-def test_gram_mixed_fingerprints_exits_3(workspace, tmp_path):
-    mixed = tmp_path / "mixed"
-    mixed.mkdir()
-    src = sorted((workspace / "emb-train").glob("*.pq"))
-    (mixed / "00000.pq").write_bytes(src[0].read_bytes())
-    other = tmp_path / "other"
+def test_gram_malformed_store_exits_2(workspace, tmp_path):
+    good = store_bytes(workspace / "emb-train")
+    for bad in (good[:-8], good + b"\0" * 8, good.replace(b'"seed"', b'"sead"')):
+        (tmp_path / PQ_STORE_NAME).write_bytes(bad)
+        assert run("gram", "--embeddings", tmp_path, "--out", tmp_path / "g.txt",
+                   "--gamma", 1.0) == 2
+
+
+def test_fit_and_predict_with_another_datasets_embeddings_exit_3(workspace, tmp_path):
     assert run(
-        "embed", "--input", workspace / "train.jsonl", "--out", other,
-        "--iterations", "0,1", "--projections", 6, "--quantiles", 12, "--seed", 10,
+        "fit", "--input", workspace / "train.jsonl", "--embeddings",
+        workspace / "emb-test", "--out", tmp_path / "m.bin",
+    ) == 3
+    model_path = tmp_path / "model.bin"
+    assert run(
+        "fit", "--input", workspace / "train.jsonl", "--embeddings",
+        workspace / "emb-train", "--out", model_path, "--multistarts", 1,
     ) == 0
-    (mixed / "00001.pq").write_bytes(sorted(other.glob("*.pq"))[1].read_bytes())
-    assert run("gram", "--embeddings", mixed, "--out", tmp_path / "g.txt",
-               "--gamma", 1.0) == 3
+    assert run(
+        "predict", "--model", model_path, "--input", workspace / "test.jsonl",
+        "--embeddings", workspace / "emb-train", "--out", tmp_path / "p.csv",
+    ) == 3
 
 
 def test_fit_predict_interpolates_train(workspace, tmp_path):
@@ -240,8 +254,11 @@ def test_aniso_flow(tmp_path):
         "embed", "--input", path, "--out", emb, "--iterations", "0,1,2",
         "--projections", 4, "--quantiles", 6, "--seed", 5, "--aniso",
     ) == 0
-    assert len(list(emb.glob("*.it0.pq"))) == 5
-    assert len(list(emb.glob("*.it2.pq"))) == 5
+    assert sorted(p.name for p in emb.iterdir()) == sorted([PQ_STORE_NAME, "manifest.json"])
+    store = load_pq_store(emb)
+    # the full embedding, then one block per kept iteration
+    assert [b.shape for b in store.blocks] == [(5, 24)] * 4
+    assert [fp.block for fp in store.fingerprints] == [None, 0, 1, 2]
     gram_path = tmp_path / "aniso.txt"
     assert run(
         "gram", "--embeddings", emb, "--out", gram_path, "--aniso",
@@ -258,6 +275,9 @@ def test_standardize_roundtrip(workspace, tmp_path):
         "--iterations", "0,1", "--projections", 4, "--quantiles", 6,
         "--seed", 2, "--standardize",
     ) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [PQ_STORE_NAME, "manifest.json", "standardization.json"]
+    )
     stats = json.loads((out / "standardization.json").read_text())
     assert len(stats["mean"]) == 2
     out_test = tmp_path / "std-test"
@@ -297,7 +317,7 @@ def test_jobs_flag_gives_identical_artifacts(workspace, tmp_path):
         "--iterations", "0,1", "--projections", 6, "--quantiles", 12,
         "--seed", 9, "--jobs", 4,
     ) == 0
-    assert read_bytes_map(out) == read_bytes_map(workspace / "emb-train")
+    assert store_bytes(out) == store_bytes(workspace / "emb-train")
 
 
 def test_jobs_default_comes_from_environment(monkeypatch):

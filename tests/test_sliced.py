@@ -1,5 +1,7 @@
 """Projections, quantiles, embeddings and transport-distance oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,12 @@ from swwl.errors import (
     DegenerateDrawError,
     DimensionMismatchError,
     EmptyInputError,
+    ParseError,
     SizeMismatchError,
     TooLargeError,
     ValidationError,
 )
-from swwl.sliced import _unit_rows, load_pq_embedding, save_pq_embedding
+from swwl.sliced import PQ_STORE_NAME, _unit_rows, load_pq_store, save_pq_store
 
 from oracles import naive_quantile, naive_sw
 
@@ -347,18 +350,75 @@ class TestExactOracles:
             sw_exact_1d([], [1.0])
 
 
-def test_cache_round_trip(tmp_path):
+def _embeddings(ids, seed=123):
     rng = np.random.default_rng(10)
-    emb = pq_embed(
-        EmpiricalMeasure(rng.standard_normal((8, 3))),
-        sample_projections(123, 4, 3),
-        QuantileGrid(6),
-        graph_id="graph-8",
-    )
-    path = tmp_path / "emb.pq"
-    save_pq_embedding(emb, path)
-    back = load_pq_embedding(path)
-    assert back.graph_id == "graph-8"
-    assert back.fingerprint == emb.fingerprint
-    assert np.array_equal(back.values, emb.values)
-    assert sw_estimate(emb, back) == 0.0
+    projections = sample_projections(seed, 4, 3)
+    return [
+        pq_embed(EmpiricalMeasure(rng.standard_normal((8, 3))), projections,
+                 QuantileGrid(6), graph_id=i)
+        for i in ids
+    ]
+
+
+def test_cache_round_trip(tmp_path):
+    embs = _embeddings(["graph-8", "graph-9"])
+    blocks = [_embeddings(["graph-8", "graph-9"], seed=s) for s in (1, 2)]
+    save_pq_store(tmp_path, embs, blocks)
+    back = load_pq_store(tmp_path)
+    assert back.ids == ("graph-8", "graph-9")
+    assert back.fingerprints == tuple(b[0].fingerprint for b in [embs, *blocks])
+    for k, block in enumerate([embs, *blocks]):
+        assert np.array_equal(back.blocks[k], np.vstack([e.values for e in block]))
+    restored = back.embeddings(0)
+    assert [e.graph_id for e in restored] == ["graph-8", "graph-9"]
+    assert sw_estimate(embs[1], restored[1]) == 0.0
+
+
+def test_store_keeps_written_order_of_ids(tmp_path):
+    ids = ["9", "10", "100000"]
+    embs = _embeddings(ids)
+    save_pq_store(tmp_path, embs, None)
+    back = load_pq_store(tmp_path)
+    assert back.ids == tuple(ids)
+    assert np.array_equal(back.blocks[0], np.vstack([e.values for e in embs]))
+
+
+def test_store_refuses_mixed_fingerprints(tmp_path):
+    mixed = _embeddings(["a"]) + _embeddings(["b"], seed=124)
+    with pytest.raises(ConfigMismatchError):
+        save_pq_store(tmp_path, mixed, None)
+    with pytest.raises(ConfigMismatchError):
+        save_pq_store(tmp_path, _embeddings(["a", "b"]), [_embeddings(["b", "a"])])
+    assert not (tmp_path / PQ_STORE_NAME).exists()
+
+
+def _rewrite_header(path, edit):
+    """Re-encode a store with its JSON header changed by ``edit``."""
+    raw = path.read_bytes()
+    size = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+    header = json.loads(raw[16 : 16 + size])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + raw[16 + size :])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.pop("ids"),
+        lambda h: h.update(ids=["a", 7]),
+        lambda h: h.update(ids=["a"]),  # rows != len(ids)
+        lambda h: h.pop("fingerprints"),
+        lambda h: h["fingerprints"][0].pop("seed"),
+        lambda h: h["fingerprints"][0].update(seed="5"),
+        lambda h: h["fingerprints"][0].update(projections=1.5),
+        lambda h: h["fingerprints"][0].update(iterations=[0, "a"]),
+        lambda h: h["fingerprints"][0].update(quantiles=5),  # width != P*Q
+        lambda h: h["fingerprints"].append(h["fingerprints"][0]),  # no second block
+    ],
+)
+def test_malformed_store_header_is_parse_error(tmp_path, edit):
+    save_pq_store(tmp_path, _embeddings(["a", "b"]), None)
+    _rewrite_header(tmp_path / PQ_STORE_NAME, edit)
+    with pytest.raises(ParseError):
+        load_pq_store(tmp_path)
