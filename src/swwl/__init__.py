@@ -41,11 +41,8 @@ from .kernels import (
     KernelConfig,
     assemble_gram,
     assemble_gram_aniso,
-    aswwl_kernel,
     check_psd,
     matern52,
-    swwl_kernel,
-    tensorized_kernel,
 )
 from .gp import (
     GpModel,
@@ -86,7 +83,6 @@ __all__ = [
     "apply_standardization",
     "assemble_gram",
     "assemble_gram_aniso",
-    "aswwl_kernel",
     "build_train_distances",
     "check_psd",
     "compute_standardization",
@@ -112,8 +108,6 @@ __all__ = [
     "step_quantiles",
     "sw_estimate",
     "sw_exact_1d",
-    "swwl_kernel",
-    "tensorized_kernel",
     "w_exact_tiny",
     "wl_iterate",
 ]

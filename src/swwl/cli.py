@@ -72,7 +72,7 @@ from .kernels import (
 from .pipeline import embed_dataset
 from .sliced import load_pq_store, save_pq_store
 from .synthetic import generate_regression_dataset, generate_timing_graph
-from .wl import WlConfig, save_wl_embedding, sqrt_skip_iterations, embed as wl_embed
+from .wl import WlConfig, sqrt_skip_iterations, embed as wl_embed
 
 _VALIDATION_ERRORS = (
     ParseError,
@@ -227,16 +227,6 @@ def cmd_embed(args) -> int:
         )
     with stages.time("write"):
         save_pq_store(out_dir, result.embeddings, result.per_iteration)
-        if args.wl_out:
-            wl_dir = Path(args.wl_out)
-            wl_dir.mkdir(parents=True, exist_ok=True)
-            # zero-padded to the widest index, so names sort in dataset order
-            width = len(str(len(dataset) - 1))
-            for i, rec in enumerate(dataset.records):
-                save_wl_embedding(
-                    wl_embed(rec.graph, config, graph_id=rec.id),
-                    wl_dir / f"{i:0{width}d}.wl",
-                )
     _write_manifest(
         out_dir / "manifest.json",
         "embed",
@@ -291,9 +281,7 @@ def cmd_gram(args) -> int:
             gamma=args.gamma, variance=args.variance, nugget=args.nugget
         )
         with stages.time("assemble"):
-            gram = assemble_gram(
-                store.embeddings(0), None, cfg, nugget_on_diagonal=args.nugget > 0
-            )
+            gram = assemble_gram(store.embeddings(0), None, cfg)
     report = None
     if args.check_psd:
         with stages.time("check_psd"):
@@ -592,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--standardize-stats", help="reuse training statistics from file")
     p.add_argument("--aniso", action="store_true", help="also store one block per kept iteration")
-    p.add_argument("--wl-out", help="optional directory for raw WL embedding caches")
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=cmd_embed)
 

@@ -18,6 +18,7 @@ the search.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .errors import (
     ConstantTargetError,
     LengthMismatchError,
     OptimizationError,
+    ParseError,
     ValidationError,
 )
 from .kernels import correlation_from_distances, scalar_abs_distances
@@ -78,6 +80,11 @@ class TrainDistances:
             for dist in self.scalar_abs:
                 scales.append(float(dist[off].mean()))
         return np.array(scales)
+
+    @functools.cached_property
+    def prior_scales(self) -> np.ndarray:
+        """:meth:`mean_scales`, computed once per instance."""
+        return self.mean_scales()
 
 
 def build_train_distances(
@@ -167,7 +174,7 @@ def posterior_parts(
             flag="ConstantTarget",
         )
     log_lik = -0.5 * log_det - 0.5 * np.log(h_rinv_h) - 0.5 * (n - 1) * np.log(s2)
-    scales = distances.mean_scales()
+    scales = distances.prior_scales
     rate_sum = float(np.sum(scales / ranges))
     if rate_sum > 0:
         b = jr_prior_rate(n, distances.n_ranges)
@@ -288,7 +295,7 @@ def fit(
     distances = build_train_distances(features, scalars)
     if distances.size != n:
         raise LengthMismatchError(f"{distances.size} inputs for {n} targets")
-    scales = distances.mean_scales()
+    scales = distances.prior_scales
     start_center = np.log(np.where(scales > 0, scales, 1.0))
     rng = np.random.Generator(np.random.Philox(key=int(settings.seed)))
     penalty = 1e300  # finite stand-in for -inf so the simplex stays well defined
@@ -351,27 +358,26 @@ def fit(
     )
 
 
-def _cross_correlation(
-    model: GpModel, features: np.ndarray | None, scalars: np.ndarray | None
-) -> np.ndarray:
+def _test_distances(
+    model: GpModel,
+    features: np.ndarray | None,
+    scalars: np.ndarray | None,
+    to_train: bool,
+) -> TrainDistances:
+    """Distances from the test inputs to the training inputs, or among themselves."""
     sw_sq = None
     if model.train_features is not None:
         if features is None:
             raise ConfigMismatchError("model was trained with graph features")
-        sw_sq = scipy.spatial.distance.cdist(
-            np.asarray(features, float), model.train_features, "sqeuclidean"
-        )
+        other = model.train_features if to_train else features
+        sw_sq = scipy.spatial.distance.cdist(features, other, "sqeuclidean")
     scalar_abs = None
     if model.train_scalars is not None:
         if scalars is None or np.asarray(scalars).shape[1] != model.train_scalars.shape[1]:
             raise LengthMismatchError("scalar covariate count differs from training")
-        scalar_abs = scalar_abs_distances(np.asarray(scalars, float), model.train_scalars)
-    gamma = None
-    if sw_sq is not None:
-        gamma = 1.0 / (model.ranges[0] * model.ranges[0])
-        lengthscales = model.ranges[1:]
-        return correlation_from_distances(sw_sq, scalar_abs, gamma, lengthscales)
-    return correlation_from_distances(None, scalar_abs, 1.0, model.ranges)
+        scalars = np.asarray(scalars, float)
+        scalar_abs = scalar_abs_distances(scalars, model.train_scalars if to_train else None)
+    return TrainDistances(sw_sq=sw_sq, scalar_abs=scalar_abs)
 
 
 def predict(
@@ -401,23 +407,12 @@ def predict(
         return PredictiveDistribution(
             mean=np.zeros(0), scale=np.zeros((0, 0)), dof=model.dof
         )
-    cross = _cross_correlation(model, features, scalars)  # (N*, N)
+    cross_d = _test_distances(model, features, scalars, to_train=True)
+    cross = _correlation(cross_d, model.ranges)  # (N*, N)
     mean = model.theta_hat + cross @ model.rinv_centered_y
     rinv_cross_t = scipy.linalg.cho_solve((model.chol, True), cross.T)  # (N, N*)
-    if model.train_features is not None:
-        test_sq = scipy.spatial.distance.cdist(features, features, "sqeuclidean")
-        scalar_abs = None
-        if model.train_scalars is not None:
-            scalar_abs = scalar_abs_distances(np.asarray(scalars, float))
-        gamma = 1.0 / (model.ranges[0] * model.ranges[0])
-        corr_test = correlation_from_distances(
-            test_sq, scalar_abs, gamma, model.ranges[1:]
-        )
-    else:
-        corr_test = correlation_from_distances(
-            None, scalar_abs_distances(np.asarray(scalars, float)), 1.0, model.ranges
-        )
-    cbar = corr_test - cross @ rinv_cross_t
+    test_d = _test_distances(model, features, scalars, to_train=False)
+    cbar = _correlation(test_d, model.ranges) - cross @ rinv_cross_t
     trend_gap = 1.0 - cross @ model.rinv_h  # h* - R* R^-1 h
     cbar = cbar + np.outer(trend_gap, trend_gap) / model.h_rinv_h
     scale = model.sigma2_hat * _floor_psd(cbar)
@@ -477,21 +472,42 @@ def save_model(model: GpModel, path) -> None:
 
 
 def load_model(path) -> GpModel:
+    """Read a model written by :func:`save_model`; ParseError if malformed."""
     header, arrays = read_container(path, MODEL_MAGIC)
+    n, ids = header.get("n"), header.get("train_ids")
+    if type(n) is not int or not isinstance(ids, list) or len(ids) != n:
+        raise ParseError(f"{path}: 'train_ids' must list the 'n' training records")
+    numbers = [header.get(k) for k in ("nugget", "theta_hat", "sigma2_hat", "dof")]
+    if any(type(v) not in (int, float) for v in numbers) or type(numbers[-1]) is not int:
+        raise ParseError(
+            f"{path}: 'nugget', 'theta_hat', 'sigma2_hat' must be numbers, 'dof' an integer"
+        )
+    feats, scal = arrays.get("train_features"), arrays.get("train_scalars")
+    for name, a in (("train_features", feats), ("train_scalars", scal)):
+        if a is not None and (a.ndim != 2 or a.shape[0] != n):
+            raise ParseError(f"{path}: {name!r} must hold one row per training record")
+    n_ranges = (feats is not None) + (0 if scal is None else scal.shape[1])
+    if n_ranges == 0:
+        raise ParseError(f"{path}: model holds neither training features nor scalars")
+    shapes = {"ranges": (n_ranges,), "prior_scales": (n_ranges,), "chol": (n, n),
+              "rinv_centered_y": (n,), "rinv_h": (n,), "targets": (n,)}
+    for name, shape in shapes.items():
+        if name not in arrays or arrays[name].shape != shape:
+            raise ParseError(f"{path}: array {name!r} must have shape {shape}")
     fp = header.get("fingerprint")
     return GpModel(
         ranges=arrays["ranges"],
         nugget=float(header["nugget"]),
         theta_hat=float(header["theta_hat"]),
         sigma2_hat=float(header["sigma2_hat"]),
-        dof=int(header["dof"]),
+        dof=header["dof"],
         chol=arrays["chol"],
         rinv_centered_y=arrays["rinv_centered_y"],
         rinv_h=arrays["rinv_h"],
         targets=arrays["targets"],
-        train_features=arrays.get("train_features"),
-        train_scalars=arrays.get("train_scalars"),
-        train_ids=tuple(header["train_ids"]),
+        train_features=feats,
+        train_scalars=scal,
+        train_ids=tuple(ids),
         fingerprint=None if fp is None else PqFingerprint.from_dict(fp),
         prior_scales=arrays["prior_scales"],
     )

@@ -16,14 +16,8 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .binio import read_container, write_container
-from .errors import (
-    ConfigMismatchError,
-    LengthMismatchError,
-    NonSymmetricError,
-    ParseError,
-    ValidationError,
-)
-from .sliced import PqEmbedding, check_compatible, features_matrix, sw_estimate
+from .errors import LengthMismatchError, NonSymmetricError, ParseError, ValidationError
+from .sliced import PqEmbedding, check_compatible, features_matrix
 
 GRAM_MAGIC = "SWWL-G1"
 
@@ -33,14 +27,12 @@ class KernelConfig:
     """Hyperparameters of the tensorized kernel.
 
     gamma: precision of the graph factor exp(-gamma * d^2).
-    gammas_aniso: optional per-iteration precisions for the anisotropic kernel.
     matern_lengthscales: one lengthscale per scalar covariate.
     variance: multiplicative variance sigma^2.
     nugget: nonnegative diagonal addition.
     """
 
     gamma: float = 1.0
-    gammas_aniso: tuple[float, ...] | None = None
     matern_lengthscales: tuple[float, ...] = ()
     variance: float = 1.0
     nugget: float = 0.0
@@ -52,11 +44,6 @@ class KernelConfig:
             raise ValidationError(f"variance must be positive, got {self.variance}")
         if self.nugget < 0:
             raise ValidationError(f"nugget must be nonnegative, got {self.nugget}")
-        if self.gammas_aniso is not None:
-            gam = tuple(float(g) for g in self.gammas_aniso)
-            if any(g <= 0 for g in gam):
-                raise ValidationError("anisotropic precisions must be positive")
-            object.__setattr__(self, "gammas_aniso", gam)
         ls = tuple(float(v) for v in self.matern_lengthscales)
         if any(v <= 0 for v in ls):
             raise ValidationError("Matern lengthscales must be positive")
@@ -83,35 +70,6 @@ class GramMatrix:
         return self.values.shape[0]
 
 
-def swwl_kernel(a: PqEmbedding, b: PqEmbedding, gamma: float) -> float:
-    """Graph kernel value exp(-gamma * d^2) in (0, 1]."""
-    if gamma <= 0:
-        raise ValidationError(f"gamma must be positive, got {gamma}")
-    d = sw_estimate(a, b)
-    return float(np.exp(-gamma * d * d))
-
-
-def aswwl_kernel(
-    per_iter_a: list[PqEmbedding],
-    per_iter_b: list[PqEmbedding],
-    gammas: np.ndarray,
-) -> float:
-    """Product over iterations of per-iteration graph kernels."""
-    gammas = np.asarray(gammas, dtype=float).reshape(-1)
-    if len(per_iter_a) != len(per_iter_b):
-        raise LengthMismatchError(
-            f"iteration counts differ: {len(per_iter_a)} vs {len(per_iter_b)}"
-        )
-    if len(gammas) != len(per_iter_a):
-        raise LengthMismatchError(
-            f"{len(gammas)} precisions for {len(per_iter_a)} iterations"
-        )
-    value = 1.0
-    for a, b, g in zip(per_iter_a, per_iter_b, gammas):
-        value *= swwl_kernel(a, b, g)
-    return float(value)
-
-
 def matern52(distance, lengthscale: float):
     """Matern-5/2 correlation (1 + sqrt5 h + 5 h^2 / 3) exp(-sqrt5 h)."""
     if lengthscale <= 0:
@@ -120,30 +78,6 @@ def matern52(distance, lengthscale: float):
     root5h = np.sqrt(5.0) * h
     out = (1.0 + root5h + root5h * root5h / 3.0) * np.exp(-root5h)
     return float(out) if out.ndim == 0 else out
-
-
-def tensorized_kernel(
-    rec_a: tuple[PqEmbedding, np.ndarray],
-    rec_b: tuple[PqEmbedding, np.ndarray],
-    cfg: KernelConfig,
-) -> float:
-    """Variance times the graph factor times one Matern factor per scalar."""
-    emb_a, scalars_a = rec_a
-    emb_b, scalars_b = rec_b
-    scalars_a = np.asarray(scalars_a, dtype=float).reshape(-1)
-    scalars_b = np.asarray(scalars_b, dtype=float).reshape(-1)
-    if scalars_a.shape != scalars_b.shape:
-        raise LengthMismatchError(
-            f"scalar counts differ: {scalars_a.shape[0]} vs {scalars_b.shape[0]}"
-        )
-    if scalars_a.shape[0] != len(cfg.matern_lengthscales):
-        raise LengthMismatchError(
-            f"{scalars_a.shape[0]} scalars but {len(cfg.matern_lengthscales)} lengthscales"
-        )
-    value = cfg.variance * swwl_kernel(emb_a, emb_b, cfg.gamma)
-    for sa, sb, ls in zip(scalars_a, scalars_b, cfg.matern_lengthscales):
-        value *= matern52(abs(sa - sb), ls)
-    return float(value)
 
 
 def sw_squared_distances(embeddings: list[PqEmbedding]) -> np.ndarray:
@@ -185,13 +119,33 @@ def correlation_from_distances(
     return corr
 
 
+def _gram(
+    embeddings: list[PqEmbedding],
+    sw_sq: np.ndarray,
+    scalar_abs: np.ndarray | None,
+    gamma: float,
+    lengthscales,
+    variance: float,
+    nugget: float,
+    labels: dict,
+) -> GramMatrix:
+    """variance * correlation + nugget * I, fingerprinted and labelled by row."""
+    values = variance * correlation_from_distances(sw_sq, scalar_abs, gamma, lengthscales)
+    if nugget:
+        values = values + nugget * np.eye(len(embeddings))
+    fp = embeddings[0].fingerprint.to_dict()
+    fp.update(labels, variance=variance, nugget=nugget)
+    return GramMatrix(
+        values=values, row_ids=tuple(e.graph_id for e in embeddings), fingerprint=fp
+    )
+
+
 def assemble_gram(
     embeddings: list[PqEmbedding],
     scalars: np.ndarray | None,
     cfg: KernelConfig,
-    nugget_on_diagonal: bool = False,
 ) -> GramMatrix:
-    """Tensorized kernel matrix over all record pairs.
+    """Tensorized kernel matrix over all record pairs, plus ``cfg.nugget`` * I.
 
     The upper triangle is computed once per unordered pair (condensed
     distances) and mirrored, so the result is symmetric by construction.
@@ -206,24 +160,12 @@ def assemble_gram(
         raise LengthMismatchError(
             f"{scalars.shape[1]} scalars but {len(cfg.matern_lengthscales)} lengthscales"
         )
-    sw_sq = sw_squared_distances(embeddings)
     scalar_abs = scalar_abs_distances(scalars) if scalars.shape[1] else None
-    corr = correlation_from_distances(sw_sq, scalar_abs, cfg.gamma, cfg.matern_lengthscales)
-    values = cfg.variance * corr
-    if nugget_on_diagonal and cfg.nugget:
-        values = values + cfg.nugget * np.eye(n)
-    fp = embeddings[0].fingerprint.to_dict()
-    fp.update(
-        {
-            "kind": "swwl",
-            "gamma": cfg.gamma,
-            "variance": cfg.variance,
-            "nugget": cfg.nugget if nugget_on_diagonal else 0.0,
-            "matern_lengthscales": list(cfg.matern_lengthscales),
-        }
-    )
-    return GramMatrix(
-        values=values, row_ids=tuple(e.graph_id for e in embeddings), fingerprint=fp
+    return _gram(
+        embeddings, sw_squared_distances(embeddings), scalar_abs, cfg.gamma,
+        cfg.matern_lengthscales, cfg.variance, cfg.nugget,
+        {"kind": "swwl", "gamma": cfg.gamma,
+         "matern_lengthscales": list(cfg.matern_lengthscales)},
     )
 
 
@@ -237,6 +179,7 @@ def assemble_gram_aniso(
 
     ``per_iter_embeddings[h]`` holds the embeddings of iteration h for all
     graphs, each built from that iteration's d-dimensional values alone.
+    The product is evaluated as exp(-1 * sum_h gamma_h d_h^2).
     """
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if len(per_iter_embeddings) != len(gammas):
@@ -244,20 +187,14 @@ def assemble_gram_aniso(
             f"{len(gammas)} precisions for {len(per_iter_embeddings)} iterations"
         )
     n = len(per_iter_embeddings[0])
-    log_corr = np.zeros((n, n))
+    weighted_sq = np.zeros((n, n))
     for embs, g in zip(per_iter_embeddings, gammas):
         if len(embs) != n:
             raise LengthMismatchError("iteration blocks cover different graph counts")
-        log_corr -= g * sw_squared_distances(embs)
-    values = variance * np.exp(log_corr)
-    if nugget:
-        values = values + nugget * np.eye(n)
-    fp = per_iter_embeddings[0][0].fingerprint.to_dict()
-    fp.update({"kind": "aswwl", "gammas": gammas.tolist(), "variance": variance, "nugget": nugget})
-    return GramMatrix(
-        values=values,
-        row_ids=tuple(e.graph_id for e in per_iter_embeddings[0]),
-        fingerprint=fp,
+        weighted_sq += g * sw_squared_distances(embs)
+    return _gram(
+        per_iter_embeddings[0], weighted_sq, None, 1.0, (), variance, nugget,
+        {"kind": "aswwl", "gammas": gammas.tolist()},
     )
 
 
@@ -272,8 +209,10 @@ class PsdReport:
 def check_psd(gram: GramMatrix | np.ndarray, tol: float = 1e-8) -> PsdReport:
     """Smallest eigenvalue check: PSD iff min_eig >= -tol * max(1, trace)."""
     values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, float)
-    asym = np.max(np.abs(values - values.T)) if values.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(values)))) if values.size else 1.0
+    if values.size == 0:
+        raise ValidationError("cannot check an empty matrix")
+    asym = np.max(np.abs(values - values.T))
+    scale = max(1.0, float(np.max(np.abs(values))))
     if asym > 1e-12 * scale:
         raise NonSymmetricError(f"matrix asymmetry {asym:g} exceeds tolerance")
     min_eig = float(np.linalg.eigvalsh(values)[0])
@@ -340,14 +279,15 @@ def save_gram_binary(gram: GramMatrix, path) -> None:
 
 
 def load_gram_binary(path) -> GramMatrix:
+    """Read a Gram written by :func:`save_gram_binary`; ParseError if malformed."""
     header, arrays = read_container(path, GRAM_MAGIC)
-    return GramMatrix(
-        values=arrays["values"],
-        row_ids=tuple(header["row_ids"]),
-        fingerprint=header["fingerprint"],
-    )
-
-
-def require_same_fingerprint(a: dict, b: dict, context: str = "") -> None:
-    if a != b:
-        raise ConfigMismatchError(f"fingerprints differ{': ' + context if context else ''}")
+    ids, fp, values = header.get("row_ids"), header.get("fingerprint"), arrays.get("values")
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise ParseError(f"{path}: 'row_ids' must be a list of strings")
+    if not isinstance(fp, dict):
+        raise ParseError(f"{path}: 'fingerprint' must be a JSON object")
+    if values is None or values.shape != (len(ids), len(ids)):
+        raise ParseError(
+            f"{path}: 'values' must be a {len(ids)}x{len(ids)} matrix, one row per id"
+        )
+    return GramMatrix(values=values, row_ids=tuple(ids), fingerprint=fp)

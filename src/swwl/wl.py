@@ -15,12 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .binio import read_container, write_container
 from .errors import ShapeError, ValidationError
 from .graphs import AttributedGraph
-
-WL_CACHE_MAGIC = "SWWL-E1"
-
 
 @dataclass(frozen=True)
 class WlConfig:
@@ -133,21 +129,3 @@ def embed(graph: AttributedGraph, config: WlConfig, graph_id: str = "") -> WlEmb
             current = _iterate(current, adj, inv_deg)
     values = np.hstack(blocks)
     return WlEmbedding(values=values, config=config, graph_id=graph_id)
-
-
-def save_wl_embedding(embedding: WlEmbedding, path) -> None:
-    header = {
-        "graph_id": embedding.graph_id,
-        "iterations": list(embedding.config.iterations),
-        "d": embedding.values.shape[1] // embedding.config.block_count,
-        "node_count": embedding.values.shape[0],
-    }
-    write_container(path, WL_CACHE_MAGIC, header, {"values": embedding.values})
-
-
-def load_wl_embedding(path) -> WlEmbedding:
-    header, arrays = read_container(path, WL_CACHE_MAGIC)
-    config = WlConfig(iterations=tuple(header["iterations"]))
-    return WlEmbedding(
-        values=arrays["values"], config=config, graph_id=header["graph_id"]
-    )

@@ -390,7 +390,7 @@ def test_acceptance_8_projection_quantile_trend():
 
 def _artifact_bytes(directory):
     return {
-        p.name: p.read_bytes()
+        p.relative_to(directory).as_posix(): p.read_bytes()
         for p in sorted(directory.rglob("*"))
         if p.is_file() and not p.name.endswith("manifest.json")
     }

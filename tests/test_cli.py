@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from swwl import AttributedGraph, Dataset, GraphRecord, load_dataset, save_dataset
+from swwl.binio import read_container, write_container
 from swwl.cli import main
-from swwl.gp import load_model
-from swwl.kernels import load_gram_binary, load_gram_text
+from swwl.gp import MODEL_MAGIC, load_model
+from swwl.kernels import GRAM_MAGIC, load_gram_binary, load_gram_text
 from swwl.sliced import PQ_STORE_NAME, load_pq_store
 
 
@@ -241,6 +242,37 @@ def test_check_psd_command(workspace, tmp_path):
     assert run("check-psd", "--gram", bad) == 4
 
 
+@pytest.mark.parametrize(
+    "header, values",
+    [
+        ({"fingerprint": {}, "row_ids": []}, np.zeros((0, 0))),
+        ({"fingerprint": {}}, np.eye(2)),
+        ({"fingerprint": {}, "row_ids": ["a", "b"]}, None),
+        ({"fingerprint": {}, "row_ids": 5}, np.eye(2)),
+    ],
+    ids=["empty", "no-row-ids", "no-values", "row-ids-int"],
+)
+def test_check_psd_malformed_binary_exits_2(tmp_path, header, values):
+    path = tmp_path / "gram.bin"
+    write_container(path, GRAM_MAGIC, header, {} if values is None else {"values": values})
+    assert run("check-psd", "--gram", path, "--binary") == 2
+
+
+def test_predict_with_malformed_model_exits_2(workspace, tmp_path):
+    model_path = tmp_path / "model.bin"
+    assert run(
+        "fit", "--input", workspace / "train.jsonl", "--embeddings",
+        workspace / "emb-train", "--out", model_path, "--multistarts", 1,
+    ) == 0
+    header, arrays = read_container(model_path, MODEL_MAGIC)
+    del header["nugget"]
+    write_container(model_path, MODEL_MAGIC, header, arrays)
+    assert run(
+        "predict", "--model", model_path, "--input", workspace / "test.jsonl",
+        "--embeddings", workspace / "emb-test", "--out", tmp_path / "p.csv",
+    ) == 2
+
+
 def test_aniso_flow(tmp_path):
     rng = np.random.default_rng(2)
     records = []
@@ -327,20 +359,3 @@ def test_jobs_default_comes_from_environment(monkeypatch):
     assert _default_jobs() == 3
     monkeypatch.delenv("SWWL_JOBS")
     assert _default_jobs() == 1
-
-
-def test_wl_cache_output(workspace, tmp_path):
-    from swwl.wl import load_wl_embedding
-
-    out = tmp_path / "emb"
-    wl_dir = tmp_path / "wl"
-    assert run(
-        "embed", "--input", workspace / "train.jsonl", "--out", out,
-        "--iterations", "0,1", "--projections", 3, "--quantiles", 4,
-        "--seed", 0, "--wl-out", wl_dir,
-    ) == 0
-    caches = sorted(wl_dir.glob("*.wl"))
-    assert len(caches) == 12
-    emb = load_wl_embedding(caches[0])
-    assert emb.config.iterations == (0, 1)
-    assert emb.values.shape[1] == 4  # two kept iterations, two attribute dims

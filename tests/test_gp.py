@@ -21,8 +21,10 @@ from swwl.errors import (
     ConstantTargetError,
     LengthMismatchError,
     OptimizationError,
+    ParseError,
 )
-from swwl.gp import jr_prior_rate
+from swwl.binio import read_container, write_container
+from swwl.gp import MODEL_MAGIC, jr_prior_rate
 from swwl.sliced import PqFingerprint
 
 
@@ -267,3 +269,58 @@ class TestMetricsAndIO:
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.scale, b.scale)
         assert a.dof == b.dof
+
+
+def _set(mapping, key, value):
+    mapping[key] = value
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda h, a: h.pop("nugget"),
+        lambda h, a: _set(h, "nugget", "1e-8"),
+        lambda h, a: _set(h, "dof", 11.0),
+        lambda h, a: h.pop("train_ids"),
+        lambda h, a: _set(h, "train_ids", ["r0"]),
+        lambda h, a: _set(h, "n", "12"),
+        lambda h, a: a.pop("ranges"),
+        lambda h, a: _set(a, "ranges", np.ones(2)),
+        lambda h, a: _set(a, "chol", np.eye(11)),
+        lambda h, a: _set(a, "targets", np.ones(13)),
+        lambda h, a: _set(a, "train_scalars", np.ones((11, 2))),
+        lambda h, a: _set(a, "train_features", np.ones(60)),
+        lambda h, a: (a.pop("train_features"), a.pop("train_scalars")),
+    ],
+    ids=["no-nugget", "nugget-str", "dof-float", "no-ids", "ids-vs-n", "n-str",
+         "no-ranges", "ranges-count", "chol-shape", "targets-length",
+         "scalar-rows", "features-1d", "no-inputs"],
+)
+def test_malformed_model_is_parse_error(tmp_path, damage):
+    rng = np.random.default_rng(10)
+    model = fit(
+        rng.standard_normal((12, 5)), rng.standard_normal((12, 2)),
+        rng.standard_normal(12), settings=GpSettings(multistarts=1),
+    )
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    header, arrays = read_container(path, MODEL_MAGIC)
+    damage(header, arrays)
+    write_container(path, MODEL_MAGIC, header, arrays)
+    with pytest.raises(ParseError):
+        load_model(path)
+
+
+def test_prior_scales_computed_once_per_fit(monkeypatch):
+    calls = []
+    original = TrainDistances.mean_scales
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(TrainDistances, "mean_scales", counting)
+    rng = np.random.default_rng(11)
+    fit(rng.standard_normal((10, 3)), None, rng.standard_normal(10),
+        settings=GpSettings(multistarts=2))
+    assert len(calls) == 1

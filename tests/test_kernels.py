@@ -11,18 +11,17 @@ from swwl import (
     QuantileGrid,
     assemble_gram,
     assemble_gram_aniso,
-    aswwl_kernel,
     check_psd,
     matern52,
     pq_embed,
     sample_projection_blocks,
     sample_projections,
-    swwl_kernel,
     sw_estimate,
-    tensorized_kernel,
 )
-from swwl.errors import LengthMismatchError, NonSymmetricError, ValidationError
+from swwl.binio import write_container
+from swwl.errors import LengthMismatchError, NonSymmetricError, ParseError, ValidationError
 from swwl.kernels import (
+    GRAM_MAGIC,
     GramMatrix,
     load_gram_binary,
     load_gram_text,
@@ -30,6 +29,8 @@ from swwl.kernels import (
     save_gram_text,
     sw_squared_distances,
 )
+
+from oracles import aswwl_kernel, swwl_kernel, tensorized_kernel
 
 
 def dirac_pair(a, b, seed=0, p=3, q=4):
@@ -151,17 +152,15 @@ class TestAssembleGram:
         gram = assemble_gram(embs, None, KernelConfig(gamma=1.0, variance=2.0))
         np.testing.assert_allclose(gram.values, [[2.0]])
         with_nugget = assemble_gram(
-            embs, None, KernelConfig(gamma=1.0, variance=2.0, nugget=0.25),
-            nugget_on_diagonal=True,
+            embs, None, KernelConfig(gamma=1.0, variance=2.0, nugget=0.25)
         )
         np.testing.assert_allclose(with_nugget.values, [[2.25]])
+        assert with_nugget.fingerprint["nugget"] == 0.25
 
     def test_duplicate_records(self):
         rng = np.random.default_rng(1)
         emb = random_embeddings(rng, 1)[0]
-        gram = assemble_gram(
-            [emb, emb], None, KernelConfig(gamma=1.0, nugget=0.1), nugget_on_diagonal=True
-        )
+        gram = assemble_gram([emb, emb], None, KernelConfig(gamma=1.0, nugget=0.1))
         assert gram.values[0, 1] == pytest.approx(1.0)
         assert gram.values[0, 0] == pytest.approx(1.1)
         assert gram.values[1, 1] == pytest.approx(1.1)
@@ -302,3 +301,31 @@ class TestGramFiles:
         assert np.array_equal(back.values, gram.values)
         assert back.row_ids == gram.row_ids
         assert back.fingerprint == gram.fingerprint
+
+    @pytest.mark.parametrize(
+        "header, arrays",
+        [
+            ({"fingerprint": {}}, {"values": np.eye(2)}),
+            ({"fingerprint": {}, "row_ids": ["a", "b"]}, {}),
+            ({"fingerprint": {}, "row_ids": 5}, {"values": np.eye(2)}),
+            ({"fingerprint": {}, "row_ids": [0, 1]}, {"values": np.eye(2)}),
+            ({"row_ids": ["a", "b"]}, {"values": np.eye(2)}),
+            ({"fingerprint": {}, "row_ids": ["a", "b"]}, {"values": np.eye(3)}),
+            ({"fingerprint": {}, "row_ids": ["a", "b"]}, {"values": np.ones(4)}),
+        ],
+        ids=["no-row-ids", "no-values", "row-ids-int", "row-ids-not-str",
+             "no-fingerprint", "values-vs-ids", "values-1d"],
+    )
+    def test_malformed_binary_is_parse_error(self, tmp_path, header, arrays):
+        path = tmp_path / "gram.bin"
+        write_container(path, GRAM_MAGIC, header, arrays)
+        with pytest.raises(ParseError):
+            load_gram_binary(path)
+
+    def test_empty_gram_is_validation_error(self, tmp_path):
+        path = tmp_path / "gram.bin"
+        write_container(path, GRAM_MAGIC, {"fingerprint": {}, "row_ids": []},
+                        {"values": np.zeros((0, 0))})
+        gram = load_gram_binary(path)
+        with pytest.raises(ValidationError):
+            check_psd(gram)

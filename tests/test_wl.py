@@ -5,7 +5,6 @@ import pytest
 
 from swwl import AttributedGraph, WlConfig, embed, sqrt_skip_iterations, wl_iterate
 from swwl.errors import ShapeError, ValidationError
-from swwl.wl import load_wl_embedding, save_wl_embedding
 
 
 def two_node_graph():
@@ -165,15 +164,3 @@ def test_skip_schedule_skips_storage_not_computation():
     np.testing.assert_array_equal(skipped.block(0), full.block(0))
     np.testing.assert_array_equal(skipped.block(1), full.block(2))
     np.testing.assert_array_equal(skipped.block(2), full.block(4))
-
-
-def test_cache_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    g = random_graph(rng, 7, 3)
-    emb = embed(g, WlConfig(iterations=(0, 1, 3)), graph_id="g-7")
-    path = tmp_path / "emb.wl"
-    save_wl_embedding(emb, path)
-    back = load_wl_embedding(path)
-    assert back.graph_id == "g-7"
-    assert back.config.iterations == (0, 1, 3)
-    assert np.array_equal(back.values, emb.values)
