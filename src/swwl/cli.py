@@ -1,12 +1,12 @@
 """Command-line pipeline with persistent, cacheable intermediate artifacts.
 
 Subcommands: generate, embed, gram, fit, predict, bench, check-psd. Every
-command writes a JSON manifest with its parameters and per-stage wall-clock
+command writes a JSON manifest with its parsed flags and per-stage wall-clock
 timings next to its primary output. Numeric artifacts are pure functions of
 (inputs, flags, seed); manifests additionally carry timings.
 
 Exit codes: 0 success, 2 input validation, 3 configuration/fingerprint
-mismatch, 4 numerical failure.
+mismatch, 4 numerical failure; each error class in ``errors`` declares its code.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import csv
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -23,23 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    CholeskyError,
-    ConfigMismatchError,
-    ConstantTargetError,
-    DegenerateDrawError,
-    DimensionMismatchError,
-    EmptyInputError,
-    LengthMismatchError,
-    NonSymmetricError,
-    OptimizationError,
-    ParseError,
-    SchemaError,
-    ShapeError,
-    SizeMismatchError,
-    TooLargeError,
-    ValidationError,
-)
+from .errors import ConfigMismatchError, SwwlError, ValidationError
 from .gp import (
     GpSettings,
     fit as gp_fit,
@@ -52,6 +35,7 @@ from .gp import (
 )
 from .graphs import (
     Dataset,
+    GraphRecord,
     StandardizationStats,
     compute_standardization,
     load_dataset,
@@ -72,29 +56,7 @@ from .kernels import (
 from .pipeline import embed_dataset
 from .sliced import load_pq_store, save_pq_store
 from .synthetic import generate_regression_dataset, generate_timing_graph
-from .wl import WlConfig, sqrt_skip_iterations, embed as wl_embed
-
-_VALIDATION_ERRORS = (
-    ParseError,
-    SchemaError,
-    ValidationError,
-    ShapeError,
-    EmptyInputError,
-    LengthMismatchError,
-    SizeMismatchError,
-    DimensionMismatchError,
-    TooLargeError,
-    FileNotFoundError,
-    ValueError,
-)
-_NUMERICAL_ERRORS = (
-    CholeskyError,
-    OptimizationError,
-    ConstantTargetError,
-    NonSymmetricError,
-    DegenerateDrawError,
-    np.linalg.LinAlgError,
-)
+from .wl import WlConfig, sqrt_skip_iterations
 
 
 class _Stages:
@@ -118,9 +80,12 @@ class _Stages:
         return 1000.0 * (time.perf_counter() - self._t0)
 
 
-def _write_manifest(path, command, parameters, stages, extra=None):
+def _write_manifest(path, args, stages, extra=None, **resolved):
+    """Record every parsed flag, overridden by ``resolved`` values, and the timings."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    parameters.update(resolved)
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "parameters": parameters,
         "timings_ms": {k: round(v, 3) for k, v in stages.timings.items()},
@@ -131,20 +96,17 @@ def _write_manifest(path, command, parameters, stages, extra=None):
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_iterations(text: str, dataset: Dataset | None):
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
+
+
+def _parse_iterations(text: str, dataset: Dataset):
     if text == "sqrt-skip":
-        if dataset is None:
-            raise ValidationError("sqrt-skip needs a dataset to size the step")
-        mean_nodes = float(dataset.node_counts().mean())
-        return sqrt_skip_iterations(mean_nodes)
+        return sqrt_skip_iterations(float(dataset.node_counts().mean()))
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(_ints(text))
     except ValueError as exc:
         raise ValidationError(f"cannot parse iteration list {text!r}") from exc
-
-
-def _default_jobs() -> int:
-    return int(os.environ.get("SWWL_JOBS", "1"))
 
 
 def _load_store(directory, expect_ids):
@@ -176,18 +138,7 @@ def cmd_generate(args) -> int:
         save_dataset(test, args.out_test)
     _write_manifest(
         str(args.out_train) + ".manifest.json",
-        "generate",
-        {
-            "seed": args.seed,
-            "n_train": args.n_train,
-            "n_test": args.n_test,
-            "nodes": args.nodes,
-            "noise": args.noise,
-            "scalars": args.scalars,
-            "node_spread": args.node_spread,
-            "out_train": str(args.out_train),
-            "out_test": str(args.out_test),
-        },
+        args,
         stages,
         extra={"counts": {"train": len(train), "test": len(test)}},
     )
@@ -229,19 +180,7 @@ def cmd_embed(args) -> int:
         save_pq_store(out_dir, result.embeddings, result.per_iteration)
     _write_manifest(
         out_dir / "manifest.json",
-        "embed",
-        {
-            "input": str(args.input),
-            "out": str(out_dir),
-            "iterations": list(iterations),
-            "projections": args.projections,
-            "quantiles": args.quantiles,
-            "seed": args.seed,
-            "r": args.r,
-            "standardize": bool(standardization is not None),
-            "aniso": args.aniso,
-            "jobs": args.jobs,
-        },
+        args,
         stages,
         extra={
             "ids": dataset.ids,
@@ -250,6 +189,8 @@ def cmd_embed(args) -> int:
                 "nodes": int(dataset.node_counts().sum()),
             },
         },
+        iterations=list(iterations),
+        standardize=standardization is not None,
     )
     print(f"embedded {len(dataset)} records into {out_dir}")
     return 0
@@ -273,7 +214,9 @@ def cmd_gram(args) -> int:
         gammas = np.array([float(t) for t in args.gammas.split(",")])
         per_iter = [store.embeddings(k) for k in range(1, len(store.blocks))]
         with stages.time("assemble"):
-            gram = assemble_gram_aniso(per_iter, gammas, nugget=args.nugget)
+            gram = assemble_gram_aniso(
+                per_iter, gammas, variance=args.variance, nugget=args.nugget
+            )
     else:
         if args.gamma is None:
             raise ValidationError("need --gamma, --distances-only or --aniso")
@@ -296,17 +239,7 @@ def cmd_gram(args) -> int:
             save_gram_binary(gram, args.binary_out)
     _write_manifest(
         str(args.out) + ".manifest.json",
-        "gram",
-        {
-            "embeddings": str(args.embeddings),
-            "out": str(args.out),
-            "gamma": args.gamma,
-            "gammas": args.gammas,
-            "distances_only": args.distances_only,
-            "aniso": args.aniso,
-            "variance": args.variance,
-            "nugget": args.nugget,
-        },
+        args,
         stages,
         extra={
             "counts": {"records": gram.size},
@@ -344,16 +277,7 @@ def cmd_fit(args) -> int:
         save_model(model, args.out)
     _write_manifest(
         str(args.out) + ".manifest.json",
-        "fit",
-        {
-            "input": str(args.input),
-            "embeddings": str(args.embeddings),
-            "out": str(args.out),
-            "nugget": args.nugget,
-            "multistarts": args.multistarts,
-            "max_evals": args.max_evals,
-            "opt_seed": args.opt_seed,
-        },
+        args,
         stages,
         extra={
             "fitted": {
@@ -394,13 +318,7 @@ def cmd_predict(args) -> int:
         write_predictions_csv(args.out, dataset.ids, dist)
     _write_manifest(
         str(args.out) + ".manifest.json",
-        "predict",
-        {
-            "model": str(args.model),
-            "input": str(args.input),
-            "embeddings": str(args.embeddings),
-            "out": str(args.out),
-        },
+        args,
         stages,
         extra={"metrics": metrics, "counts": {"records": len(dataset)}},
     )
@@ -408,63 +326,57 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _bench_timing_rows(args):
-    from .sliced import EmpiricalMeasure, QuantileGrid, pq_embed, sample_projections
+def _bench_cells(args, dataset, seed):
+    """Embed ``dataset`` at every (P, Q) cell of the sweep.
 
+    Yields P, Q, the embeddings and the ``perf_counter`` time the cell started.
+    """
+    config = WlConfig(iterations=tuple(_ints(args.iterations)))
+    for p in _ints(args.projections):
+        for q in _ints(args.quantiles):
+            start = time.perf_counter()
+            result = embed_dataset(dataset, config, seed=seed, n_projections=p, n_quantiles=q)
+            yield p, q, result.embeddings, start
+
+
+def _ms_since(start: float) -> str:
+    return f"{1000.0 * (time.perf_counter() - start):.3f}"
+
+
+def _bench_timing_rows(args):
     rows = []
-    nodes = [int(t) for t in args.nodes.split(",")]
-    p_grid = [int(t) for t in args.projections.split(",")]
-    q_grid = [int(t) for t in args.quantiles.split(",")]
-    config = WlConfig(iterations=tuple(int(t) for t in args.iterations.split(",")))
-    for n in nodes:
-        graphs = [
-            generate_timing_graph(args.seed + i, n) for i in range(args.graphs)
-        ]
-        for p in p_grid:
-            for q in q_grid:
-                t0 = time.perf_counter()
-                projections = sample_projections(args.seed, p, config.block_count * 2)
-                grid = QuantileGrid(q)
-                embeddings = []
-                for i, g in enumerate(graphs):
-                    wl = wl_embed(g, config, graph_id=str(i))
-                    embeddings.append(
-                        pq_embed(EmpiricalMeasure(wl.values), projections, grid)
-                    )
-                embed_ms = 1000.0 * (time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                assemble_gram(embeddings, None, KernelConfig(gamma=1.0))
-                gram_ms = 1000.0 * (time.perf_counter() - t0)
-                rows.append([n, args.graphs, p, q, "embed", f"{embed_ms:.3f}", ""])
-                rows.append([n, args.graphs, p, q, "gram", f"{gram_ms:.3f}", ""])
+    for n in _ints(args.nodes):
+        dataset = Dataset(
+            records=tuple(
+                GraphRecord(
+                    graph=generate_timing_graph(args.seed + i, n),
+                    scalars=np.zeros(0),
+                    target=None,
+                    id=str(i),
+                )
+                for i in range(args.graphs)
+            )
+        )
+        for p, q, embeddings, start in _bench_cells(args, dataset, args.seed):
+            rows.append([n, args.graphs, p, q, "embed", _ms_since(start), ""])
+            start = time.perf_counter()
+            assemble_gram(embeddings, None, KernelConfig(gamma=1.0))
+            rows.append([n, args.graphs, p, q, "gram", _ms_since(start), ""])
     return rows
 
 
 def _bench_rmse_rows(args):
-    from .sliced import EmpiricalMeasure, QuantileGrid, pq_embed, sample_projections
-
     rows = []
-    p_grid = [int(t) for t in args.projections.split(",")]
-    q_grid = [int(t) for t in args.quantiles.split(",")]
-    config = WlConfig(iterations=tuple(int(t) for t in args.iterations.split(",")))
     n_train = args.graphs
     n_test = max(1, args.graphs // 3)
-    for rep in range(args.repeats):
-        seed = args.seed + rep
-        dataset = generate_regression_dataset(
-            seed=seed, n_graphs=n_train + n_test, mean_nodes=int(args.nodes.split(",")[0])
-        )
-        wl_values = [wl_embed(rec.graph, config).values for rec in dataset]
-        targets = dataset.targets()
-        for p in p_grid:
-            for q in q_grid:
-                t0 = time.perf_counter()
-                projections = sample_projections(seed, p, wl_values[0].shape[1])
-                grid = QuantileGrid(q)
-                embeddings = [
-                    pq_embed(EmpiricalMeasure(v), projections, grid, graph_id=str(i))
-                    for i, v in enumerate(wl_values)
-                ]
+    for n in _ints(args.nodes):
+        for rep in range(args.repeats):
+            seed = args.seed + rep
+            dataset = generate_regression_dataset(
+                seed=seed, n_graphs=n_train + n_test, mean_nodes=n
+            )
+            targets = dataset.targets()
+            for p, q, embeddings, start in _bench_cells(args, dataset, seed):
                 features = np.vstack([e.values for e in embeddings])
                 model = gp_fit(
                     features[:n_train],
@@ -474,17 +386,8 @@ def _bench_rmse_rows(args):
                 )
                 dist = gp_predict(model, features[n_train:], None)
                 cell_rmse = rmse_metric(dist.mean, targets[n_train:])
-                ms = 1000.0 * (time.perf_counter() - t0)
                 rows.append(
-                    [
-                        int(args.nodes.split(",")[0]),
-                        n_train,
-                        p,
-                        q,
-                        "rmse",
-                        f"{ms:.3f}",
-                        f"{cell_rmse:.10g}",
-                    ]
+                    [n, n_train, p, q, "rmse", _ms_since(start), f"{cell_rmse:.10g}"]
                 )
     return rows
 
@@ -503,18 +406,7 @@ def cmd_bench(args) -> int:
             writer.writerows(rows)
     _write_manifest(
         str(args.out) + ".manifest.json",
-        "bench",
-        {
-            "mode": args.mode,
-            "nodes": args.nodes,
-            "graphs": args.graphs,
-            "projections": args.projections,
-            "quantiles": args.quantiles,
-            "iterations": args.iterations,
-            "seed": args.seed,
-            "repeats": args.repeats,
-            "out": str(args.out),
-        },
+        args,
         stages,
         extra={"counts": {"rows": len(rows)}},
     )
@@ -534,8 +426,7 @@ def cmd_check_psd(args) -> int:
     )
     _write_manifest(
         str(args.gram) + ".psd.manifest.json",
-        "check-psd",
-        {"gram": str(args.gram), "tol": args.tol, "binary": args.binary},
+        args,
         stages,
         extra={
             "psd": {
@@ -580,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--standardize-stats", help="reuse training statistics from file")
     p.add_argument("--aniso", action="store_true", help="also store one block per kept iteration")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("gram", help="assemble a Gram or squared-distance matrix")
@@ -639,15 +530,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigMismatchError as exc:
+    except (SwwlError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # LinAlgError subclasses ValueError, so it is told apart first
+        if isinstance(exc, np.linalg.LinAlgError):
+            return 4
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,22 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Exit codes of ``swwl``, which each class declares as ``exit_code``:
+
+- 0: success.
+- 2: input validation: ``SwwlError`` and every subclass not named below;
+  also ``FileNotFoundError`` and any other ``ValueError``.
+- 3: configuration or fingerprint mismatch: ``ConfigMismatchError``.
+- 4: numerical failure: ``CholeskyError``, ``OptimizationError``,
+  ``ConstantTargetError``, ``NonSymmetricError``, ``DegenerateDrawError``;
+  also ``numpy.linalg.LinAlgError``, and ``check-psd`` on a matrix that is
+  not PSD.
+"""
 
 
 class SwwlError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class ParseError(SwwlError):
@@ -38,6 +52,8 @@ class DimensionMismatchError(SwwlError):
 class ConfigMismatchError(SwwlError):
     """Artifacts built under different configurations were combined."""
 
+    exit_code = 3
+
 
 class SizeMismatchError(SwwlError):
     """Two measures were expected to have equal support sizes."""
@@ -54,18 +70,28 @@ class LengthMismatchError(SwwlError):
 class DegenerateDrawError(SwwlError):
     """Repeated Gaussian draws failed to produce a usable direction."""
 
+    exit_code = 4
+
 
 class NonSymmetricError(SwwlError):
     """A matrix expected to be symmetric is not."""
+
+    exit_code = 4
 
 
 class CholeskyError(SwwlError):
     """A correlation matrix could not be factorized."""
 
+    exit_code = 4
+
 
 class OptimizationError(SwwlError):
     """Hyperparameter optimization failed for every start."""
 
+    exit_code = 4
+
 
 class ConstantTargetError(SwwlError):
     """All training targets are identical; the variance estimate degenerates."""
+
+    exit_code = 4

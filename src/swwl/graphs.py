@@ -206,10 +206,8 @@ def _record_from_obj(obj: dict, line: int) -> GraphRecord:
     )
 
 
-def load_dataset(path, format: str = "jsonl") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Load a dataset; one JSON object per line per the documented schema."""
-    if format != "jsonl":
-        raise ValueError(f"unsupported format {format!r}")
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

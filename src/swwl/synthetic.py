@@ -62,7 +62,6 @@ def generate_regression_dataset(
     noise_fraction: float = 0.01,
     scalar_dim: int = 0,
     node_spread: float = 0.0,
-    id_prefix: str = "g",
 ) -> Dataset:
     """Random geometric graphs with smooth attribute fields and noisy targets.
 
@@ -97,20 +96,14 @@ def generate_regression_dataset(
     noise = rng.normal(0.0, noise_fraction * spread, n_graphs) if spread > 0 else 0.0
     targets = clean + noise
     records = tuple(
-        GraphRecord(graph=g, scalars=s, target=float(t), id=f"{id_prefix}{i:04d}")
+        GraphRecord(graph=g, scalars=s, target=float(t), id=f"g{i:04d}")
         for i, (g, s, t) in enumerate(zip(graphs, scalars, targets))
     )
     return Dataset(records=records)
 
 
-def generate_timing_graph(seed: int, n_nodes: int, attr_dim: int = 2) -> AttributedGraph:
-    """One random geometric graph with smooth attributes, for benchmarks."""
+def generate_timing_graph(seed: int, n_nodes: int) -> AttributedGraph:
+    """One random geometric graph with smooth 2-d attributes, for benchmarks."""
     rng = np.random.default_rng(seed)
     positions, pairs = geometric_graph(rng, n_nodes)
-    attributes = _attribute_cloud(rng, positions)
-    if attr_dim != 2:
-        extra = rng.standard_normal((n_nodes, attr_dim - 2)) if attr_dim > 2 else None
-        attributes = (
-            attributes[:, :attr_dim] if attr_dim < 2 else np.hstack([attributes, extra])
-        )
-    return AttributedGraph(attributes, pairs)
+    return AttributedGraph(_attribute_cloud(rng, positions), pairs)

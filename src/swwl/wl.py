@@ -23,7 +23,6 @@ class WlConfig:
     """Which iterations to keep, e.g. (0, 1, 2, 3) or (0, T, 2T, 3T)."""
 
     iterations: tuple[int, ...]
-    isolated_node_policy: str = "identity"
 
     def __post_init__(self):
         iters = tuple(int(h) for h in self.iterations)
@@ -33,10 +32,6 @@ class WlConfig:
             raise ValidationError("iterations must be nonnegative")
         if any(b <= a for a, b in zip(iters, iters[1:])):
             raise ValidationError("iterations must be strictly increasing")
-        if self.isolated_node_policy != "identity":
-            raise ValidationError(
-                f"unknown isolated node policy {self.isolated_node_policy!r}"
-            )
         object.__setattr__(self, "iterations", iters)
 
     @property

@@ -1,14 +1,15 @@
 """End-to-end CLI flows on small data: artifacts, manifests, exit codes."""
 
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from swwl import AttributedGraph, Dataset, GraphRecord, load_dataset, save_dataset
+from swwl import AttributedGraph, Dataset, GraphRecord, errors, load_dataset, save_dataset
 from swwl.binio import read_container, write_container
-from swwl.cli import main
+from swwl.cli import build_parser, main
 from swwl.gp import MODEL_MAGIC, load_model
 from swwl.kernels import GRAM_MAGIC, load_gram_binary, load_gram_text
 from swwl.sliced import PQ_STORE_NAME, load_pq_store
@@ -298,6 +299,15 @@ def test_aniso_flow(tmp_path):
     ) == 0
     gram = load_gram_text(gram_path)
     assert np.all(np.diag(gram.values) == 1.0)
+    scaled = tmp_path / "aniso.bin"
+    assert run(
+        "gram", "--embeddings", emb, "--out", tmp_path / "aniso2.txt", "--aniso",
+        "--gammas", "0.5,1.0,2.0", "--variance", 2, "--binary-out", scaled,
+    ) == 0
+    gram2 = load_gram_binary(scaled)
+    assert np.all(np.diag(gram2.values) == 2.0)
+    assert gram2.fingerprint["variance"] == 2.0
+    np.testing.assert_array_equal(gram2.values, 2.0 * gram.values)
 
 
 def test_standardize_roundtrip(workspace, tmp_path):
@@ -334,11 +344,13 @@ def test_bench_timing_and_rmse_modes(tmp_path):
     assert len(rows) == 2 * 2 * 1 * 2
     out2 = tmp_path / "bench-rmse.csv"
     assert run(
-        "bench", "--out", out2, "--mode", "rmse", "--nodes", "25", "--graphs", 9,
+        "bench", "--out", out2, "--mode", "rmse", "--nodes", "25,30", "--graphs", 9,
         "--projections", "2", "--quantiles", "4", "--seed", 0,
     ) == 0
     with open(out2) as fh:
         rows = list(csv.DictReader(fh))
+    # one row per node count: a 1x1 (P, Q) grid and one repeat
+    assert [r["n"] for r in rows] == ["25", "30"]
     assert all(r["stage"] == "rmse" and float(r["rmse"]) >= 0 for r in rows)
 
 
@@ -352,10 +364,80 @@ def test_jobs_flag_gives_identical_artifacts(workspace, tmp_path):
     assert store_bytes(out) == store_bytes(workspace / "emb-train")
 
 
-def test_jobs_default_comes_from_environment(monkeypatch):
-    from swwl.cli import _default_jobs
+def parser_flags():
+    """Each subcommand's flag names, as argparse stores them."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+        for name, p in sub.choices.items()
+    }
 
-    monkeypatch.setenv("SWWL_JOBS", "3")
-    assert _default_jobs() == 3
-    monkeypatch.delenv("SWWL_JOBS")
-    assert _default_jobs() == 1
+
+def test_manifests_record_every_flag(workspace, tmp_path):
+    emb = workspace / "emb-train"
+    gram, model = tmp_path / "gram.txt", tmp_path / "model.bin"
+    pred, bench = tmp_path / "pred.csv", tmp_path / "bench.csv"
+    assert run("gram", "--embeddings", emb, "--out", gram, "--gamma", 1.0) == 0
+    assert run("check-psd", "--gram", gram) == 0
+    assert run("fit", "--input", workspace / "train.jsonl", "--embeddings", emb,
+               "--out", model, "--multistarts", 1) == 0
+    assert run("predict", "--model", model, "--input", workspace / "test.jsonl",
+               "--embeddings", workspace / "emb-test", "--out", pred) == 0
+    assert run("bench", "--out", bench, "--nodes", 20, "--graphs", 3,
+               "--projections", 2, "--quantiles", 4) == 0
+    manifests = {
+        "generate": workspace / "train.jsonl.manifest.json",
+        "embed": emb / "manifest.json",
+        "gram": tmp_path / "gram.txt.manifest.json",
+        "check-psd": tmp_path / "gram.txt.psd.manifest.json",
+        "fit": tmp_path / "model.bin.manifest.json",
+        "predict": tmp_path / "pred.csv.manifest.json",
+        "bench": tmp_path / "bench.csv.manifest.json",
+    }
+    flags = parser_flags()
+    assert set(manifests) == set(flags)
+    for command, path in manifests.items():
+        manifest = json.loads(path.read_text())
+        assert manifest["command"] == command
+        assert set(manifest["parameters"]) == flags[command], command
+
+
+# the exit-code table in the swwl.errors docstring
+EXIT_CODES = {
+    errors.SwwlError: 2,
+    errors.ParseError: 2,
+    errors.SchemaError: 2,
+    errors.ValidationError: 2,
+    errors.ShapeError: 2,
+    errors.EmptyInputError: 2,
+    errors.DimensionMismatchError: 2,
+    errors.SizeMismatchError: 2,
+    errors.TooLargeError: 2,
+    errors.LengthMismatchError: 2,
+    errors.ConfigMismatchError: 3,
+    errors.DegenerateDrawError: 4,
+    errors.NonSymmetricError: 4,
+    errors.CholeskyError: 4,
+    errors.OptimizationError: 4,
+    errors.ConstantTargetError: 4,
+    np.linalg.LinAlgError: 4,
+    FileNotFoundError: 2,
+    ValueError: 2,
+}
+
+
+def test_exit_code_table(monkeypatch, tmp_path):
+    package_errors = {
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.SwwlError)
+    }
+    assert package_errors <= set(EXIT_CODES)
+    codes = {}
+    for exc_type in EXIT_CODES:
+        def fail(args, exc_type=exc_type):
+            raise exc_type("boom")
+
+        monkeypatch.setattr("swwl.cli.cmd_check_psd", fail)
+        codes[exc_type] = run("check-psd", "--gram", tmp_path / "g.txt")
+    assert codes == EXIT_CODES

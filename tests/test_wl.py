@@ -144,8 +144,6 @@ def test_config_validation():
         WlConfig(iterations=(0, 0))
     with pytest.raises(ValidationError):
         WlConfig(iterations=(2, 1))
-    with pytest.raises(ValidationError):
-        WlConfig(iterations=(0, 1), isolated_node_policy="zero")
     # first kept iteration may exceed zero
     cfg = WlConfig(iterations=(2, 5))
     assert cfg.block_count == 2
