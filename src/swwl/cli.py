@@ -17,6 +17,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -148,8 +149,6 @@ def cmd_generate(args) -> int:
 
 def cmd_embed(args) -> int:
     stages = _Stages()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with stages.time("load"):
         dataset = load_dataset(args.input)
     iterations = _parse_iterations(args.iterations, dataset)
@@ -161,9 +160,6 @@ def cmd_embed(args) -> int:
         )
     elif args.standardize:
         standardization = compute_standardization(dataset)
-        (out_dir / "standardization.json").write_text(
-            json.dumps(standardization.to_dict()) + "\n"
-        )
     with stages.time("embed"):
         result = embed_dataset(
             dataset,
@@ -176,8 +172,15 @@ def cmd_embed(args) -> int:
             per_iteration=args.aniso,
             jobs=args.jobs,
         )
+    # created only now, so a failed load or embed leaves no directory behind
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with stages.time("write"):
         save_pq_store(out_dir, result.embeddings, result.per_iteration)
+        if args.standardize and not args.standardize_stats:
+            (out_dir / "standardization.json").write_text(
+                json.dumps(standardization.to_dict()) + "\n"
+            )
     _write_manifest(
         out_dir / "manifest.json",
         args,
@@ -285,7 +288,8 @@ def cmd_fit(args) -> int:
                 "theta_hat": model.theta_hat,
                 "sigma2_hat": model.sigma2_hat,
                 "dof": model.dof,
-            }
+            },
+            "optimizer": asdict(model.diagnostics),
         },
     )
     print(

@@ -113,6 +113,20 @@ def _correlation(distances: TrainDistances, ranges: np.ndarray) -> np.ndarray:
     return correlation_from_distances(None, distances.scalar_abs, 1.0, ranges)
 
 
+def _nugget_correlation(distances: TrainDistances, ranges: np.ndarray, nugget: float) -> np.ndarray:
+    """R + nugget * I, the nugget added in place to the fresh correlation matrix."""
+    corr = _correlation(distances, ranges)
+    corr.flat[:: corr.shape[0] + 1] += nugget
+    return corr
+
+
+def _require_finite(**values) -> None:
+    """ValidationError naming the first argument with a NaN or infinite entry."""
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValidationError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class PosteriorParts:
     """Pieces of one marginal-posterior evaluation, for audits and tests."""
@@ -128,11 +142,19 @@ class PosteriorParts:
 
 
 def _profile_parts(chol: np.ndarray, y: np.ndarray):
-    """Profile statistics from a lower Cholesky factor of R."""
+    """Profile statistics from a lower Cholesky factor of R.
+
+    The solves skip scipy's finiteness scan of the N x N factor (the
+    targets and nugget are checked before it is built, and ``fit`` checks
+    the features and scalars once) and its copy into Fortran order: the
+    transposed view of the C-ordered lower factor is a Fortran-ordered
+    upper one.
+    """
     n = len(y)
     h = np.ones(n)
-    rinv_y = scipy.linalg.cho_solve((chol, True), y)
-    rinv_h = scipy.linalg.cho_solve((chol, True), h)
+    upper = (chol.T, False)  # Fortran-ordered, so LAPACK reads it without a copy
+    rinv_y = scipy.linalg.cho_solve(upper, y, check_finite=False)
+    rinv_h = scipy.linalg.cho_solve(upper, h, check_finite=False)
     h_rinv_h = float(h @ rinv_h)
     h_rinv_y = float(h @ rinv_y)
     y_rinv_y = float(y @ rinv_y)
@@ -153,14 +175,14 @@ def posterior_parts(
     n = len(y)
     if n < 2:
         raise ValidationError(f"need at least 2 targets, got {n}")
+    _require_finite(targets=y, nugget=nugget)
     ranges = np.exp(np.asarray(log_ranges, dtype=float).reshape(-1))
     if len(ranges) != distances.n_ranges:
         raise LengthMismatchError(
             f"{len(ranges)} ranges for {distances.n_ranges} coordinates"
         )
-    corr = _correlation(distances, ranges) + nugget * np.eye(n)
     try:
-        chol = np.linalg.cholesky(corr)
+        chol = np.linalg.cholesky(_nugget_correlation(distances, ranges, nugget))
     except np.linalg.LinAlgError:
         return PosteriorParts(
             value=-np.inf, log_likelihood=-np.inf, log_prior=0.0, s2=np.nan,
@@ -202,6 +224,40 @@ def marginal_posterior(
 
 
 @dataclass(frozen=True)
+class FitDiagnostics:
+    """Optimizer bookkeeping of one :func:`fit`.
+
+    posterior_evaluations: distinct log-range points scored (one Cholesky each).
+    repeated_points: objective calls answered from the score memo instead.
+    """
+
+    posterior_evaluations: int
+    repeated_points: int
+
+
+class _ScoreMemo:
+    """Objective wrapper that scores each point once, keyed by its exact bytes.
+
+    Nelder-Mead revisits points it has already scored; each visit would
+    otherwise factorize the same N x N correlation matrix again.
+    """
+
+    def __init__(self, score):
+        self.score = score
+        self.scores = {}
+        self.hits = 0
+
+    def __call__(self, log_ranges: np.ndarray) -> float:
+        key = log_ranges.tobytes()
+        value = self.scores.get(key)
+        if value is None:
+            value = self.scores[key] = self.score(log_ranges)
+        else:
+            self.hits += 1
+        return value
+
+
+@dataclass(frozen=True)
 class GpModel:
     """Trained state: fitted ranges, factorization and solve caches.
 
@@ -223,6 +279,7 @@ class GpModel:
     train_ids: tuple[str, ...]
     fingerprint: PqFingerprint | None
     prior_scales: np.ndarray
+    diagnostics: FitDiagnostics | None = None  # set by fit, not saved
 
     @property
     def size(self) -> int:
@@ -290,6 +347,7 @@ def fit(
     n = len(y)
     if n < 3:
         raise ValidationError(f"need at least 3 training records, got {n}")
+    _require_finite(targets=y, features=features, scalars=scalars, nugget=settings.nugget)
     if np.ptp(y) == 0.0:
         raise ConstantTargetError("all training targets are identical")
     distances = build_train_distances(features, scalars)
@@ -300,10 +358,11 @@ def fit(
     rng = np.random.Generator(np.random.Philox(key=int(settings.seed)))
     penalty = 1e300  # finite stand-in for -inf so the simplex stays well defined
 
-    def objective(log_ranges):
+    def score(log_ranges):
         value = marginal_posterior(log_ranges, distances, y, settings.nugget)
         return -value if np.isfinite(value) else penalty
 
+    objective = _ScoreMemo(score)
     best_value = -np.inf
     best_log_ranges = None
     for k in range(max(1, settings.multistarts)):
@@ -326,9 +385,8 @@ def fit(
             "nugget are the usual cause (try raising the nugget)"
         )
     ranges = np.exp(best_log_ranges)
-    corr = _correlation(distances, ranges) + settings.nugget * np.eye(n)
     try:
-        chol = np.linalg.cholesky(corr)
+        chol = np.linalg.cholesky(_nugget_correlation(distances, ranges, settings.nugget))
     except np.linalg.LinAlgError as exc:
         raise CholeskyError(
             "correlation matrix is not positive definite at the optimum; "
@@ -355,6 +413,9 @@ def fit(
         train_ids=tuple(ids) if ids is not None else tuple(str(i) for i in range(n)),
         fingerprint=fingerprint,
         prior_scales=scales,
+        diagnostics=FitDiagnostics(
+            posterior_evaluations=len(objective.scores), repeated_points=objective.hits
+        ),
     )
 
 
@@ -397,6 +458,7 @@ def predict(
                 "test embeddings were built under a different configuration "
                 f"({fingerprint}) than the model ({model.fingerprint})"
             )
+    _require_finite(features=features, scalars=scalars)
     n_test = 0
     if features is not None:
         features = np.asarray(features, dtype=float)

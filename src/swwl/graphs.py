@@ -167,6 +167,61 @@ class Dataset:
         return np.array([rec.graph.node_count for rec in self.records], dtype=np.int64)
 
 
+_EDGE_SHAPE = "edge entry {!r} must be [u, v] or [u, v, w]"
+_EDGE_ENDPOINTS = "edge endpoints must be integers, got {!r}"
+_EDGE_WEIGHT = "edge weight must be a number, got {!r}"
+
+
+def _integral(values: np.ndarray) -> np.ndarray:
+    """Elementwise: an integer below 2**53 in magnitude, so exact as a double."""
+    return (np.trunc(values) == values) & (np.abs(values) < 2.0**53)
+
+
+def _edge_error(entry) -> str | None:
+    """Why one edge entry is refused, or None if it is well formed."""
+    if type(entry) is not list or len(entry) not in (2, 3):
+        return _EDGE_SHAPE.format(entry)
+    uv = entry[:2]
+    if not all(isinstance(x, (int, float)) for x in uv) or not all(
+        _integral(np.array(uv, dtype=float))
+    ):
+        return _EDGE_ENDPOINTS.format(entry)
+    if len(entry) == 3 and not isinstance(entry[2], (int, float)):
+        return _EDGE_WEIGHT.format(entry)
+    return None
+
+
+def _edge_arrays(edges_raw, line: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E, 2) int64 endpoints and (E,) weights of a record's JSON edge list.
+
+    Each entry is [u, v] (weight 1) or [u, v, w] of JSON numbers, with
+    integral endpoints below 2**53 in magnitude. The list becomes one table
+    through one ``np.array`` call; only a list mixing [u, v] with [u, v, w],
+    or one holding a malformed entry, is checked entry by entry. An error
+    names the first offending entry in list order.
+    """
+    if type(edges_raw) is not list:
+        raise ParseError(f"'edges' must be a list, got {type(edges_raw).__name__}", line=line)
+    try:
+        table = np.array(edges_raw) if edges_raw else np.zeros((0, 2))
+    except ValueError:  # entries of different lengths
+        table = None
+    if table is None or table.ndim != 2 or table.shape[1] not in (2, 3) or (
+        table.dtype.kind not in "biuf"
+    ):
+        for entry in edges_raw:
+            message = _edge_error(entry)
+            if message:
+                raise ParseError(message, line=line)
+        table = np.array([e if len(e) == 3 else [*e, 1.0] for e in edges_raw], dtype=float)
+    endpoints = table[:, :2].astype(float)
+    bad = np.flatnonzero(~_integral(endpoints).all(axis=1))
+    if bad.size:
+        raise ParseError(_EDGE_ENDPOINTS.format(edges_raw[bad[0]]), line=line)
+    weights = table[:, 2].astype(float) if table.shape[1] == 3 else np.ones(len(table))
+    return endpoints.astype(np.int64), weights
+
+
 def _record_from_obj(obj: dict, line: int) -> GraphRecord:
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}", line=line)
@@ -182,19 +237,9 @@ def _record_from_obj(obj: dict, line: int) -> GraphRecord:
         raise ParseError(f"malformed node attributes: {exc}", line=line) from exc
     if attrs.ndim == 1:
         attrs = attrs.reshape(-1, 1)
-    pairs = []
-    weights = []
-    for e in edges_raw:
-        if len(e) not in (2, 3):
-            raise ParseError(f"edge entry {e!r} must be [u, v] or [u, v, w]", line=line)
-        u, v = e[0], e[1]
-        if not (float(u).is_integer() and float(v).is_integer()):
-            raise ParseError(f"edge endpoints must be integers, got {e!r}", line=line)
-        pairs.append((int(u), int(v)))
-        weights.append(float(e[2]) if len(e) == 3 else 1.0)
-    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    edges, weights = _edge_arrays(edges_raw, line)
     try:
-        graph = AttributedGraph(attrs, edges, np.asarray(weights))
+        graph = AttributedGraph(attrs, edges, weights)
     except ValidationError as exc:
         raise ValidationError(f"record {rec_id!r} (line {line}): {exc}") from exc
     target = obj.get("target")

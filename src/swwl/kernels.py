@@ -20,6 +20,7 @@ from .errors import LengthMismatchError, NonSymmetricError, ParseError, Validati
 from .sliced import PqEmbedding, check_compatible, features_matrix
 
 GRAM_MAGIC = "SWWL-G1"
+_TEXT_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -244,10 +245,13 @@ def _fingerprint_line(n: int, fp: dict) -> str:
 
 def save_gram_text(gram: GramMatrix, path) -> None:
     """Plain-text export: fingerprint line, then rows of %.17g doubles."""
+    row_format = " ".join(["%.17g"] * gram.size) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_fingerprint_line(gram.size, gram.fingerprint) + "\n")
-        for row in gram.values:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        # Python floats take 4x the array's memory: convert a block of rows at a time
+        for start in range(0, gram.size, _TEXT_BLOCK_ROWS):
+            for row in gram.values[start : start + _TEXT_BLOCK_ROWS].tolist():
+                fh.write(row_format % tuple(row))
 
 
 def load_gram_text(path) -> GramMatrix:

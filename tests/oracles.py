@@ -2,14 +2,17 @@
 
 These deliberately avoid the package's vectorized code paths: quantiles are
 found by scanning the sorted sample, the sliced distance is a literal
-double loop over directions and levels, and the kernels are evaluated one
-pair of records at a time, as reference values for the Gram assembly.
+double loop over directions and levels, the kernels are evaluated one
+pair of records at a time, as reference values for the Gram assembly, edge
+lists are parsed one entry at a time and Gram text is written one value at
+a time.
 """
 
 import numpy as np
 
 from swwl import matern52, sw_estimate
-from swwl.errors import LengthMismatchError, ValidationError
+from swwl.errors import LengthMismatchError, ParseError, ValidationError
+from swwl.kernels import _fingerprint_line
 
 
 def naive_quantile(values, level):
@@ -76,3 +79,45 @@ def tensorized_kernel(rec_a, rec_b, cfg):
     for sa, sb, ls in zip(scalars_a, scalars_b, cfg.matern_lengthscales):
         value *= matern52(abs(sa - sb), ls)
     return float(value)
+
+
+def _is_number(x):
+    return isinstance(x, (int, float))
+
+
+def _is_endpoint(x):
+    return _is_number(x) and float(x).is_integer() and abs(float(x)) < 2.0**53
+
+
+def loop_edge_arrays(edges_raw, line):
+    """Edge list parsed entry by entry, as the dataset reader once did.
+
+    The reader's former loop, with its value checks made explicit: the edge
+    list and each entry must be lists, endpoints integral JSON numbers below
+    2**53 in magnitude, weights JSON numbers. (The loop itself iterated any
+    iterable, raised a bare TypeError on a numeric or null entry, and
+    accepted string endpoints such as "0".)
+    """
+    if type(edges_raw) is not list:
+        raise ParseError(f"'edges' must be a list, got {type(edges_raw).__name__}", line=line)
+    pairs = []
+    weights = []
+    for e in edges_raw:
+        if type(e) is not list or len(e) not in (2, 3):
+            raise ParseError(f"edge entry {e!r} must be [u, v] or [u, v, w]", line=line)
+        u, v = e[0], e[1]
+        if not (_is_endpoint(u) and _is_endpoint(v)):
+            raise ParseError(f"edge endpoints must be integers, got {e!r}", line=line)
+        if len(e) == 3 and not _is_number(e[2]):
+            raise ParseError(f"edge weight must be a number, got {e!r}", line=line)
+        pairs.append((int(u), int(v)))
+        weights.append(float(e[2]) if len(e) == 3 else 1.0)
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2), np.asarray(weights, dtype=float)
+
+
+def value_by_value_gram_text(gram, path):
+    """Gram text export formatting every value with its own f-string."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_fingerprint_line(gram.size, gram.fingerprint) + "\n")
+        for row in gram.values:
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")

@@ -102,6 +102,17 @@ def test_embed_bad_dataset_exits_2(tmp_path):
     ) == 2
 
 
+def test_failed_embed_leaves_no_output_directory(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id":"x","nodes":[[0.0],[1.0]],"edges":[[0,7]]}\n')
+    out = tmp_path / "emb"
+    assert run(
+        "embed", "--input", bad, "--out", out, "--projections", 2, "--quantiles", 4,
+        "--standardize",
+    ) == 2
+    assert not out.exists()
+
+
 def test_gram_identical_caches_all_ones(tmp_path):
     rng = np.random.default_rng(1)
     g = AttributedGraph(rng.standard_normal((6, 2)), np.array([[0, 1], [2, 3]]))
@@ -206,6 +217,9 @@ def test_fit_then_predict_test_set_and_reruns(workspace, tmp_path):
     assert model_path.read_bytes() == model_path2.read_bytes()
     model = load_model(model_path)
     assert model.size == 12
+    optimizer = json.loads(model_path.with_suffix(".bin.manifest.json").read_text())["optimizer"]
+    assert set(optimizer) == {"posterior_evaluations", "repeated_points"}
+    assert optimizer["posterior_evaluations"] > 0 and optimizer["repeated_points"] >= 0
     preds = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
     for p in preds:
         assert run(
@@ -213,6 +227,43 @@ def test_fit_then_predict_test_set_and_reruns(workspace, tmp_path):
             "--embeddings", workspace / "emb-test", "--out", p,
         ) == 0
     assert preds[0].read_bytes() == preds[1].read_bytes()
+
+
+def _store_with_nan(source, target):
+    header, arrays = read_container(source / PQ_STORE_NAME, "SWWL-S1")
+    arrays["block0"][1, 2] = np.nan
+    target.mkdir()
+    write_container(target / PQ_STORE_NAME, "SWWL-S1", header, arrays)
+    return target
+
+
+def test_fit_and_predict_refuse_non_finite_inputs_exit_2(workspace, tmp_path, capsys):
+    assert run(
+        "fit", "--input", workspace / "train.jsonl", "--embeddings",
+        _store_with_nan(workspace / "emb-train", tmp_path / "nan-train"),
+        "--out", tmp_path / "nan.bin",
+    ) == 2
+    assert "features must be finite" in capsys.readouterr().err
+    records = [json.loads(line) for line in (workspace / "train.jsonl").read_text().splitlines()]
+    records[4]["target"] = float("nan")
+    nan_targets = tmp_path / "nan-targets.jsonl"
+    nan_targets.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(
+        "fit", "--input", nan_targets, "--embeddings", workspace / "emb-train",
+        "--out", tmp_path / "nan.bin",
+    ) == 2
+    assert "non-finite target" in capsys.readouterr().err
+    model_path = tmp_path / "model.bin"
+    assert run(
+        "fit", "--input", workspace / "train.jsonl", "--embeddings",
+        workspace / "emb-train", "--out", model_path, "--multistarts", 1,
+    ) == 0
+    assert run(
+        "predict", "--model", model_path, "--input", workspace / "test.jsonl",
+        "--embeddings", _store_with_nan(workspace / "emb-test", tmp_path / "nan-test"),
+        "--out", tmp_path / "p.csv",
+    ) == 2
+    assert "features must be finite" in capsys.readouterr().err
 
 
 def test_predict_with_wrong_seed_cache_exits_3(workspace, tmp_path):

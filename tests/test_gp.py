@@ -22,7 +22,9 @@ from swwl.errors import (
     LengthMismatchError,
     OptimizationError,
     ParseError,
+    ValidationError,
 )
+from swwl import gp
 from swwl.binio import read_container, write_container
 from swwl.gp import MODEL_MAGIC, jr_prior_rate
 from swwl.sliced import PqFingerprint
@@ -55,6 +57,10 @@ class TestPosterior:
         )
         assert parts.value == -np.inf
         assert parts.flag == "ConstantTarget"
+
+    def test_non_finite_target_refused(self):
+        with pytest.raises(ValidationError, match="targets must be finite"):
+            posterior_parts(np.log([1.0]), identity_distances(3), np.array([2.0, np.nan, 1.0]))
 
     def test_cholesky_failure_scores_minus_infinity(self):
         # duplicated inputs, zero nugget: R is singular
@@ -324,3 +330,56 @@ def test_prior_scales_computed_once_per_fit(monkeypatch):
     fit(rng.standard_normal((10, 3)), None, rng.standard_normal(10),
         settings=GpSettings(multistarts=2))
     assert len(calls) == 1
+
+
+def _fit_inputs():
+    rng = np.random.default_rng(12)
+    return rng.standard_normal((25, 4)), rng.standard_normal((25, 1)), rng.standard_normal(25)
+
+
+def test_fit_scores_each_point_once(monkeypatch):
+    # one range: the one-dimensional simplex revisits points it has scored
+    features, _, y = _fit_inputs()
+    settings = GpSettings(multistarts=3)
+    calls = []
+    original = gp.marginal_posterior
+
+    def recording(log_ranges, *args):
+        calls.append(np.asarray(log_ranges).tobytes())
+        return original(log_ranges, *args)
+
+    monkeypatch.setattr(gp, "marginal_posterior", recording)
+    model = fit(features, None, y, settings=settings)
+    assert len(calls) == len(set(calls)) == model.diagnostics.posterior_evaluations
+    assert model.diagnostics.repeated_points > 0
+
+    calls.clear()
+    monkeypatch.setattr(gp._ScoreMemo, "__call__", lambda self, x: self.score(x))
+    bypassed = fit(features, None, y, settings=settings)
+    assert len(calls) == len(set(calls)) + model.diagnostics.repeated_points
+    assert np.array_equal(model.ranges, bypassed.ranges)
+    assert model.theta_hat == bypassed.theta_hat
+    assert model.sigma2_hat == bypassed.sigma2_hat
+
+
+@pytest.mark.parametrize("where", ["targets", "features", "scalars", "nugget"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_refuses_non_finite_inputs(where, bad):
+    inputs = dict(zip(("features", "scalars", "targets"), _fit_inputs()))
+    nugget = bad if where == "nugget" else 1e-8
+    if where != "nugget":
+        inputs[where] = inputs[where].copy()
+        inputs[where].flat[3] = bad
+    with pytest.raises(ValidationError, match=f"{where} must be finite"):
+        fit(inputs["features"], inputs["scalars"], inputs["targets"],
+            settings=GpSettings(nugget=nugget, multistarts=1))
+
+
+@pytest.mark.parametrize("where", ["features", "scalars"])
+def test_predict_refuses_non_finite_inputs(where):
+    features, scalars, y = _fit_inputs()
+    model = fit(features, scalars, y, settings=GpSettings(multistarts=1))
+    test = {"features": features[:4].copy(), "scalars": scalars[:4].copy()}
+    test[where][1, 0] = np.nan
+    with pytest.raises(ValidationError, match=f"{where} must be finite"):
+        predict(model, test["features"], test["scalars"])

@@ -30,7 +30,7 @@ from swwl.kernels import (
     sw_squared_distances,
 )
 
-from oracles import aswwl_kernel, swwl_kernel, tensorized_kernel
+from oracles import aswwl_kernel, swwl_kernel, tensorized_kernel, value_by_value_gram_text
 
 
 def dirac_pair(a, b, seed=0, p=3, q=4):
@@ -290,6 +290,24 @@ class TestGramFiles:
         assert back.fingerprint["projections"] == gram.fingerprint["projections"]
         assert back.fingerprint["quantiles"] == gram.fingerprint["quantiles"]
         assert back.fingerprint["gamma"] == gram.fingerprint["gamma"]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])  # 300 rows span two write blocks
+    def test_text_matches_value_by_value_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-320, 300, (n, n))
+        special = [-0.0, 5e-324, 1e308, -5e-324, -1e308, 0.0, 1.0 / 3.0]
+        picks = rng.integers(0, n * n, size=len(special))
+        values.flat[picks] = special
+        values.flat[: len(special)] = special[: n * n]
+        gram = GramMatrix(values, tuple(f"g{i}" for i in range(n)),
+                          {"seed": 3, "projections": 2, "quantiles": 4, "gamma": 0.5})
+        ours, reference = tmp_path / "ours.txt", tmp_path / "reference.txt"
+        save_gram_text(gram, ours)
+        value_by_value_gram_text(gram, reference)
+        assert ours.read_bytes() == reference.read_bytes()
+        back = load_gram_text(ours).values
+        assert np.array_equal(back, values)
+        assert np.array_equal(np.signbit(back), np.signbit(values))  # -0.0 kept
 
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
