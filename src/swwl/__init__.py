@@ -16,25 +16,20 @@ from .graphs import (
     StandardizationStats,
     apply_standardization,
     compute_standardization,
-    degree,
     load_dataset,
     save_dataset,
 )
-from .wl import WlConfig, WlEmbedding, embed, sqrt_skip_iterations, wl_iterate
+from .wl import WlConfig, WlEmbedding, embed, sqrt_skip_iterations
 from .sliced import (
     EmpiricalMeasure,
     PqEmbedding,
     PqFingerprint,
+    PqStore,
     ProjectionSet,
     QuantileGrid,
-    interp_quantiles,
     pq_embed,
     sample_projection_blocks,
     sample_projections,
-    step_quantiles,
-    sw_estimate,
-    sw_exact_1d,
-    w_exact_tiny,
 )
 from .kernels import (
     GramMatrix,
@@ -59,12 +54,11 @@ from .gp import (
     rmse,
     save_model,
 )
-from .pipeline import EmbedResult, embed_dataset
+from .pipeline import embed_dataset
 
 __all__ = [
     "AttributedGraph",
     "Dataset",
-    "EmbedResult",
     "EmpiricalMeasure",
     "GpModel",
     "GpSettings",
@@ -73,6 +67,7 @@ __all__ = [
     "KernelConfig",
     "PqEmbedding",
     "PqFingerprint",
+    "PqStore",
     "PredictiveDistribution",
     "ProjectionSet",
     "QuantileGrid",
@@ -86,11 +81,9 @@ __all__ = [
     "build_train_distances",
     "check_psd",
     "compute_standardization",
-    "degree",
     "embed",
     "embed_dataset",
     "fit",
-    "interp_quantiles",
     "load_dataset",
     "load_model",
     "marginal_posterior",
@@ -105,9 +98,4 @@ __all__ = [
     "save_dataset",
     "save_model",
     "sqrt_skip_iterations",
-    "step_quantiles",
-    "sw_estimate",
-    "sw_exact_1d",
-    "w_exact_tiny",
-    "wl_iterate",
 ]

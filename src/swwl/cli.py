@@ -161,7 +161,7 @@ def cmd_embed(args) -> int:
     elif args.standardize:
         standardization = compute_standardization(dataset)
     with stages.time("embed"):
-        result = embed_dataset(
+        store = embed_dataset(
             dataset,
             config,
             seed=args.seed,
@@ -176,7 +176,7 @@ def cmd_embed(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with stages.time("write"):
-        save_pq_store(out_dir, result.embeddings, result.per_iteration)
+        save_pq_store(out_dir, store)
         if args.standardize and not args.standardize_stats:
             (out_dir / "standardization.json").write_text(
                 json.dumps(standardization.to_dict()) + "\n"
@@ -205,17 +205,17 @@ def cmd_gram(args) -> int:
         store = load_pq_store(args.embeddings)
     if args.distances_only:
         with stages.time("assemble"):
-            values = sw_squared_distances(store.embeddings(0))
+            values = sw_squared_distances(store.embeddings)
         fp = store.fingerprints[0].to_dict()
         fp.update({"kind": "sw-squared-distances", "gamma": 0.0})
         gram = GramMatrix(values=values, row_ids=store.ids, fingerprint=fp)
     elif args.aniso:
         if not args.gammas:
             raise ValidationError("--aniso requires --gammas")
-        if len(store.blocks) == 1:
+        per_iter = store.per_iteration
+        if per_iter is None:
             raise ValidationError(f"{args.embeddings} has no per-iteration blocks (embed --aniso)")
         gammas = np.array([float(t) for t in args.gammas.split(",")])
-        per_iter = [store.embeddings(k) for k in range(1, len(store.blocks))]
         with stages.time("assemble"):
             gram = assemble_gram_aniso(
                 per_iter, gammas, variance=args.variance, nugget=args.nugget
@@ -227,7 +227,7 @@ def cmd_gram(args) -> int:
             gamma=args.gamma, variance=args.variance, nugget=args.nugget
         )
         with stages.time("assemble"):
-            gram = assemble_gram(store.embeddings(0), None, cfg)
+            gram = assemble_gram(store.embeddings, None, cfg)
     report = None
     if args.check_psd:
         with stages.time("check_psd"):
@@ -333,14 +333,15 @@ def cmd_predict(args) -> int:
 def _bench_cells(args, dataset, seed):
     """Embed ``dataset`` at every (P, Q) cell of the sweep.
 
-    Yields P, Q, the embeddings and the ``perf_counter`` time the cell started.
+    Yields P, Q, the embedding store and the ``perf_counter`` time the cell
+    started.
     """
     config = WlConfig(iterations=tuple(_ints(args.iterations)))
     for p in _ints(args.projections):
         for q in _ints(args.quantiles):
             start = time.perf_counter()
-            result = embed_dataset(dataset, config, seed=seed, n_projections=p, n_quantiles=q)
-            yield p, q, result.embeddings, start
+            store = embed_dataset(dataset, config, seed=seed, n_projections=p, n_quantiles=q)
+            yield p, q, store, start
 
 
 def _ms_since(start: float) -> str:
@@ -361,10 +362,10 @@ def _bench_timing_rows(args):
                 for i in range(args.graphs)
             )
         )
-        for p, q, embeddings, start in _bench_cells(args, dataset, args.seed):
+        for p, q, store, start in _bench_cells(args, dataset, args.seed):
             rows.append([n, args.graphs, p, q, "embed", _ms_since(start), ""])
             start = time.perf_counter()
-            assemble_gram(embeddings, None, KernelConfig(gamma=1.0))
+            assemble_gram(store.embeddings, None, KernelConfig(gamma=1.0))
             rows.append([n, args.graphs, p, q, "gram", _ms_since(start), ""])
     return rows
 
@@ -380,8 +381,8 @@ def _bench_rmse_rows(args):
                 seed=seed, n_graphs=n_train + n_test, mean_nodes=n
             )
             targets = dataset.targets()
-            for p, q, embeddings, start in _bench_cells(args, dataset, seed):
-                features = np.vstack([e.values for e in embeddings])
+            for p, q, store, start in _bench_cells(args, dataset, seed):
+                features = store.blocks[0]
                 model = gp_fit(
                     features[:n_train],
                     None,

@@ -37,10 +37,6 @@ class ValidationError(SwwlError):
     """A graph or record violates a structural invariant."""
 
 
-class ShapeError(SwwlError):
-    """An array argument has the wrong shape."""
-
-
 class EmptyInputError(SwwlError):
     """An operation received an empty sample."""
 
@@ -53,14 +49,6 @@ class ConfigMismatchError(SwwlError):
     """Artifacts built under different configurations were combined."""
 
     exit_code = 3
-
-
-class SizeMismatchError(SwwlError):
-    """Two measures were expected to have equal support sizes."""
-
-
-class TooLargeError(SwwlError):
-    """An exact brute-force routine was asked to exceed its size limit."""
 
 
 class LengthMismatchError(SwwlError):

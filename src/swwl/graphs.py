@@ -90,13 +90,6 @@ class AttributedGraph:
         return self._degrees
 
 
-def degree(graph: AttributedGraph, u: int) -> int:
-    """Number of distinct neighbors of node ``u``."""
-    if not 0 <= u < graph.node_count:
-        raise IndexError(f"node {u} out of range for {graph.node_count} nodes")
-    return int(graph.degrees[u])
-
-
 @dataclass(frozen=True)
 class GraphRecord:
     graph: AttributedGraph
@@ -260,9 +253,12 @@ def load_dataset(path) -> Dataset:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer literal of over 4300 digits
                 raise ParseError(str(exc), line=lineno) from exc
-            records.append(_record_from_obj(obj, lineno))
+            try:
+                records.append(_record_from_obj(obj, lineno))
+            except OverflowError as exc:  # a JSON integer beyond the double range
+                raise ParseError(f"number out of range: {exc}", line=lineno) from exc
     return Dataset(records=tuple(records))
 
 
@@ -298,7 +294,26 @@ class StandardizationStats:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "StandardizationStats":
-        return cls(mean=np.asarray(obj["mean"], float), std=np.asarray(obj["std"], float))
+        """Inverse of :meth:`to_dict`; ParseError unless ``mean`` and ``std``
+        are equal-length lists of finite numbers and every ``std`` is positive.
+        """
+        if not isinstance(obj, dict):
+            raise ParseError(f"standardization statistics must be a JSON object, got {obj!r}")
+        columns = []
+        for key in ("mean", "std"):
+            values = obj.get(key)
+            if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+                raise ParseError(f"standardization {key!r} must be a list of numbers")
+            try:
+                columns.append(np.array(values, dtype=float))
+            except OverflowError as exc:
+                raise ParseError(f"standardization {key!r}: {exc}") from exc
+        mean, std = columns
+        if mean.shape != std.shape:
+            raise ParseError(f"standardization has {mean.size} means but {std.size} scales")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0)):
+            raise ParseError("standardization values must be finite, with every std > 0")
+        return cls(mean=mean, std=std)
 
 
 def compute_standardization(dataset: Dataset) -> StandardizationStats:
@@ -314,6 +329,11 @@ def compute_standardization(dataset: Dataset) -> StandardizationStats:
 
 
 def apply_standardization(dataset: Dataset, stats: StandardizationStats) -> Dataset:
+    if stats.mean.shape != (dataset.attr_dim,) or stats.std.shape != (dataset.attr_dim,):
+        raise ValidationError(
+            f"standardization statistics for {stats.mean.size} attribute dimensions, "
+            f"dataset has {dataset.attr_dim}"
+        )
     records = []
     for rec in dataset:
         g = rec.graph

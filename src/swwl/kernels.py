@@ -255,26 +255,43 @@ def save_gram_text(gram: GramMatrix, path) -> None:
 
 
 def load_gram_text(path) -> GramMatrix:
+    """Read a Gram written by :func:`save_gram_text`; ParseError if malformed.
+
+    Rows are read only while the file has them: a row count that the file
+    does not back is refused once the rows run out.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) < 5:
-            raise ParseError(f"{path}: malformed fingerprint line")
-        n = int(header[0])
-        fp = {
-            "seed": int(header[1]),
-            "projections": int(header[2]),
-            "quantiles": int(header[3]),
-            "gamma": float(header[4]),
-        }
+        try:
+            n = int(header[0])
+            fp = {
+                "seed": int(header[1]),
+                "projections": int(header[2]),
+                "quantiles": int(header[3]),
+                "gamma": float(header[4]),
+            }
+        except (IndexError, ValueError) as exc:
+            raise ParseError(f"{path}: malformed fingerprint line: {exc}") from exc
+        if n < 0:
+            raise ParseError(f"{path}: negative row count {n}")
         for token in header[5:]:
             key, _, val = token.partition("=")
             fp[key] = val
-        rows = [np.array(fh.readline().split(), dtype=float) for _ in range(n)]
-    values = np.vstack(rows)
-    if values.shape != (n, n):
-        raise ParseError(f"{path}: expected {n}x{n} matrix, got {values.shape}")
+        rows = []
+        for line in fh:
+            if len(rows) == n:
+                raise ParseError(f"{path}: more than the announced {n} rows")
+            try:
+                row = np.array(line.split(), dtype=float)
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {len(rows) + 1}: {exc}") from exc
+            if row.shape != (n,):
+                raise ParseError(f"{path}: row {len(rows) + 1} has {row.size} values, not {n}")
+            rows.append(row)
+    if len(rows) != n:
+        raise ParseError(f"{path}: {len(rows)} rows, the fingerprint line announces {n}")
     ids = tuple(str(i) for i in range(n))
-    return GramMatrix(values=values, row_ids=ids, fingerprint=fp)
+    return GramMatrix(values=np.array(rows).reshape(n, n), row_ids=ids, fingerprint=fp)
 
 
 def save_gram_binary(gram: GramMatrix, path) -> None:

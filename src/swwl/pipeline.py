@@ -8,33 +8,20 @@ quantiles) is independent across graphs and can run on a thread pool.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import Dataset, StandardizationStats, apply_standardization
 from .sliced import (
     EmpiricalMeasure,
-    PqEmbedding,
-    ProjectionSet,
+    PqStore,
     QuantileGrid,
     pq_embed,
+    pq_fingerprint,
     sample_projection_blocks,
     sample_projections,
 )
 from .wl import WlConfig, embed as wl_embed
-
-
-@dataclass(frozen=True)
-class EmbedResult:
-    """Per-record projected quantile embeddings for one configuration.
-
-    ``per_iteration`` is populated for the anisotropic variant: entry h lists
-    every record's embedding of kept iteration h alone.
-    """
-
-    embeddings: list[PqEmbedding]
-    per_iteration: list[list[PqEmbedding]] | None
-    wl_config: WlConfig
-    projections: ProjectionSet
 
 
 def embed_dataset(
@@ -48,52 +35,45 @@ def embed_dataset(
     standardization: StandardizationStats | None = None,
     per_iteration: bool = False,
     jobs: int = 1,
-) -> EmbedResult:
-    """Embed every record of a dataset under one shared projection set."""
+) -> PqStore:
+    """Embed every record of a dataset under one shared projection set.
+
+    Row i of each block embeds record i. ``blocks[0]`` embeds the whole WL
+    embedding; with ``per_iteration``, ``blocks[1 + h]`` embeds kept
+    iteration h alone under its own directions.
+    """
     if standardization is not None:
         dataset = apply_standardization(dataset, standardization)
-    dim = wl_config.block_count * dataset.attr_dim
-    projections = sample_projections(seed, n_projections, dim)
-    block_sets = None
+    k = wl_config.block_count
+    projection_sets = [sample_projections(seed, n_projections, k * dataset.attr_dim)]
     if per_iteration:
-        block_sets = sample_projection_blocks(
-            seed, n_projections, dataset.attr_dim, wl_config.block_count
+        projection_sets += sample_projection_blocks(
+            seed, n_projections, dataset.attr_dim, k
         )
     grid = QuantileGrid(n_quantiles)
-    standardized = standardization is not None
+    blocks = tuple(
+        np.empty((len(dataset), n_projections * n_quantiles)) for _ in projection_sets
+    )
 
-    def one(record):
-        wl = wl_embed(record.graph, wl_config, graph_id=record.id)
-        emb = pq_embed(
-            EmpiricalMeasure(wl.values), projections, grid, r=r, graph_id=record.id
-        ).with_provenance(iterations=wl_config.iterations, standardized=standardized)
-        per_iter = None
-        if block_sets is not None:
-            per_iter = [
-                pq_embed(
-                    EmpiricalMeasure(wl.block(pos)), block_sets[pos], grid, r=r,
-                    graph_id=record.id,
-                ).with_provenance(
-                    iterations=wl_config.iterations, standardized=standardized
-                )
-                for pos in range(wl_config.block_count)
-            ]
-        return emb, per_iter
+    def one(i):
+        wl = wl_embed(dataset.records[i].graph, wl_config)
+        supports = [wl.values] + [wl.block(pos) for pos in range(len(blocks) - 1)]
+        for block, projections, support in zip(blocks, projection_sets, supports):
+            block[i] = pq_embed(EmpiricalMeasure(support), projections, grid, r=r).values
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, dataset.records))
+            list(pool.map(one, range(len(dataset))))
     else:
-        results = [one(rec) for rec in dataset.records]
+        for i in range(len(dataset)):
+            one(i)
 
-    embeddings = [emb for emb, _ in results]
-    per_iter_lists = None
-    if per_iteration:
-        k = wl_config.block_count
-        per_iter_lists = [[res[1][pos] for res in results] for pos in range(k)]
-    return EmbedResult(
-        embeddings=embeddings,
-        per_iteration=per_iter_lists,
-        wl_config=wl_config,
-        projections=projections,
+    fingerprints = tuple(
+        pq_fingerprint(
+            projections, grid, r,
+            iterations=wl_config.iterations,
+            standardized=standardization is not None,
+        )
+        for projections in projection_sets
     )
+    return PqStore(ids=tuple(dataset.ids), blocks=blocks, fingerprints=fingerprints)

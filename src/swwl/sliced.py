@@ -12,16 +12,14 @@ Quantiles are extracted with the step empirical inverse CDF
 (``inf {x : F(x) >= t}``, with level 0 mapped to the minimum). For two
 empirical measures with equal support size n this makes the Q-level estimate
 converge to the exact one-dimensional Wasserstein distance as Q grows, and
-reproduce it exactly at Q = 50*n. A linear-interpolation variant is provided
-as a standalone utility but is deliberately not used by the embedding: its
-limit as Q grows differs from the exact transport distance by an O(1/n)
-bias.
+reproduce it exactly at Q = 50*n. Linear interpolation between order
+statistics is deliberately not used: its limit as Q grows differs from the
+exact transport distance by an O(1/n) bias.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +31,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     ParseError,
-    SizeMismatchError,
-    TooLargeError,
     ValidationError,
 )
 
@@ -151,31 +147,6 @@ def _step_indices(n: int, levels: np.ndarray) -> np.ndarray:
     return np.minimum(idx, n - 1)
 
 
-def step_quantiles(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Empirical inverse CDF inf{x : F(x) >= t}; level 0 gives the minimum.
-
-    ``values`` may be (n,) or (n, k); quantiles are taken along axis 0.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] == 0:
-        raise EmptyInputError("cannot take quantiles of an empty sample")
-    srt = np.sort(values, axis=0)
-    return srt[_step_indices(values.shape[0], levels)]
-
-
-def interp_quantiles(values: np.ndarray, grid: QuantileGrid) -> np.ndarray:
-    """Quantiles by linear interpolation at fractional rank t*(n-1).
-
-    Levels 0 and 1 map to the minimum and maximum. This is the conventional
-    plotting-position estimator; see the module docstring for why the
-    embedding pipeline uses :func:`step_quantiles` instead.
-    """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.size == 0:
-        raise EmptyInputError("cannot take quantiles of an empty sample")
-    return np.quantile(values, grid.levels, method="linear")
-
-
 @dataclass(frozen=True)
 class PqFingerprint:
     """Everything two embeddings must share before they may be compared."""
@@ -240,12 +211,25 @@ class PqEmbedding:
     fingerprint: PqFingerprint
     graph_id: str = ""
 
-    def with_provenance(self, **kwargs) -> "PqEmbedding":
-        return PqEmbedding(
-            values=self.values,
-            fingerprint=replace(self.fingerprint, **kwargs),
-            graph_id=self.graph_id,
-        )
+
+def pq_fingerprint(
+    projections: ProjectionSet,
+    grid: QuantileGrid,
+    r: float,
+    iterations: tuple[int, ...] | None = None,
+    standardized: bool = False,
+) -> PqFingerprint:
+    """The fingerprint of every embedding made with these directions and levels."""
+    return PqFingerprint(
+        seed=projections.seed,
+        n_projections=projections.count,
+        n_quantiles=grid.q,
+        r=float(r),
+        dim=projections.dim,
+        block=projections.block,
+        iterations=iterations,
+        standardized=standardized,
+    )
 
 
 def pq_embed(
@@ -267,16 +251,10 @@ def pq_embed(
     projected.sort(axis=1)
     quants = projected[:, _step_indices(measure.size, grid.levels)].T  # (Q, P)
     scale = (projections.count * grid.q) ** (-1.0 / r)
-    fingerprint = PqFingerprint(
-        seed=projections.seed,
-        n_projections=projections.count,
-        n_quantiles=grid.q,
-        r=float(r),
-        dim=projections.dim,
-        block=projections.block,
-    )
     return PqEmbedding(
-        values=scale * quants.reshape(-1), fingerprint=fingerprint, graph_id=graph_id
+        values=scale * quants.reshape(-1),
+        fingerprint=pq_fingerprint(projections, grid, r),
+        graph_id=graph_id,
     )
 
 
@@ -297,87 +275,46 @@ def features_matrix(embeddings: list[PqEmbedding]) -> np.ndarray:
     return np.vstack([e.values for e in embeddings])
 
 
-def sw_estimate(a: PqEmbedding, b: PqEmbedding) -> float:
-    """Estimated sliced Wasserstein distance: r-norm of the embedding gap."""
-    check_compatible(a, b)
-    diff = a.values - b.values
-    r = a.fingerprint.r
-    if r == 2.0:
-        return float(np.sqrt(np.dot(diff, diff)))
-    return float(np.sum(np.abs(diff) ** r) ** (1.0 / r))
-
-
-def sw_exact_1d(x: np.ndarray, y: np.ndarray, r: float = 2.0) -> float:
-    """Exact Wasserstein distance between two 1-d uniform empirical measures.
-
-    Integrates |Fx^-1 - Fy^-1|^r over [0, 1] on the common refinement of the
-    two step quantile functions; breakpoints are handled in integer
-    arithmetic so no grid or tolerance is involved.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.size == 0 or y.size == 0:
-        raise EmptyInputError("empirical measures need at least one point")
-    n, m = x.size, y.size
-    xs, ys = np.sort(x), np.sort(y)
-    # breakpoints of the two inverse CDFs over the common denominator n*m
-    cuts = np.union1d(np.arange(1, n + 1) * m, np.arange(1, m + 1) * n)
-    widths = np.diff(np.concatenate([[0], cuts])) / (n * m)
-    ix = -(-cuts // m) - 1  # ceil(c/m) - 1
-    iy = -(-cuts // n) - 1
-    total = float(np.sum(widths * np.abs(xs[ix] - ys[iy]) ** r))
-    return total ** (1.0 / r)
-
-
-def w_exact_tiny(a: EmpiricalMeasure, b: EmpiricalMeasure, r: float = 2.0) -> float:
-    """Exact Wasserstein distance by brute force over all assignments.
-
-    Restricted to equal support sizes n = m <= 8, where the optimal coupling
-    of uniform measures is a permutation.
-    """
-    if a.size != b.size:
-        raise SizeMismatchError(f"support sizes differ: {a.size} vs {b.size}")
-    if a.size > 8:
-        raise TooLargeError(f"brute force limited to 8 points, got {a.size}")
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
-    n = a.size
-    cost = np.linalg.norm(a.support[:, None, :] - b.support[None, :, :], axis=2) ** r
-    best = min(
-        sum(cost[i, p] for i, p in enumerate(perm))
-        for perm in itertools.permutations(range(n))
-    )
-    return (best / n) ** (1.0 / r)
-
-
 @dataclass(frozen=True)
 class PqStore:
     """The embeddings of one dataset as matrices, rows in dataset order.
 
     ``blocks[0]`` is the (N, P*Q) feature matrix; for the anisotropic variant
     ``blocks[1 + h]`` embeds kept iteration h alone. ``fingerprints[k]``
-    describes ``blocks[k]``.
+    describes ``blocks[k]``. ``embed_dataset`` returns one, and
+    :func:`save_pq_store` and :func:`load_pq_store` write and read it as is.
     """
 
     ids: tuple[str, ...]
     blocks: tuple[np.ndarray, ...]
     fingerprints: tuple[PqFingerprint, ...]
 
-    def embeddings(self, k: int) -> list[PqEmbedding]:
+    def _rows(self, k: int) -> list[PqEmbedding]:
         return [
             PqEmbedding(values=row, fingerprint=self.fingerprints[k], graph_id=i)
             for row, i in zip(self.blocks[k], self.ids)
         ]
 
+    @property
+    def embeddings(self) -> list[PqEmbedding]:
+        """Row views of ``blocks[0]``, one per id."""
+        return self._rows(0)
 
-def save_pq_store(directory, embeddings, per_iteration) -> None:
-    """Write one embed run (``EmbedResult`` fields) as one container in ``directory``."""
-    blocks = [embeddings, *(per_iteration or [])]
-    ids = [e.graph_id for e in embeddings]
-    if any([e.graph_id for e in block] != ids for block in blocks[1:]):
-        raise ConfigMismatchError("iteration blocks cover different records")
-    arrays = {f"block{k}": features_matrix(block) for k, block in enumerate(blocks)}
-    header = {"ids": ids, "fingerprints": [b[0].fingerprint.to_dict() for b in blocks]}
+    @property
+    def per_iteration(self) -> list[list[PqEmbedding]] | None:
+        """Row views of each kept iteration's block; None without them."""
+        if len(self.blocks) == 1:
+            return None
+        return [self._rows(k) for k in range(1, len(self.blocks))]
+
+
+def save_pq_store(directory, store: PqStore) -> None:
+    """Write ``store`` as one container in ``directory``."""
+    header = {
+        "ids": list(store.ids),
+        "fingerprints": [fp.to_dict() for fp in store.fingerprints],
+    }
+    arrays = {f"block{k}": block for k, block in enumerate(store.blocks)}
     write_container(Path(directory) / PQ_STORE_NAME, PQ_STORE_MAGIC, header, arrays)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 from .graphs import AttributedGraph
 
 @dataclass(frozen=True)
@@ -93,20 +93,6 @@ def _iterate(current: np.ndarray, adj, inv_deg: np.ndarray) -> np.ndarray:
     if isolated.any():
         out[isolated] = current[isolated]
     return out
-
-
-def wl_iterate(graph: AttributedGraph, current: np.ndarray) -> np.ndarray:
-    """One neighborhood-averaging step applied to ``current`` node vectors."""
-    current = np.asarray(current, dtype=float)
-    if current.ndim != 2 or current.shape[0] != graph.node_count:
-        raise ShapeError(
-            f"expected ({graph.node_count}, d) matrix, got {current.shape}"
-        )
-    if not np.all(np.isfinite(current)):
-        raise ShapeError("current iterate contains non-finite values")
-    _warn_nonpositive_weights(graph)
-    adj, inv_deg = _neighbor_operator(graph)
-    return _iterate(current, adj, inv_deg)
 
 
 def embed(graph: AttributedGraph, config: WlConfig, graph_id: str = "") -> WlEmbedding:

@@ -6,13 +6,128 @@ double loop over directions and levels, the kernels are evaluated one
 pair of records at a time, as reference values for the Gram assembly, edge
 lists are parsed one entry at a time and Gram text is written one value at
 a time.
+
+The exact transport distances, the quantile conventions, the sliced
+estimate between two embeddings, one WL step and node degrees are here too:
+only the tests use them.
 """
+
+import itertools
 
 import numpy as np
 
-from swwl import matern52, sw_estimate
-from swwl.errors import LengthMismatchError, ParseError, ValidationError
+from swwl import matern52
+from swwl.errors import (
+    DimensionMismatchError,
+    EmptyInputError,
+    LengthMismatchError,
+    ParseError,
+    ValidationError,
+)
 from swwl.kernels import _fingerprint_line
+from swwl.sliced import _step_indices, check_compatible
+from swwl.wl import _iterate, _neighbor_operator, _warn_nonpositive_weights
+
+
+def step_quantiles(values, levels):
+    """Empirical inverse CDF inf{x : F(x) >= t}; level 0 gives the minimum.
+
+    ``values`` may be (n,) or (n, k); quantiles are taken along axis 0. The
+    positions are the embedding's own (``swwl.sliced._step_indices``).
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape[0] == 0:
+        raise EmptyInputError("cannot take quantiles of an empty sample")
+    srt = np.sort(values, axis=0)
+    return srt[_step_indices(values.shape[0], levels)]
+
+
+def interp_quantiles(values, grid):
+    """Quantiles by linear interpolation at fractional rank t*(n-1).
+
+    Levels 0 and 1 map to the minimum and maximum. This is the conventional
+    plotting-position estimator; the embedding uses the step convention
+    instead, whose large-Q limit is the exact transport distance.
+    """
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if values.size == 0:
+        raise EmptyInputError("cannot take quantiles of an empty sample")
+    return np.quantile(values, grid.levels, method="linear")
+
+
+def sw_estimate(a, b):
+    """Estimated sliced Wasserstein distance: r-norm of the embedding gap."""
+    check_compatible(a, b)
+    diff = a.values - b.values
+    r = a.fingerprint.r
+    if r == 2.0:
+        return float(np.sqrt(np.dot(diff, diff)))
+    return float(np.sum(np.abs(diff) ** r) ** (1.0 / r))
+
+
+def sw_exact_1d(x, y, r=2.0):
+    """Exact Wasserstein distance between two 1-d uniform empirical measures.
+
+    Integrates |Fx^-1 - Fy^-1|^r over [0, 1] on the common refinement of the
+    two step quantile functions; breakpoints are handled in integer
+    arithmetic so no grid or tolerance is involved.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.size == 0 or y.size == 0:
+        raise EmptyInputError("empirical measures need at least one point")
+    n, m = x.size, y.size
+    xs, ys = np.sort(x), np.sort(y)
+    # breakpoints of the two inverse CDFs over the common denominator n*m
+    cuts = np.union1d(np.arange(1, n + 1) * m, np.arange(1, m + 1) * n)
+    widths = np.diff(np.concatenate([[0], cuts])) / (n * m)
+    ix = -(-cuts // m) - 1  # ceil(c/m) - 1
+    iy = -(-cuts // n) - 1
+    total = float(np.sum(widths * np.abs(xs[ix] - ys[iy]) ** r))
+    return total ** (1.0 / r)
+
+
+def w_exact_tiny(a, b, r=2.0):
+    """Exact Wasserstein distance by brute force over all assignments.
+
+    Restricted to equal support sizes n = m <= 8, where the optimal coupling
+    of uniform measures is a permutation; other sizes raise ValueError.
+    """
+    if a.size != b.size:
+        raise ValueError(f"support sizes differ: {a.size} vs {b.size}")
+    if a.size > 8:
+        raise ValueError(f"brute force limited to 8 points, got {a.size}")
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
+    n = a.size
+    cost = np.linalg.norm(a.support[:, None, :] - b.support[None, :, :], axis=2) ** r
+    best = min(
+        sum(cost[i, p] for i, p in enumerate(perm))
+        for perm in itertools.permutations(range(n))
+    )
+    return (best / n) ** (1.0 / r)
+
+
+def wl_iterate(graph, current):
+    """One neighborhood-averaging step of ``swwl.wl.embed`` on ``current``.
+
+    A ``current`` that is not a finite (node_count, d) matrix raises ValueError.
+    """
+    current = np.asarray(current, dtype=float)
+    if current.ndim != 2 or current.shape[0] != graph.node_count:
+        raise ValueError(f"expected ({graph.node_count}, d) matrix, got {current.shape}")
+    if not np.all(np.isfinite(current)):
+        raise ValueError("current iterate contains non-finite values")
+    _warn_nonpositive_weights(graph)
+    adj, inv_deg = _neighbor_operator(graph)
+    return _iterate(current, adj, inv_deg)
+
+
+def degree(graph, u):
+    """Number of distinct neighbors of node ``u``."""
+    if not 0 <= u < graph.node_count:
+        raise IndexError(f"node {u} out of range for {graph.node_count} nodes")
+    return int(graph.degrees[u])
 
 
 def naive_quantile(values, level):

@@ -32,15 +32,12 @@ from swwl import (
     q2 as q2_metric,
     rmse as rmse_metric,
     sample_projections,
-    sw_estimate,
-    sw_exact_1d,
-    w_exact_tiny,
 )
 from swwl.cli import main as cli_main
 from swwl.synthetic import generate_regression_dataset, generate_timing_graph
 from swwl.wl import embed as wl_embed
 
-from oracles import naive_sw
+from oracles import naive_sw, sw_estimate, sw_exact_1d, w_exact_tiny
 
 
 def verdict(number, name, ok, detail):

@@ -383,6 +383,19 @@ def test_standardize_roundtrip(workspace, tmp_path):
     assert manifest["parameters"]["standardize"] is True
 
 
+@pytest.mark.parametrize(
+    "stats", [{}, [], {"mean": [0], "std": [1]}, {"mean": [0, 0], "std": [1, -1]}]
+)
+def test_embed_refuses_bad_standardization_stats_exit_2(workspace, tmp_path, stats):
+    path = tmp_path / "stats.json"
+    path.write_text(json.dumps(stats))
+    assert run(
+        "embed", "--input", workspace / "test.jsonl", "--out", tmp_path / "emb",
+        "--projections", 2, "--quantiles", 4, "--standardize-stats", path,
+    ) == 2
+    assert not (tmp_path / "emb").exists()
+
+
 def test_bench_timing_and_rmse_modes(tmp_path):
     out = tmp_path / "bench.csv"
     assert run(
@@ -460,11 +473,8 @@ EXIT_CODES = {
     errors.ParseError: 2,
     errors.SchemaError: 2,
     errors.ValidationError: 2,
-    errors.ShapeError: 2,
     errors.EmptyInputError: 2,
     errors.DimensionMismatchError: 2,
-    errors.SizeMismatchError: 2,
-    errors.TooLargeError: 2,
     errors.LengthMismatchError: 2,
     errors.ConfigMismatchError: 3,
     errors.DegenerateDrawError: 4,

@@ -11,12 +11,13 @@ from swwl import (
     GraphRecord,
     apply_standardization,
     compute_standardization,
-    degree,
     load_dataset,
     save_dataset,
 )
 from swwl.errors import ParseError, SchemaError, ValidationError
 from swwl.graphs import StandardizationStats
+
+from oracles import degree
 
 
 def write_lines(path, lines):
@@ -65,6 +66,25 @@ def test_load_malformed_line_reports_line_number(tmp_path):
     write_lines(path, ['{"id":"a","nodes":[[0.0]],"edges":[]}', "{not json"])
     with pytest.raises(ParseError, match="line 2"):
         load_dataset(path)
+
+
+_HUGE = int("9" * 400)  # a JSON integer beyond the double range
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("nodes", [[0.0], [_HUGE]]), ("edges", [[0, _HUGE]]), ("target", _HUGE),
+     ("scalars", [_HUGE])],
+    ids=["nodes", "edges", "target", "scalars"],
+)
+def test_integer_beyond_double_range_is_parse_error(tmp_path, field, value):
+    good = {"id": "a", "nodes": [[0.0], [1.0]], "edges": [[0, 1]], "target": 1.0,
+            "scalars": [0.5]}
+    path = tmp_path / "ds.jsonl"
+    write_lines(path, [json.dumps(good), json.dumps({**good, "id": "b", field: value})])
+    with pytest.raises(ParseError, match="line 2") as info:
+        load_dataset(path)
+    assert info.value.line == 2
 
 
 def test_missing_weight_defaults_to_one(tmp_path):
@@ -196,3 +216,36 @@ def test_zero_spread_dimension_keeps_unit_scale():
     assert stats.std[0] == 1.0
     out = apply_standardization(ds, stats)
     np.testing.assert_allclose(out.records[0].graph.attributes[:, 0], 0.0)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        "mean",
+        {"mean": [0.0]},
+        {"mean": 0.0, "std": [1.0]},
+        {"mean": [0.0], "std": "1"},
+        {"mean": ["0"], "std": [1.0]},
+        {"mean": [[0.0]], "std": [1.0]},
+        {"mean": [True], "std": [1.0]},
+        {"mean": [0.0, 1.0], "std": [1.0]},
+        {"mean": [0.0], "std": [-1.0]},
+        {"mean": [0.0], "std": [0.0]},
+        {"mean": [float("nan")], "std": [1.0]},
+        {"mean": [0.0], "std": [float("inf")]},
+        {"mean": [int("9" * 400)], "std": [1.0]},
+    ],
+)
+def test_malformed_standardization_is_parse_error(obj):
+    with pytest.raises(ParseError):
+        StandardizationStats.from_dict(obj)
+
+
+def test_standardization_of_another_dimension_is_refused():
+    rng = np.random.default_rng(4)
+    dataset = random_dataset(rng, n_records=2, d=2, m=0)
+    stats = StandardizationStats.from_dict({"mean": [0], "std": [1]})
+    with pytest.raises(ValidationError, match="1 attribute dimensions, dataset has 2"):
+        apply_standardization(dataset, stats)

@@ -16,7 +16,6 @@ from swwl import (
     pq_embed,
     sample_projection_blocks,
     sample_projections,
-    sw_estimate,
 )
 from swwl.binio import write_container
 from swwl.errors import LengthMismatchError, NonSymmetricError, ParseError, ValidationError
@@ -30,7 +29,13 @@ from swwl.kernels import (
     sw_squared_distances,
 )
 
-from oracles import aswwl_kernel, swwl_kernel, tensorized_kernel, value_by_value_gram_text
+from oracles import (
+    aswwl_kernel,
+    sw_estimate,
+    swwl_kernel,
+    tensorized_kernel,
+    value_by_value_gram_text,
+)
 
 
 def dirac_pair(a, b, seed=0, p=3, q=4):
@@ -308,6 +313,27 @@ class TestGramFiles:
         back = load_gram_text(ours).values
         assert np.array_equal(back, values)
         assert np.array_equal(np.signbit(back), np.signbit(values))  # -0.0 kept
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "2 0 1 2\n1 0\n0 1\n",  # fingerprint line too short
+            "two 0 1 2 1.0\n1 0\n0 1\n",
+            "2.5 0 1 2 1.0\n1 0\n0 1\n",
+            "-1 0 1 2 1.0\n",
+            "2 0 1 2 1.0\n1 0\n",  # fewer rows than announced
+            "2 0 1 2 1.0\n1 0\n0 1\n0 0\n",  # more rows than announced
+            "2 0 1 2 1.0\n1 0\n0 1 0\n",  # a row of the wrong width
+            "2 0 1 2 1.0\n1 0\n0 x\n",
+            "3000000000 0 1 2 1.0\n1 0\n0 1\n",  # a count the file does not back
+        ],
+    )
+    def test_malformed_text_is_parse_error(self, tmp_path, text):
+        path = tmp_path / "gram.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_gram_text(path)
 
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -1,22 +1,21 @@
 """Projections, quantiles, embeddings and transport-distance oracles."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from swwl import (
     EmpiricalMeasure,
+    PqStore,
     ProjectionSet,
     QuantileGrid,
-    interp_quantiles,
+    WlConfig,
+    embed_dataset,
     pq_embed,
     sample_projection_blocks,
     sample_projections,
-    step_quantiles,
-    sw_estimate,
-    sw_exact_1d,
-    w_exact_tiny,
 )
 from swwl.errors import (
     ConfigMismatchError,
@@ -24,13 +23,21 @@ from swwl.errors import (
     DimensionMismatchError,
     EmptyInputError,
     ParseError,
-    SizeMismatchError,
-    TooLargeError,
     ValidationError,
 )
 from swwl.sliced import PQ_STORE_NAME, _unit_rows, load_pq_store, save_pq_store
+from swwl.synthetic import generate_regression_dataset
+from swwl.wl import embed as wl_embed
 
-from oracles import naive_quantile, naive_sw
+from oracles import (
+    interp_quantiles,
+    naive_quantile,
+    naive_sw,
+    step_quantiles,
+    sw_estimate,
+    sw_exact_1d,
+    w_exact_tiny,
+)
 
 
 class TestProjections:
@@ -336,11 +343,11 @@ class TestExactOracles:
         assert w_exact_tiny(a, b, 2.0) == pytest.approx(3.0)
 
     def test_tiny_guards(self):
-        with pytest.raises(SizeMismatchError):
+        with pytest.raises(ValueError, match="sizes differ"):
             w_exact_tiny(
                 EmpiricalMeasure(np.zeros((2, 1))), EmpiricalMeasure(np.zeros((3, 1)))
             )
-        with pytest.raises(TooLargeError):
+        with pytest.raises(ValueError, match="limited to 8"):
             w_exact_tiny(
                 EmpiricalMeasure(np.zeros((9, 1))), EmpiricalMeasure(np.zeros((9, 1)))
             )
@@ -360,36 +367,89 @@ def _embeddings(ids, seed=123):
     ]
 
 
+def _store(ids, seeds=(123,)):
+    """A store with one block per seed, its rows embedded from random clouds."""
+    blocks = [_embeddings(ids, seed=s) for s in seeds]
+    return PqStore(
+        ids=tuple(ids),
+        blocks=tuple(np.vstack([e.values for e in block]) for block in blocks),
+        fingerprints=tuple(block[0].fingerprint for block in blocks),
+    )
+
+
+def _assert_same_store(a, b):
+    assert a.ids == b.ids
+    assert a.fingerprints == b.fingerprints
+    assert len(a.blocks) == len(b.blocks)
+    for x, y in zip(a.blocks, b.blocks):
+        assert np.array_equal(x, y)
+
+
 def test_cache_round_trip(tmp_path):
-    embs = _embeddings(["graph-8", "graph-9"])
-    blocks = [_embeddings(["graph-8", "graph-9"], seed=s) for s in (1, 2)]
-    save_pq_store(tmp_path, embs, blocks)
+    store = _store(["graph-8", "graph-9"], seeds=(123, 1, 2))
+    save_pq_store(tmp_path, store)
     back = load_pq_store(tmp_path)
-    assert back.ids == ("graph-8", "graph-9")
-    assert back.fingerprints == tuple(b[0].fingerprint for b in [embs, *blocks])
-    for k, block in enumerate([embs, *blocks]):
-        assert np.array_equal(back.blocks[k], np.vstack([e.values for e in block]))
-    restored = back.embeddings(0)
+    _assert_same_store(back, store)
+    restored = back.embeddings
     assert [e.graph_id for e in restored] == ["graph-8", "graph-9"]
-    assert sw_estimate(embs[1], restored[1]) == 0.0
+    assert sw_estimate(store.embeddings[1], restored[1]) == 0.0
+    per_iteration = back.per_iteration
+    assert [[e.graph_id for e in rows] for rows in per_iteration] == [["graph-8", "graph-9"]] * 2
+    assert [rows[0].fingerprint for rows in per_iteration] == list(store.fingerprints[1:])
 
 
 def test_store_keeps_written_order_of_ids(tmp_path):
     ids = ["9", "10", "100000"]
-    embs = _embeddings(ids)
-    save_pq_store(tmp_path, embs, None)
+    save_pq_store(tmp_path, _store(ids))
     back = load_pq_store(tmp_path)
     assert back.ids == tuple(ids)
-    assert np.array_equal(back.blocks[0], np.vstack([e.values for e in embs]))
+    assert back.per_iteration is None
 
 
-def test_store_refuses_mixed_fingerprints(tmp_path):
-    mixed = _embeddings(["a"]) + _embeddings(["b"], seed=124)
-    with pytest.raises(ConfigMismatchError):
-        save_pq_store(tmp_path, mixed, None)
-    with pytest.raises(ConfigMismatchError):
-        save_pq_store(tmp_path, _embeddings(["a", "b"]), [_embeddings(["b", "a"])])
-    assert not (tmp_path / PQ_STORE_NAME).exists()
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("per_iteration", [False, True])
+def test_embed_dataset_store_round_trips(tmp_path, per_iteration, jobs):
+    dataset = generate_regression_dataset(seed=3, n_graphs=6, mean_nodes=12)
+    store = embed_dataset(
+        dataset, WlConfig(iterations=(0, 2)), seed=5, n_projections=4, n_quantiles=6,
+        per_iteration=per_iteration, jobs=jobs,
+    )
+    assert store.ids == tuple(dataset.ids)
+    assert [fp.block for fp in store.fingerprints] == (
+        [None, 0, 1] if per_iteration else [None]
+    )
+    assert all(fp.iterations == (0, 2) for fp in store.fingerprints)
+    assert all(block.shape == (6, 24) for block in store.blocks)
+    save_pq_store(tmp_path, store)
+    _assert_same_store(load_pq_store(tmp_path), store)
+
+
+def test_embed_dataset_threads_fill_every_row():
+    # more workers than cores and frequent thread switches: each worker must
+    # write its own rows of the shared blocks, and every row must be written
+    dataset = generate_regression_dataset(seed=6, n_graphs=24, mean_nodes=10)
+    config = WlConfig(iterations=(0, 1))
+    kwargs = dict(seed=2, n_projections=3, n_quantiles=4, per_iteration=True)
+    serial = embed_dataset(dataset, config, **kwargs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = embed_dataset(dataset, config, jobs=8, **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_same_store(threaded, serial)
+
+
+def test_embed_dataset_rows_are_per_graph_embeddings():
+    dataset = generate_regression_dataset(seed=4, n_graphs=3, mean_nodes=10)
+    store = embed_dataset(
+        dataset, WlConfig(iterations=(0, 1)), seed=7, n_projections=3, n_quantiles=5
+    )
+    projections = sample_projections(7, 3, 2 * dataset.attr_dim)
+    for row, rec in zip(store.blocks[0], dataset):
+        wl = wl_embed(rec.graph, WlConfig(iterations=(0, 1)))
+        emb = pq_embed(EmpiricalMeasure(wl.values), projections, QuantileGrid(5))
+        assert np.array_equal(row, emb.values)
 
 
 def _rewrite_header(path, edit):
@@ -418,7 +478,7 @@ def _rewrite_header(path, edit):
     ],
 )
 def test_malformed_store_header_is_parse_error(tmp_path, edit):
-    save_pq_store(tmp_path, _embeddings(["a", "b"]), None)
+    save_pq_store(tmp_path, _store(["a", "b"]))
     _rewrite_header(tmp_path / PQ_STORE_NAME, edit)
     with pytest.raises(ParseError):
         load_pq_store(tmp_path)
