@@ -497,8 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--nugget", type=float, default=1e-8)
-    p.add_argument("--multistarts", type=int, default=5)
-    p.add_argument("--max-evals", type=int, default=400)
+    p.add_argument("--multistarts", type=int, default=1,
+                   help="Nelder-Mead runs: the first from the best of a 9-point "
+                   "log-range grid, the others from --opt-seed random starts")
+    p.add_argument("--max-evals", type=int, default=400,
+                   help="posterior evaluations per Nelder-Mead run")
     p.add_argument("--opt-seed", type=int, default=0)
     p.set_defaults(func=cmd_fit)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,11 @@ MODEL_MAGIC = "SWWL-M1"
 
 JR_PRIOR_A = 0.2
 DEFAULT_NUGGET = 1e-8
+
+# Range search: every log-range shifted by -4, -3, ..., 4 from the prior-scale
+# centre, then a Nelder-Mead simplex half a grid step wide around the best.
+GRID_SHIFTS = np.arange(-4.0, 5.0)
+SIMPLEX_STEP = 0.5
 
 
 def jr_prior_rate(n: int, n_ranges: int, a: float = JR_PRIOR_A) -> float:
@@ -229,17 +235,22 @@ class FitDiagnostics:
 
     posterior_evaluations: distinct log-range points scored (one Cholesky each).
     repeated_points: objective calls answered from the score memo instead.
+    failed_points: distinct points scored -inf (Cholesky failure or S^2 <= 0).
+    log_posterior: log marginal posterior at the returned ranges.
     """
 
     posterior_evaluations: int
     repeated_points: int
+    failed_points: int
+    log_posterior: float
 
 
 class _ScoreMemo:
     """Objective wrapper that scores each point once, keyed by its exact bytes.
 
-    Nelder-Mead revisits points it has already scored; each visit would
-    otherwise factorize the same N x N correlation matrix again.
+    The first Nelder-Mead run starts from the best grid point, which is
+    already scored, and every run revisits points it has scored; each visit
+    would otherwise factorize the same N x N correlation matrix again.
     """
 
     def __init__(self, score):
@@ -293,7 +304,7 @@ class GpModel:
 @dataclass(frozen=True)
 class GpSettings:
     nugget: float = DEFAULT_NUGGET
-    multistarts: int = 5
+    multistarts: int = 1
     max_evals: int = 400
     seed: int = 0
 
@@ -337,10 +348,16 @@ def fit(
     fingerprint: PqFingerprint | None = None,
     settings: GpSettings = GpSettings(),
 ) -> GpModel:
-    """Estimate ranges by multistart Nelder-Mead on the log marginal posterior.
+    """Estimate ranges by maximizing the log marginal posterior.
 
-    Starts are centered on the mean pairwise distance of each coordinate;
-    candidates whose correlation matrix cannot be factorized score -inf and
+    All log-ranges are shifted together over a 9-point grid, one log unit
+    apart, around the log of the mean pairwise distance of each coordinate;
+    one Nelder-Mead run then starts from the best grid point, with a simplex
+    half a grid step wide. Each further start (``settings.multistarts - 1``
+    of them) runs Nelder-Mead from the grid centre plus a U(-2, 2) offset per
+    coordinate drawn from ``Philox(settings.seed)``. ``settings.max_evals``
+    bounds each Nelder-Mead run; the grid is scored on top of it.
+    Candidates whose correlation matrix cannot be factorized score -inf and
     simply lose the comparison.
     """
     y = np.asarray(targets, dtype=float).reshape(-1)
@@ -363,15 +380,22 @@ def fit(
         return -value if np.isfinite(value) else penalty
 
     objective = _ScoreMemo(score)
+    grid_best = min((start_center + t for t in GRID_SHIFTS), key=objective)
     best_value = -np.inf
     best_log_ranges = None
     for k in range(max(1, settings.multistarts)):
-        x0 = start_center if k == 0 else start_center + rng.uniform(-2.0, 2.0, len(scales))
+        if k == 0:
+            x0 = grid_best
+            simplex = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(len(x0))])
+        else:
+            x0 = start_center + rng.uniform(-2.0, 2.0, len(scales))
+            simplex = None  # scipy's default simplex around x0
         res = scipy.optimize.minimize(
             objective,
             x0,
             method="Nelder-Mead",
-            options={"xatol": 1e-4, "fatol": 1e-7, "maxfev": settings.max_evals},
+            options={"xatol": 1e-4, "fatol": 1e-7, "maxfev": settings.max_evals,
+                     "initial_simplex": simplex},
         )
         if res.fun >= penalty:
             continue
@@ -414,7 +438,10 @@ def fit(
         fingerprint=fingerprint,
         prior_scales=scales,
         diagnostics=FitDiagnostics(
-            posterior_evaluations=len(objective.scores), repeated_points=objective.hits
+            posterior_evaluations=len(objective.scores),
+            repeated_points=objective.hits,
+            failed_points=sum(v >= penalty for v in objective.scores.values()),
+            log_posterior=float(best_value),
         ),
     )
 
@@ -472,7 +499,9 @@ def predict(
     cross_d = _test_distances(model, features, scalars, to_train=True)
     cross = _correlation(cross_d, model.ranges)  # (N*, N)
     mean = model.theta_hat + cross @ model.rinv_centered_y
-    rinv_cross_t = scipy.linalg.cho_solve((model.chol, True), cross.T)  # (N, N*)
+    # (N, N*); the factor is finite (fit and load_model check it), and its
+    # transposed view is the Fortran-ordered upper factor LAPACK reads as is
+    rinv_cross_t = scipy.linalg.cho_solve((model.chol.T, False), cross.T, check_finite=False)
     test_d = _test_distances(model, features, scalars, to_train=False)
     cbar = _correlation(test_d, model.ranges) - cross @ rinv_cross_t
     trend_gap = 1.0 - cross @ model.rinv_h  # h* - R* R^-1 h
@@ -544,6 +573,15 @@ def load_model(path) -> GpModel:
         raise ParseError(
             f"{path}: 'nugget', 'theta_hat', 'sigma2_hat' must be numbers, 'dof' an integer"
         )
+    try:
+        finite = all(math.isfinite(v) for v in numbers[:3])
+    except OverflowError:  # a JSON integer beyond the double range
+        finite = False
+    if not finite:
+        raise ParseError(f"{path}: 'nugget', 'theta_hat', 'sigma2_hat' must be finite")
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ParseError(f"{path}: array {name!r} holds a NaN or infinite entry")
     feats, scal = arrays.get("train_features"), arrays.get("train_scalars")
     for name, a in (("train_features", feats), ("train_scalars", scal)):
         if a is not None and (a.ndim != 2 or a.shape[0] != n):

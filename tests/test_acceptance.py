@@ -207,21 +207,23 @@ def test_acceptance_5_complexity():
     projections = sample_projections(0, 50, 8)
     _embed_one(generate_timing_graph(0, 2000), config, projections, grid)  # warmup
 
-    # Gram assembly cost must not depend on graph size once embeddings exist
-    assembly_times = {}
-    for n_nodes in (100, 10_000):
-        embeddings = [
+    # Gram assembly cost must not depend on graph size once embeddings exist.
+    # The two sizes are timed in alternation, so drift in the machine's speed
+    # hits both alike; the first round is a warm-up and is dropped.
+    embeddings = {
+        n_nodes: [
             _embed_one(generate_timing_graph(seed, n_nodes), config, projections, grid)
             for seed in range(100)
         ]
-        assemble_gram(embeddings, None, KernelConfig(gamma=1.0))  # warmup
-        reps = []
-        for _ in range(7):
+        for n_nodes in (100, 10_000)
+    }
+    reps = {n_nodes: [] for n_nodes in embeddings}
+    for _ in range(8):
+        for n_nodes, embedded in embeddings.items():
             t0 = time.perf_counter()
-            assemble_gram(embeddings, None, KernelConfig(gamma=1.0))
-            reps.append(time.perf_counter() - t0)
-        assembly_times[n_nodes] = float(np.min(reps))
-    ratio = assembly_times[10_000] / assembly_times[100]
+            assemble_gram(embedded, None, KernelConfig(gamma=1.0))
+            reps[n_nodes].append(time.perf_counter() - t0)
+    ratio = min(reps[10_000][1:]) / min(reps[100][1:])
     ok_gram = 1 / 1.2 <= ratio <= 1.2
 
     # embedding cost grows at most like n**1.2

@@ -10,7 +10,7 @@ import pytest
 from swwl import AttributedGraph, Dataset, GraphRecord, errors, load_dataset, save_dataset
 from swwl.binio import read_container, write_container
 from swwl.cli import build_parser, main
-from swwl.gp import MODEL_MAGIC, load_model
+from swwl.gp import MODEL_MAGIC, build_train_distances, load_model, marginal_posterior
 from swwl.kernels import GRAM_MAGIC, load_gram_binary, load_gram_text
 from swwl.sliced import PQ_STORE_NAME, load_pq_store
 
@@ -218,8 +218,16 @@ def test_fit_then_predict_test_set_and_reruns(workspace, tmp_path):
     model = load_model(model_path)
     assert model.size == 12
     optimizer = json.loads(model_path.with_suffix(".bin.manifest.json").read_text())["optimizer"]
-    assert set(optimizer) == {"posterior_evaluations", "repeated_points"}
+    assert set(optimizer) == {
+        "posterior_evaluations", "repeated_points", "failed_points", "log_posterior",
+    }
     assert optimizer["posterior_evaluations"] > 0 and optimizer["repeated_points"] >= 0
+    assert 0 <= optimizer["failed_points"] < optimizer["posterior_evaluations"]
+    assert optimizer["log_posterior"] == pytest.approx(
+        marginal_posterior(np.log(model.ranges), build_train_distances(
+            model.train_features, None), model.targets, model.nugget),
+        rel=1e-9,
+    )
     preds = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
     for p in preds:
         assert run(

@@ -24,7 +24,8 @@ from swwl.errors import (
     ParseError,
     ValidationError,
 )
-from swwl import gp
+from oracles import multistart_nelder_mead
+from swwl import build_train_distances, gp
 from swwl.binio import read_container, write_container
 from swwl.gp import MODEL_MAGIC, jr_prior_rate
 from swwl.sliced import PqFingerprint
@@ -297,10 +298,19 @@ def _set(mapping, key, value):
         lambda h, a: _set(a, "train_scalars", np.ones((11, 2))),
         lambda h, a: _set(a, "train_features", np.ones(60)),
         lambda h, a: (a.pop("train_features"), a.pop("train_scalars")),
+        lambda h, a: _set(h, "nugget", float("nan")),
+        lambda h, a: _set(h, "theta_hat", float("nan")),
+        lambda h, a: _set(h, "sigma2_hat", float("inf")),
+        lambda h, a: _set(h, "theta_hat", 10**400),
+        lambda h, a: _set(a, "rinv_h", np.full(12, np.inf)),
+        lambda h, a: _set(a, "chol", np.where(np.eye(12) > 0, np.nan, a["chol"])),
+        lambda h, a: _set(a, "train_features", np.full((12, 5), -np.inf)),
+        lambda h, a: _set(a, "ranges", np.array([np.nan, 1.0, 1.0])),
     ],
     ids=["no-nugget", "nugget-str", "dof-float", "no-ids", "ids-vs-n", "n-str",
          "no-ranges", "ranges-count", "chol-shape", "targets-length",
-         "scalar-rows", "features-1d", "no-inputs"],
+         "scalar-rows", "features-1d", "no-inputs", "nugget-nan", "theta-nan",
+         "sigma2-inf", "theta-huge-int", "rinv-h-inf", "chol-nan", "features-inf", "ranges-nan"],
 )
 def test_malformed_model_is_parse_error(tmp_path, damage):
     rng = np.random.default_rng(10)
@@ -360,6 +370,89 @@ def test_fit_scores_each_point_once(monkeypatch):
     assert np.array_equal(model.ranges, bypassed.ranges)
     assert model.theta_hat == bypassed.theta_hat
     assert model.sigma2_hat == bypassed.sigma2_hat
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_one_range_optimum_matches_five_start_reference(seed):
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((40, 6))
+    y = np.sin(features @ rng.standard_normal(6)) + 0.05 * rng.standard_normal(40)
+    model = fit(features, None, y)
+    want, _ = multistart_nelder_mead(build_train_distances(features, None), y, model.nugget)
+    assert model.diagnostics.log_posterior >= want - 1e-6
+
+
+@pytest.mark.parametrize("n_scalars", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_several_ranges_optimum_matches_five_start_reference(n_scalars, seed):
+    # targets vary along every covariate, so each range has an interior optimum
+    rng = np.random.default_rng(100 + seed)
+    x = rng.uniform(-2.0, 2.0, (40, n_scalars))
+    y = np.sin(2.0 * x[:, 0]) + np.cos(3.0 * x[:, 1]) + x[:, 2:].sum(axis=1)
+    y = y + 0.01 * rng.standard_normal(40)
+    model = fit(None, x, y)
+    want, _ = multistart_nelder_mead(build_train_distances(None, x), y, model.nugget)
+    assert model.diagnostics.log_posterior >= want - 1e-6 * abs(want)
+
+
+def test_default_one_range_fit_scores_at_most_40_points(monkeypatch):
+    rng = np.random.default_rng(13)
+    features = rng.standard_normal((60, 8))
+    y = np.cos(features[:, :3].sum(axis=1))
+    calls = set()
+    original = gp.marginal_posterior
+
+    def recording(log_ranges, *args):
+        calls.add(np.asarray(log_ranges).tobytes())
+        return original(log_ranges, *args)
+
+    monkeypatch.setattr(gp, "marginal_posterior", recording)
+    model = fit(features, None, y)
+    assert len(calls) == model.diagnostics.posterior_evaluations <= 40
+
+
+def test_extra_starts_follow_the_seed(monkeypatch):
+    features, _, y = _fit_inputs()
+    starts = []
+    original = gp.scipy.optimize.minimize
+
+    def recording(fun, x0, **kwargs):
+        starts.append(np.array(x0))
+        return original(fun, x0, **kwargs)
+
+    monkeypatch.setattr(gp.scipy.optimize, "minimize", recording)
+    runs = {}
+    for seed in (3, 4):
+        starts.clear()
+        fit(features, None, y, settings=GpSettings(multistarts=3, seed=seed))
+        runs[seed] = list(starts)
+    center = np.log(build_train_distances(features, None).prior_scales)
+    for seed, x0s in runs.items():
+        assert len(x0s) == 3
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        for x0 in x0s[1:]:
+            np.testing.assert_array_equal(x0, center + rng.uniform(-2.0, 2.0, 1))
+    assert not np.array_equal(runs[3][1], runs[4][1])
+    np.testing.assert_array_equal(runs[3][0], runs[4][0])  # the best grid point
+
+
+def test_diagnostics_count_failures_and_report_the_optimum(monkeypatch):
+    # zero nugget: the widest ranges tried make R singular and score -inf
+    rng = np.random.default_rng(3)
+    features = rng.standard_normal((30, 2))
+    y = np.cos(features.sum(axis=1)) + 2.0
+    values = {}
+    original = gp.marginal_posterior
+
+    def recording(log_ranges, *args):
+        values[np.asarray(log_ranges).tobytes()] = value = original(log_ranges, *args)
+        return value
+
+    monkeypatch.setattr(gp, "marginal_posterior", recording)
+    model = fit(features, None, y, settings=GpSettings(nugget=0.0, multistarts=2))
+    scored = np.array(list(values.values()))
+    assert model.diagnostics.failed_points == np.sum(scored == -np.inf) > 0
+    assert model.diagnostics.log_posterior == scored.max()
 
 
 @pytest.mark.parametrize("where", ["targets", "features", "scalars", "nugget"])
