@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -270,7 +270,8 @@ class _ScoreMemo:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Trained state: fitted ranges, factorization and solve caches.
+    """Trained state: fitted ranges, the lower Cholesky factor of R + nugget*I
+    and the targets, from which the constructor derives the solve caches.
 
     The training features and scalars are kept so that prediction only needs
     the new inputs' embeddings.
@@ -278,23 +279,34 @@ class GpModel:
 
     ranges: np.ndarray
     nugget: float
-    theta_hat: float
-    sigma2_hat: float
-    dof: int
     chol: np.ndarray
-    rinv_centered_y: np.ndarray
-    rinv_h: np.ndarray
     targets: np.ndarray
     train_features: np.ndarray | None
     train_scalars: np.ndarray | None
     train_ids: tuple[str, ...]
     fingerprint: PqFingerprint | None
-    prior_scales: np.ndarray
     diagnostics: FitDiagnostics | None = None  # set by fit, not saved
+    theta_hat: float = field(init=False)
+    sigma2_hat: float = field(init=False)
+    rinv_centered_y: np.ndarray = field(init=False)
+    rinv_h: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        s2, _, _, theta_hat, rinv_y, rinv_h = _profile_parts(self.chol, self.targets)
+        if s2 <= 0:
+            raise ConstantTargetError("projected residual variance is zero")
+        object.__setattr__(self, "theta_hat", float(theta_hat))
+        object.__setattr__(self, "sigma2_hat", float(s2 / self.dof))
+        object.__setattr__(self, "rinv_centered_y", rinv_y - theta_hat * rinv_h)
+        object.__setattr__(self, "rinv_h", rinv_h)
 
     @property
     def size(self) -> int:
         return len(self.targets)
+
+    @property
+    def dof(self) -> int:
+        return self.size - 1
 
     @property
     def h_rinv_h(self) -> float:
@@ -307,6 +319,14 @@ class GpSettings:
     multistarts: int = 1
     max_evals: int = 400
     seed: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.nugget) and self.nugget >= 0):
+            raise ValidationError(f"nugget must be finite and nonnegative, got {self.nugget}")
+        if self.multistarts < 1:
+            raise ValidationError(f"multistarts must be at least 1, got {self.multistarts}")
+        if self.max_evals < 1:
+            raise ValidationError(f"max_evals must be at least 1, got {self.max_evals}")
 
 
 @dataclass(frozen=True)
@@ -364,7 +384,7 @@ def fit(
     n = len(y)
     if n < 3:
         raise ValidationError(f"need at least 3 training records, got {n}")
-    _require_finite(targets=y, features=features, scalars=scalars, nugget=settings.nugget)
+    _require_finite(targets=y, features=features, scalars=scalars)
     if np.ptp(y) == 0.0:
         raise ConstantTargetError("all training targets are identical")
     distances = build_train_distances(features, scalars)
@@ -383,7 +403,7 @@ def fit(
     grid_best = min((start_center + t for t in GRID_SHIFTS), key=objective)
     best_value = -np.inf
     best_log_ranges = None
-    for k in range(max(1, settings.multistarts)):
+    for k in range(settings.multistarts):
         if k == 0:
             x0 = grid_best
             simplex = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(len(x0))])
@@ -416,27 +436,16 @@ def fit(
             "correlation matrix is not positive definite at the optimum; "
             "try raising the nugget"
         ) from exc
-    s2, _, _, theta_hat, rinv_y, rinv_h = _profile_parts(chol, y)
-    if s2 <= 0:
-        raise ConstantTargetError("projected residual variance is zero")
-    sigma2_hat = s2 / (n - 1)
-    rinv_centered_y = rinv_y - theta_hat * rinv_h
     return GpModel(
         ranges=ranges,
         nugget=settings.nugget,
-        theta_hat=float(theta_hat),
-        sigma2_hat=float(sigma2_hat),
-        dof=n - 1,
         chol=chol,
-        rinv_centered_y=rinv_centered_y,
-        rinv_h=rinv_h,
         targets=y,
         train_features=None if features is None else np.asarray(features, float),
         train_scalars=None if scalars is None or not np.asarray(scalars).size
         else np.asarray(scalars, float),
         train_ids=tuple(ids) if ids is not None else tuple(str(i) for i in range(n)),
         fingerprint=fingerprint,
-        prior_scales=scales,
         diagnostics=FitDiagnostics(
             posterior_evaluations=len(objective.scores),
             repeated_points=objective.hits,
@@ -460,6 +469,8 @@ def _test_distances(
         other = model.train_features if to_train else features
         sw_sq = scipy.spatial.distance.cdist(features, other, "sqeuclidean")
     scalar_abs = None
+    if model.train_scalars is None and scalars is not None and np.asarray(scalars).size:
+        raise LengthMismatchError("model was trained without scalar covariates")
     if model.train_scalars is not None:
         if scalars is None or np.asarray(scalars).shape[1] != model.train_scalars.shape[1]:
             raise LengthMismatchError("scalar covariate count differs from training")
@@ -510,24 +521,24 @@ def predict(
     return PredictiveDistribution(mean=mean, scale=scale, dof=model.dof)
 
 
-def rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
+def _paired(predicted, truth) -> tuple[np.ndarray, np.ndarray]:
     predicted = np.asarray(predicted, dtype=float).reshape(-1)
     truth = np.asarray(truth, dtype=float).reshape(-1)
     if predicted.shape != truth.shape:
         raise LengthMismatchError(f"{predicted.shape[0]} predictions for {truth.shape[0]} truths")
     if predicted.size == 0:
         raise LengthMismatchError("need at least one value")
+    return predicted, truth
+
+
+def rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
+    predicted, truth = _paired(predicted, truth)
     return float(np.sqrt(np.mean((predicted - truth) ** 2)))
 
 
 def q2(predicted: np.ndarray, truth: np.ndarray) -> float:
     """Coefficient of predictivity 1 - SSE/SST; 1 is perfect, 0 matches the mean."""
-    predicted = np.asarray(predicted, dtype=float).reshape(-1)
-    truth = np.asarray(truth, dtype=float).reshape(-1)
-    if predicted.shape != truth.shape:
-        raise LengthMismatchError(f"{predicted.shape[0]} predictions for {truth.shape[0]} truths")
-    if predicted.size == 0:
-        raise LengthMismatchError("need at least one value")
+    predicted, truth = _paired(predicted, truth)
     sse = float(np.sum((predicted - truth) ** 2))
     sst = float(np.sum((truth - truth.mean()) ** 2))
     if sst == 0.0:
@@ -536,25 +547,15 @@ def q2(predicted: np.ndarray, truth: np.ndarray) -> float:
 
 
 def save_model(model: GpModel, path) -> None:
+    """Write what a model cannot derive; the solve caches are recomputed on load."""
     header = {
         "n": model.size,
-        "n_ranges": len(model.ranges),
         "nugget": model.nugget,
-        "theta_hat": model.theta_hat,
-        "sigma2_hat": model.sigma2_hat,
-        "dof": model.dof,
         "train_ids": list(model.train_ids),
         "fingerprint": None if model.fingerprint is None else model.fingerprint.to_dict(),
         "swwl_precision_mapping": "gamma = 1 / range[0]**2",
     }
-    arrays = {
-        "ranges": model.ranges,
-        "prior_scales": model.prior_scales,
-        "chol": model.chol,
-        "rinv_centered_y": model.rinv_centered_y,
-        "rinv_h": model.rinv_h,
-        "targets": model.targets,
-    }
+    arrays = {"ranges": model.ranges, "chol": model.chol, "targets": model.targets}
     if model.train_features is not None:
         arrays["train_features"] = model.train_features
     if model.train_scalars is not None:
@@ -563,22 +564,24 @@ def save_model(model: GpModel, path) -> None:
 
 
 def load_model(path) -> GpModel:
-    """Read a model written by :func:`save_model`; ParseError if malformed."""
+    """Read a model written by :func:`save_model`; ParseError if malformed.
+
+    Header keys and arrays that :func:`save_model` does not write, such as
+    stored solve caches, are ignored: the model derives them.
+    """
     header, arrays = read_container(path, MODEL_MAGIC)
     n, ids = header.get("n"), header.get("train_ids")
     if type(n) is not int or not isinstance(ids, list) or len(ids) != n:
         raise ParseError(f"{path}: 'train_ids' must list the 'n' training records")
-    numbers = [header.get(k) for k in ("nugget", "theta_hat", "sigma2_hat", "dof")]
-    if any(type(v) not in (int, float) for v in numbers) or type(numbers[-1]) is not int:
-        raise ParseError(
-            f"{path}: 'nugget', 'theta_hat', 'sigma2_hat' must be numbers, 'dof' an integer"
-        )
+    nugget = header.get("nugget")
+    if type(nugget) not in (int, float):
+        raise ParseError(f"{path}: 'nugget' must be a number")
     try:
-        finite = all(math.isfinite(v) for v in numbers[:3])
+        finite = math.isfinite(nugget)
     except OverflowError:  # a JSON integer beyond the double range
         finite = False
     if not finite:
-        raise ParseError(f"{path}: 'nugget', 'theta_hat', 'sigma2_hat' must be finite")
+        raise ParseError(f"{path}: 'nugget' must be finite")
     for name, a in arrays.items():
         if not np.all(np.isfinite(a)):
             raise ParseError(f"{path}: array {name!r} holds a NaN or infinite entry")
@@ -589,27 +592,23 @@ def load_model(path) -> GpModel:
     n_ranges = (feats is not None) + (0 if scal is None else scal.shape[1])
     if n_ranges == 0:
         raise ParseError(f"{path}: model holds neither training features nor scalars")
-    shapes = {"ranges": (n_ranges,), "prior_scales": (n_ranges,), "chol": (n, n),
-              "rinv_centered_y": (n,), "rinv_h": (n,), "targets": (n,)}
-    for name, shape in shapes.items():
+    for name, shape in {"ranges": (n_ranges,), "chol": (n, n), "targets": (n,)}.items():
         if name not in arrays or arrays[name].shape != shape:
             raise ParseError(f"{path}: array {name!r} must have shape {shape}")
+    if not np.all(np.diag(arrays["chol"]) > 0):
+        raise ParseError(f"{path}: 'chol' must have a positive diagonal")
+    if np.ptp(arrays["targets"]) == 0.0:
+        raise ParseError(f"{path}: all training targets are identical")
     fp = header.get("fingerprint")
     return GpModel(
         ranges=arrays["ranges"],
-        nugget=float(header["nugget"]),
-        theta_hat=float(header["theta_hat"]),
-        sigma2_hat=float(header["sigma2_hat"]),
-        dof=header["dof"],
+        nugget=float(nugget),
         chol=arrays["chol"],
-        rinv_centered_y=arrays["rinv_centered_y"],
-        rinv_h=arrays["rinv_h"],
         targets=arrays["targets"],
         train_features=feats,
         train_scalars=scal,
         train_ids=tuple(ids),
         fingerprint=None if fp is None else PqFingerprint.from_dict(fp),
-        prior_scales=arrays["prior_scales"],
     )
 
 

@@ -274,6 +274,19 @@ def test_fit_and_predict_refuse_non_finite_inputs_exit_2(workspace, tmp_path, ca
     assert "features must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--nugget", -0.5), ("--multistarts", 0), ("--max-evals", 0)],
+)
+def test_fit_refuses_out_of_range_settings_exit_2(workspace, tmp_path, capsys, flag, value):
+    assert run(
+        "fit", "--input", workspace / "train.jsonl", "--embeddings",
+        workspace / "emb-train", "--out", tmp_path / "model.bin", flag, value,
+    ) == 2
+    assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "model.bin").exists()
+
+
 def test_predict_with_wrong_seed_cache_exits_3(workspace, tmp_path):
     model_path = tmp_path / "model.bin"
     assert run(

@@ -266,6 +266,11 @@ class TestMetricsAndIO:
         )
         path = tmp_path / "model.bin"
         save_model(model, path)
+        header, arrays = read_container(path, MODEL_MAGIC)
+        assert set(header) - {"arrays"} == {
+            "n", "nugget", "train_ids", "fingerprint", "swwl_precision_mapping",
+        }
+        assert set(arrays) == {"ranges", "chol", "targets", "train_features", "train_scalars"}
         back = load_model(path)
         assert back.train_ids == model.train_ids
         assert back.fingerprint == model.fingerprint
@@ -276,6 +281,31 @@ class TestMetricsAndIO:
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.scale, b.scale)
         assert a.dof == b.dof
+        assert back.theta_hat == model.theta_hat
+        assert back.sigma2_hat == model.sigma2_hat
+        assert np.array_equal(back.rinv_h, model.rinv_h)
+        assert np.array_equal(back.rinv_centered_y, model.rinv_centered_y)
+
+    def test_model_file_with_stored_solve_caches_loads(self, tmp_path):
+        # files that also store the derived values (header theta_hat,
+        # sigma2_hat, dof, n_ranges; arrays prior_scales, rinv_centered_y,
+        # rinv_h) load, and the stored copies are not what predict uses
+        features, scalars, y = _fit_inputs()
+        model = fit(features, scalars, y, settings=GpSettings(multistarts=1))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        header, arrays = read_container(path, MODEL_MAGIC)
+        header.update(theta_hat=model.theta_hat + 1.0, sigma2_hat=model.sigma2_hat,
+                      dof=model.dof, n_ranges=len(model.ranges))
+        arrays.update(prior_scales=np.ones(len(model.ranges)),
+                      rinv_centered_y=model.rinv_centered_y, rinv_h=model.rinv_h)
+        write_container(path, MODEL_MAGIC, header, arrays)
+        back = load_model(path)
+        assert back.theta_hat == model.theta_hat
+        a = predict(model, features[:4], scalars[:4])
+        b = predict(back, features[:4], scalars[:4])
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.scale, b.scale)
 
 
 def _set(mapping, key, value):
@@ -287,7 +317,6 @@ def _set(mapping, key, value):
     [
         lambda h, a: h.pop("nugget"),
         lambda h, a: _set(h, "nugget", "1e-8"),
-        lambda h, a: _set(h, "dof", 11.0),
         lambda h, a: h.pop("train_ids"),
         lambda h, a: _set(h, "train_ids", ["r0"]),
         lambda h, a: _set(h, "n", "12"),
@@ -299,18 +328,19 @@ def _set(mapping, key, value):
         lambda h, a: _set(a, "train_features", np.ones(60)),
         lambda h, a: (a.pop("train_features"), a.pop("train_scalars")),
         lambda h, a: _set(h, "nugget", float("nan")),
-        lambda h, a: _set(h, "theta_hat", float("nan")),
-        lambda h, a: _set(h, "sigma2_hat", float("inf")),
-        lambda h, a: _set(h, "theta_hat", 10**400),
         lambda h, a: _set(a, "rinv_h", np.full(12, np.inf)),
         lambda h, a: _set(a, "chol", np.where(np.eye(12) > 0, np.nan, a["chol"])),
         lambda h, a: _set(a, "train_features", np.full((12, 5), -np.inf)),
         lambda h, a: _set(a, "ranges", np.array([np.nan, 1.0, 1.0])),
+        lambda h, a: a["chol"].__setitem__((4, 4), 0.0),
+        lambda h, a: a["chol"].__setitem__((4, 4), -a["chol"][4, 4]),
+        lambda h, a: _set(a, "targets", np.full(12, 0.5)),
     ],
-    ids=["no-nugget", "nugget-str", "dof-float", "no-ids", "ids-vs-n", "n-str",
+    ids=["no-nugget", "nugget-str", "no-ids", "ids-vs-n", "n-str",
          "no-ranges", "ranges-count", "chol-shape", "targets-length",
-         "scalar-rows", "features-1d", "no-inputs", "nugget-nan", "theta-nan",
-         "sigma2-inf", "theta-huge-int", "rinv-h-inf", "chol-nan", "features-inf", "ranges-nan"],
+         "scalar-rows", "features-1d", "no-inputs", "nugget-nan",
+         "rinv-h-inf", "chol-nan", "features-inf", "ranges-nan",
+         "chol-zero-diagonal", "chol-negative-diagonal", "constant-targets"],
 )
 def test_malformed_model_is_parse_error(tmp_path, damage):
     rng = np.random.default_rng(10)
@@ -476,3 +506,23 @@ def test_predict_refuses_non_finite_inputs(where):
     test[where][1, 0] = np.nan
     with pytest.raises(ValidationError, match=f"{where} must be finite"):
         predict(model, test["features"], test["scalars"])
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"nugget": -0.5}, {"multistarts": 0}, {"max_evals": 0}],
+    ids=["nugget-negative", "multistarts-0", "max-evals-0"],
+)
+def test_settings_refuse_out_of_range_values(settings):
+    with pytest.raises(ValidationError):
+        GpSettings(**settings)
+
+
+def test_predict_refuses_scalars_the_model_was_not_trained_with():
+    features, scalars, y = _fit_inputs()
+    model = fit(features, None, y, settings=GpSettings(multistarts=1))
+    with pytest.raises(LengthMismatchError, match="without scalar covariates"):
+        predict(model, features[:4], scalars[:4])
+    no_scalars = predict(model, features[:4], None)
+    empty = predict(model, features[:4], np.zeros((4, 0)))
+    assert np.array_equal(no_scalars.mean, empty.mean)
