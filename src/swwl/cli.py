@@ -1,9 +1,10 @@
 """Command-line pipeline with persistent, cacheable intermediate artifacts.
 
 Subcommands: generate, embed, gram, fit, predict, bench, check-psd. Every
-command writes a JSON manifest with its parsed flags and per-stage wall-clock
-timings next to its primary output. Numeric artifacts are pure functions of
-(inputs, flags, seed); manifests additionally carry timings.
+command writes a JSON manifest with its parsed flags, per-stage wall-clock
+timings and the peak resident set size next to its primary output. Numeric
+artifacts are pure functions of (inputs, flags, seed); manifests
+additionally carry timings and memory.
 
 Exit codes: 0 success, 2 input validation, 3 configuration/fingerprint
 mismatch, 4 numerical failure; each error class in ``errors`` declares its code.
@@ -14,16 +15,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import json
+import resource
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigMismatchError, SwwlError, ValidationError
+from .errors import ConfigMismatchError, SchemaError, SwwlError, ValidationError
 from .gp import (
     GpSettings,
     fit as gp_fit,
@@ -55,7 +58,7 @@ from .kernels import (
     sw_squared_distances,
 )
 from .pipeline import embed_dataset
-from .sliced import load_pq_store, save_pq_store
+from .sliced import PqStore, load_pq_store, save_pq_store
 from .synthetic import generate_regression_dataset, generate_timing_graph
 from .wl import WlConfig, sqrt_skip_iterations
 
@@ -82,7 +85,8 @@ class _Stages:
 
 
 def _write_manifest(path, args, stages, extra=None, **resolved):
-    """Record every parsed flag, overridden by ``resolved`` values, and the timings."""
+    """Record every parsed flag, overridden by ``resolved`` values, the timings
+    and the peak resident set size."""
     parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     parameters.update(resolved)
     manifest = {
@@ -91,6 +95,8 @@ def _write_manifest(path, args, stages, extra=None, **resolved):
         "parameters": parameters,
         "timings_ms": {k: round(v, 3) for k, v in stages.timings.items()},
         "total_ms": round(stages.total_ms(), 3),
+        # peak resident set of this process so far (ru_maxrss is in KiB on Linux)
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
     }
     if extra:
         manifest.update(extra)
@@ -110,14 +116,31 @@ def _parse_iterations(text: str, dataset: Dataset):
         raise ValidationError(f"cannot parse iteration list {text!r}") from exc
 
 
-def _load_store(directory, expect_ids):
+def _load_records(input_path, directory) -> tuple[PqStore, str]:
+    """The store in ``directory``, holding the ids, targets and scalars of the
+    records in ``input_path``, and where those came from.
+
+    "store": the sha256 of ``input_path`` is the one ``embed`` recorded, so
+    the store's own records are used and the file is not parsed. "input":
+    the file is parsed, its ids must be the store's in order, and its
+    targets and scalars replace the store's.
+    """
     store = load_pq_store(directory)
-    if list(store.ids) != list(expect_ids):
+    data = Path(input_path).read_bytes()
+    if store.source_sha256 == hashlib.sha256(data).hexdigest():
+        return store, "store"
+    dataset = load_dataset(data)
+    if list(store.ids) != dataset.ids:
         raise ConfigMismatchError(
             f"embeddings in {directory} do not match the dataset records in order "
-            f"({len(store.ids)} embeddings, {len(expect_ids)} records)"
+            f"({len(store.ids)} embeddings, {len(dataset)} records)"
         )
-    return store
+    records = replace(
+        store,
+        targets=dataset.targets() if dataset.has_targets else None,
+        scalars=dataset.scalar_matrix(),
+    )
+    return records, "input"
 
 
 def cmd_generate(args) -> int:
@@ -150,7 +173,9 @@ def cmd_generate(args) -> int:
 def cmd_embed(args) -> int:
     stages = _Stages()
     with stages.time("load"):
-        dataset = load_dataset(args.input)
+        data = Path(args.input).read_bytes()
+        dataset, digest = load_dataset(data), hashlib.sha256(data).hexdigest()
+        del data  # not needed while embedding
     iterations = _parse_iterations(args.iterations, dataset)
     config = WlConfig(iterations=iterations)
     standardization = None
@@ -172,6 +197,7 @@ def cmd_embed(args) -> int:
             per_iteration=args.aniso,
             jobs=args.jobs,
         )
+    store = replace(store, source_sha256=digest)
     # created only now, so a failed load or embed leaves no directory behind
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -258,16 +284,15 @@ def cmd_gram(args) -> int:
 def cmd_fit(args) -> int:
     stages = _Stages()
     with stages.time("load"):
-        dataset = load_dataset(args.input)
-        store = _load_store(args.embeddings, dataset.ids)
-        targets = dataset.targets()
+        store, records_from = _load_records(args.input, args.embeddings)
+    if store.targets is None:
+        raise SchemaError(f"{args.input} has records without targets")
     with stages.time("optimize"):
-        scalars = dataset.scalar_matrix() if dataset.scalar_dim else None
         model = gp_fit(
             store.blocks[0],
-            scalars,
-            targets,
-            ids=tuple(dataset.ids),
+            store.scalars,  # (N, 0) without scalar covariates, which fit takes as none
+            store.targets,
+            ids=store.ids,
             fingerprint=store.fingerprints[0],
             settings=GpSettings(
                 nugget=args.nugget,
@@ -290,6 +315,7 @@ def cmd_fit(args) -> int:
                 "dof": model.dof,
             },
             "optimizer": asdict(model.diagnostics),
+            "records_from": records_from,
         },
     )
     print(
@@ -303,30 +329,31 @@ def cmd_predict(args) -> int:
     stages = _Stages()
     with stages.time("load"):
         model = load_model(args.model)
-        dataset = load_dataset(args.input)
-        store = _load_store(args.embeddings, dataset.ids)
+        store, records_from = _load_records(args.input, args.embeddings)
     with stages.time("predict"):
-        scalars = dataset.scalar_matrix() if dataset.scalar_dim else None
         dist = gp_predict(
-            model, store.blocks[0], scalars, fingerprint=store.fingerprints[0]
+            model, store.blocks[0], store.scalars, fingerprint=store.fingerprints[0]
         )
     metrics = {}
-    if dataset.has_targets:
-        truth = dataset.targets()
+    if store.targets is not None:
         metrics = {
-            "rmse": rmse_metric(dist.mean, truth),
-            "q2": q2_metric(dist.mean, truth),
+            "rmse": rmse_metric(dist.mean, store.targets),
+            "q2": q2_metric(dist.mean, store.targets),
         }
         print(f"rmse {metrics['rmse']:.6g}  q2 {metrics['q2']:.6g}")
     with stages.time("write"):
-        write_predictions_csv(args.out, dataset.ids, dist)
+        write_predictions_csv(args.out, store.ids, dist)
     _write_manifest(
         str(args.out) + ".manifest.json",
         args,
         stages,
-        extra={"metrics": metrics, "counts": {"records": len(dataset)}},
+        extra={
+            "metrics": metrics,
+            "counts": {"records": len(store.ids)},
+            "records_from": records_from,
+        },
     )
-    print(f"wrote {len(dataset)} predictions to {args.out}")
+    print(f"wrote {len(store.ids)} predictions to {args.out}")
     return 0
 
 

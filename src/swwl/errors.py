@@ -6,8 +6,8 @@ Exit codes of ``swwl``, which each class declares as ``exit_code``:
 - 2: input validation: ``SwwlError`` and every subclass not named below;
   also ``FileNotFoundError`` and any other ``ValueError``.
 - 3: configuration or fingerprint mismatch: ``ConfigMismatchError``.
-- 4: numerical failure: ``CholeskyError``, ``OptimizationError``,
-  ``ConstantTargetError``, ``NonSymmetricError``, ``DegenerateDrawError``;
+- 4: numerical failure: ``OptimizationError``, ``ConstantTargetError``,
+  ``NonSymmetricError``, ``DegenerateDrawError``;
   also ``numpy.linalg.LinAlgError``, and ``check-psd`` on a matrix that is
   not PSD.
 """
@@ -63,12 +63,6 @@ class DegenerateDrawError(SwwlError):
 
 class NonSymmetricError(SwwlError):
     """A matrix expected to be symmetric is not."""
-
-    exit_code = 4
-
-
-class CholeskyError(SwwlError):
-    """A correlation matrix could not be factorized."""
 
     exit_code = 4
 

@@ -30,7 +30,6 @@ import scipy.stats
 
 from .binio import read_container, write_container
 from .errors import (
-    CholeskyError,
     ConfigMismatchError,
     ConstantTargetError,
     LengthMismatchError,
@@ -135,7 +134,11 @@ def _require_finite(**values) -> None:
 
 @dataclass(frozen=True)
 class PosteriorParts:
-    """Pieces of one marginal-posterior evaluation, for audits and tests."""
+    """Pieces of one marginal-posterior evaluation, for audits and tests.
+
+    ``chol`` is the lower Cholesky factor of R + nugget*I, None when the
+    factorization failed.
+    """
 
     value: float
     log_likelihood: float
@@ -145,6 +148,7 @@ class PosteriorParts:
     h_rinv_h: float
     theta_hat: float
     flag: str | None = None
+    chol: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _profile_parts(chol: np.ndarray, y: np.ndarray):
@@ -199,7 +203,7 @@ def posterior_parts(
         return PosteriorParts(
             value=-np.inf, log_likelihood=-np.inf, log_prior=0.0, s2=s2,
             log_det=log_det, h_rinv_h=h_rinv_h, theta_hat=theta_hat,
-            flag="ConstantTarget",
+            flag="ConstantTarget", chol=chol,
         )
     log_lik = -0.5 * log_det - 0.5 * np.log(h_rinv_h) - 0.5 * (n - 1) * np.log(s2)
     scales = distances.prior_scales
@@ -217,6 +221,7 @@ def posterior_parts(
         log_det=float(log_det),
         h_rinv_h=float(h_rinv_h),
         theta_hat=float(theta_hat),
+        chol=chol,
     )
 
 
@@ -225,8 +230,13 @@ def marginal_posterior(
     distances: TrainDistances,
     targets: np.ndarray,
     nugget: float = DEFAULT_NUGGET,
+    best: _BestPoint | None = None,
 ) -> float:
-    return posterior_parts(log_ranges, distances, targets, nugget).value
+    """The value of :func:`posterior_parts`; the evaluation is offered to ``best``."""
+    parts = posterior_parts(log_ranges, distances, targets, nugget)
+    if best is not None:
+        best.offer(log_ranges, parts)
+    return parts.value
 
 
 @dataclass(frozen=True)
@@ -243,6 +253,21 @@ class FitDiagnostics:
     repeated_points: int
     failed_points: int
     log_posterior: float
+
+
+class _BestPoint:
+    """The highest finite-scoring log-ranges offered so far, with their
+    :class:`PosteriorParts`, whose factor becomes the fitted model's, so that
+    ``fit`` does not factorize R once more at the optimum.
+    """
+
+    def __init__(self):
+        self.log_ranges = None
+        self.parts = None
+
+    def offer(self, log_ranges: np.ndarray, parts: PosteriorParts) -> None:
+        if np.isfinite(parts.value) and (self.parts is None or parts.value > self.parts.value):
+            self.log_ranges, self.parts = log_ranges, parts
 
 
 class _ScoreMemo:
@@ -376,7 +401,8 @@ def fit(
     half a grid step wide. Each further start (``settings.multistarts - 1``
     of them) runs Nelder-Mead from the grid centre plus a U(-2, 2) offset per
     coordinate drawn from ``Philox(settings.seed)``. ``settings.max_evals``
-    bounds each Nelder-Mead run; the grid is scored on top of it.
+    bounds each Nelder-Mead run; the grid is scored on top of it. The model
+    takes the best point scored, and the factor computed when scoring it.
     Candidates whose correlation matrix cannot be factorized score -inf and
     simply lose the comparison.
     """
@@ -394,15 +420,14 @@ def fit(
     start_center = np.log(np.where(scales > 0, scales, 1.0))
     rng = np.random.Generator(np.random.Philox(key=int(settings.seed)))
     penalty = 1e300  # finite stand-in for -inf so the simplex stays well defined
+    best = _BestPoint()
 
     def score(log_ranges):
-        value = marginal_posterior(log_ranges, distances, y, settings.nugget)
+        value = marginal_posterior(log_ranges, distances, y, settings.nugget, best)
         return -value if np.isfinite(value) else penalty
 
     objective = _ScoreMemo(score)
     grid_best = min((start_center + t for t in GRID_SHIFTS), key=objective)
-    best_value = -np.inf
-    best_log_ranges = None
     for k in range(settings.multistarts):
         if k == 0:
             x0 = grid_best
@@ -410,36 +435,23 @@ def fit(
         else:
             x0 = start_center + rng.uniform(-2.0, 2.0, len(scales))
             simplex = None  # scipy's default simplex around x0
-        res = scipy.optimize.minimize(
+        scipy.optimize.minimize(
             objective,
             x0,
             method="Nelder-Mead",
             options={"xatol": 1e-4, "fatol": 1e-7, "maxfev": settings.max_evals,
                      "initial_simplex": simplex},
         )
-        if res.fun >= penalty:
-            continue
-        if -res.fun > best_value:
-            best_value = -res.fun
-            best_log_ranges = res.x
-    if best_log_ranges is None:
+    if best.parts is None:
         raise OptimizationError(
             "every optimizer start failed: the correlation matrix could not be "
             "factorized for any candidate ranges; duplicated inputs or a zero "
             "nugget are the usual cause (try raising the nugget)"
         )
-    ranges = np.exp(best_log_ranges)
-    try:
-        chol = np.linalg.cholesky(_nugget_correlation(distances, ranges, settings.nugget))
-    except np.linalg.LinAlgError as exc:
-        raise CholeskyError(
-            "correlation matrix is not positive definite at the optimum; "
-            "try raising the nugget"
-        ) from exc
     return GpModel(
-        ranges=ranges,
+        ranges=np.exp(best.log_ranges),
         nugget=settings.nugget,
-        chol=chol,
+        chol=best.parts.chol,
         targets=y,
         train_features=None if features is None else np.asarray(features, float),
         train_scalars=None if scalars is None or not np.asarray(scalars).size
@@ -450,7 +462,7 @@ def fit(
             posterior_evaluations=len(objective.scores),
             repeated_points=objective.hits,
             failed_points=sum(v >= penalty for v in objective.scores.values()),
-            log_posterior=float(best_value),
+            log_posterior=best.parts.value,
         ),
     )
 
@@ -497,6 +509,8 @@ def predict(
                 f"({fingerprint}) than the model ({model.fingerprint})"
             )
     _require_finite(features=features, scalars=scalars)
+    if model.train_features is None and features is not None:
+        raise ConfigMismatchError("model was trained without graph features")
     n_test = 0
     if features is not None:
         features = np.asarray(features, dtype=float)

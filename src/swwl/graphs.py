@@ -8,6 +8,7 @@ rows back to inputs downstream.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -244,10 +245,18 @@ def _record_from_obj(obj: dict, line: int) -> GraphRecord:
     )
 
 
-def load_dataset(path) -> Dataset:
-    """Load a dataset; one JSON object per line per the documented schema."""
+def load_dataset(source) -> Dataset:
+    """Load a dataset; one JSON object per line per the documented schema.
+
+    ``source`` is a path, or the bytes of such a file already read, so that
+    a caller can hash exactly the bytes that are parsed.
+    """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    if isinstance(source, bytes):
+        fh = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
+    else:
+        fh = open(source, "r", encoding="utf-8")
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -40,7 +40,8 @@ def embed_dataset(
 
     Row i of each block embeds record i. ``blocks[0]`` embeds the whole WL
     embedding; with ``per_iteration``, ``blocks[1 + h]`` embeds kept
-    iteration h alone under its own directions.
+    iteration h alone under its own directions. The store also carries the
+    records' targets (when every record has one) and scalar covariates.
     """
     if standardization is not None:
         dataset = apply_standardization(dataset, standardization)
@@ -76,4 +77,10 @@ def embed_dataset(
         )
         for projections in projection_sets
     )
-    return PqStore(ids=tuple(dataset.ids), blocks=blocks, fingerprints=fingerprints)
+    return PqStore(
+        ids=tuple(dataset.ids),
+        blocks=blocks,
+        fingerprints=fingerprints,
+        targets=dataset.targets() if dataset.has_targets else None,
+        scalars=dataset.scalar_matrix(),
+    )

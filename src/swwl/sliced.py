@@ -19,6 +19,7 @@ exact transport distance by an O(1/n) bias.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -283,11 +284,19 @@ class PqStore:
     ``blocks[1 + h]`` embeds kept iteration h alone. ``fingerprints[k]``
     describes ``blocks[k]``. ``embed_dataset`` returns one, and
     :func:`save_pq_store` and :func:`load_pq_store` write and read it as is.
+
+    The records' ``targets`` (N,) are kept only when every record has one,
+    and their ``scalars`` are (N, m), m >= 0; both are None in a store that
+    did not record them. ``source_sha256`` is the hex sha256 of the input
+    file the records were parsed from, when known.
     """
 
     ids: tuple[str, ...]
     blocks: tuple[np.ndarray, ...]
     fingerprints: tuple[PqFingerprint, ...]
+    targets: np.ndarray | None = None
+    scalars: np.ndarray | None = None
+    source_sha256: str | None = None
 
     def _rows(self, k: int) -> list[PqEmbedding]:
         return [
@@ -314,6 +323,13 @@ def save_pq_store(directory, store: PqStore) -> None:
         "ids": list(store.ids),
         "fingerprints": [fp.to_dict() for fp in store.fingerprints],
     }
+    # header entries, not arrays, so that readers which predate them skip them
+    if store.targets is not None:
+        header["targets"] = store.targets.tolist()
+    if store.scalars is not None:
+        header["scalars"] = store.scalars.tolist()
+    if store.source_sha256 is not None:
+        header["source_sha256"] = store.source_sha256
     arrays = {f"block{k}": block for k, block in enumerate(store.blocks)}
     write_container(Path(directory) / PQ_STORE_NAME, PQ_STORE_MAGIC, header, arrays)
 
@@ -336,4 +352,45 @@ def load_pq_store(directory) -> PqStore:
             raise ParseError(
                 f"{path}: block of shape {block.shape}, expected {len(ids)} ids x P*Q={width}"
             )
-    return PqStore(ids=tuple(ids), blocks=tuple(arrays.values()), fingerprints=fingerprints)
+    targets = _header_numbers(path, header, "targets", (len(ids),))
+    scalars = _header_numbers(path, header, "scalars", (len(ids), None))
+    digest = header.get("source_sha256")
+    if digest is not None and not (
+        isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)
+    ):
+        raise ParseError(f"{path}: 'source_sha256' must be 64 lowercase hex digits")
+    if digest is not None and scalars is None:
+        raise ParseError(f"{path}: 'source_sha256' is set but the scalars are not recorded")
+    return PqStore(
+        ids=tuple(ids),
+        blocks=tuple(arrays.values()),
+        fingerprints=fingerprints,
+        targets=targets,
+        scalars=scalars,
+        source_sha256=digest,
+    )
+
+
+def _header_numbers(path, header, key, shape) -> np.ndarray | None:
+    """``header[key]``, a list (of equal-length lists) of finite JSON numbers,
+    as a float array of ``shape`` (None: any length); None when absent.
+    """
+    value = header.get(key)
+    if value is None:
+        return None
+    rows = value if len(shape) == 2 and isinstance(value, list) else [value]
+    numeric = all(
+        isinstance(row, list) and all(type(v) in (int, float) for v in row) for row in rows
+    )
+    try:
+        array = np.array(value, dtype=float) if numeric else None
+    except (OverflowError, ValueError):  # an integer beyond the double range, ragged rows
+        array = None
+    if array is None or array.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(array.shape, shape)
+    ):
+        shape_text = " x ".join("m" if d is None else str(d) for d in shape)
+        raise ParseError(f"{path}: {key!r} must be a {shape_text} list of numbers")
+    if not np.all(np.isfinite(array)):
+        raise ParseError(f"{path}: {key!r} holds a NaN or infinite entry")
+    return array

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,18 +238,120 @@ def test_fit_then_predict_test_set_and_reruns(workspace, tmp_path):
     assert preds[0].read_bytes() == preds[1].read_bytes()
 
 
-def _store_with_nan(source, target):
+def _fit_and_predict(root, train, test, emb_train, emb_test, tag):
+    """Run fit and predict; the model and predictions bytes and both manifests."""
+    model, pred = root / f"model-{tag}.bin", root / f"pred-{tag}.csv"
+    assert run("fit", "--input", train, "--embeddings", emb_train, "--out", model) == 0
+    assert run("predict", "--model", model, "--input", test, "--embeddings", emb_test,
+               "--out", pred) == 0
+    manifests = [json.loads(Path(f"{path}.manifest.json").read_text()) for path in (model, pred)]
+    return model.read_bytes(), pred.read_bytes(), manifests
+
+
+def _with_blank_line(path, target):
+    """A copy of ``path`` whose records are the same, but whose bytes are not."""
+    target.write_bytes(path.read_bytes() + b"\n")
+    return target
+
+
+def test_store_and_parsed_input_give_identical_artifacts(tmp_path):
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    assert run("generate", "--out-train", train, "--out-test", test, "--n-train", 15,
+               "--n-test", 4, "--nodes", 12, "--scalars", 2, "--seed", 8) == 0
+    embs = tmp_path / "emb-train", tmp_path / "emb-test"
+    for path, emb in zip((train, test), embs):
+        assert run("embed", "--input", path, "--out", emb, "--projections", 3,
+                   "--quantiles", 5) == 0
+    model, pred, manifests = _fit_and_predict(tmp_path, train, test, *embs, "store")
+    assert [m["records_from"] for m in manifests] == ["store", "store"]
+    parsed = _fit_and_predict(
+        tmp_path, _with_blank_line(train, tmp_path / "train2.jsonl"),
+        _with_blank_line(test, tmp_path / "test2.jsonl"), *embs, "input",
+    )
+    assert [m["records_from"] for m in parsed[2]] == ["input", "input"]
+    assert parsed[:2] == (model, pred)
+    for key in ("fitted", "optimizer"):
+        assert parsed[2][0][key] == manifests[0][key]
+    assert parsed[2][1]["metrics"] == manifests[1]["metrics"]
+
+
+def test_edited_input_is_parsed_and_its_targets_used(workspace, tmp_path):
+    lines = (workspace / "train.jsonl").read_text().splitlines(keepends=True)
+    record = json.loads(lines[3])
+    record["target"] += 1.0
+    lines[3] = json.dumps(record) + "\n"
+    edited = tmp_path / "train.jsonl"
+    edited.write_text("".join(lines))
+    model_path = tmp_path / "model.bin"
+    assert run("fit", "--input", edited, "--embeddings", workspace / "emb-train",
+               "--out", model_path) == 0
+    manifest = json.loads((tmp_path / "model.bin.manifest.json").read_text())
+    assert manifest["records_from"] == "input"
+    assert np.array_equal(load_model(model_path).targets, load_dataset(edited).targets())
+
+
+def _edited_store(source, target, edit):
+    """A copy of the store in ``source``, written to ``target`` after ``edit(header, arrays)``."""
     header, arrays = read_container(source / PQ_STORE_NAME, "SWWL-S1")
-    arrays["block0"][1, 2] = np.nan
+    edit(header, arrays)
     target.mkdir()
     write_container(target / PQ_STORE_NAME, "SWWL-S1", header, arrays)
     return target
 
 
+def _without_recorded_records(header, arrays):
+    """A store as written before embed recorded targets, scalars and the hash."""
+    for key in ("targets", "scalars", "source_sha256"):
+        del header[key]
+
+
+def _nan_feature(header, arrays):
+    arrays["block0"][1, 2] = np.nan
+
+
+def test_store_without_recorded_records_is_accepted(workspace, tmp_path):
+    old = _edited_store(workspace / "emb-train", tmp_path / "old-store",
+                        _without_recorded_records)
+    train, test = workspace / "train.jsonl", workspace / "test.jsonl"
+    model, pred, manifests = _fit_and_predict(
+        tmp_path, train, test, old, workspace / "emb-test", "old"
+    )
+    assert [m["records_from"] for m in manifests] == ["input", "store"]
+    assert (model, pred) == _fit_and_predict(
+        tmp_path, train, test, workspace / "emb-train", workspace / "emb-test", "new"
+    )[:2]
+
+
+def test_fit_without_targets_exits_2_on_both_paths(workspace, tmp_path, capsys):
+    records = [json.loads(line) for line in (workspace / "train.jsonl").read_text().splitlines()]
+    del records[2]["target"]
+    path = tmp_path / "partial.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    emb = tmp_path / "emb"
+    assert run("embed", "--input", path, "--out", emb, "--projections", 3,
+               "--quantiles", 5) == 0
+    assert load_pq_store(emb).targets is None
+    for source in (path, _with_blank_line(path, tmp_path / "partial2.jsonl")):
+        assert run("fit", "--input", source, "--embeddings", emb,
+                   "--out", tmp_path / "model.bin") == 2
+        assert "without targets" in capsys.readouterr().err
+    assert not (tmp_path / "model.bin").exists()
+
+
+def test_fit_with_malformed_recorded_targets_exits_2(workspace, tmp_path, capsys):
+    def string_target(header, arrays):
+        header["targets"][0] = "1.5"
+
+    bad = _edited_store(workspace / "emb-train", tmp_path / "bad-store", string_target)
+    assert run("fit", "--input", workspace / "train.jsonl", "--embeddings", bad,
+               "--out", tmp_path / "model.bin") == 2
+    assert "'targets'" in capsys.readouterr().err
+
+
 def test_fit_and_predict_refuse_non_finite_inputs_exit_2(workspace, tmp_path, capsys):
     assert run(
         "fit", "--input", workspace / "train.jsonl", "--embeddings",
-        _store_with_nan(workspace / "emb-train", tmp_path / "nan-train"),
+        _edited_store(workspace / "emb-train", tmp_path / "nan-train", _nan_feature),
         "--out", tmp_path / "nan.bin",
     ) == 2
     assert "features must be finite" in capsys.readouterr().err
@@ -268,7 +371,8 @@ def test_fit_and_predict_refuse_non_finite_inputs_exit_2(workspace, tmp_path, ca
     ) == 0
     assert run(
         "predict", "--model", model_path, "--input", workspace / "test.jsonl",
-        "--embeddings", _store_with_nan(workspace / "emb-test", tmp_path / "nan-test"),
+        "--embeddings",
+        _edited_store(workspace / "emb-test", tmp_path / "nan-test", _nan_feature),
         "--out", tmp_path / "p.csv",
     ) == 2
     assert "features must be finite" in capsys.readouterr().err
@@ -486,6 +590,7 @@ def test_manifests_record_every_flag(workspace, tmp_path):
         manifest = json.loads(path.read_text())
         assert manifest["command"] == command
         assert set(manifest["parameters"]) == flags[command], command
+        assert manifest["peak_rss_mb"] > 0
 
 
 # the exit-code table in the swwl.errors docstring
@@ -500,7 +605,6 @@ EXIT_CODES = {
     errors.ConfigMismatchError: 3,
     errors.DegenerateDrawError: 4,
     errors.NonSymmetricError: 4,
-    errors.CholeskyError: 4,
     errors.OptimizationError: 4,
     errors.ConstantTargetError: 4,
     np.linalg.LinAlgError: 4,

@@ -16,7 +16,6 @@ from swwl import (
     save_model,
 )
 from swwl.errors import (
-    CholeskyError,
     ConfigMismatchError,
     ConstantTargetError,
     LengthMismatchError,
@@ -110,7 +109,7 @@ class TestFit:
     def test_duplicate_inputs_zero_nugget_surfaces_cholesky_hint(self):
         x = np.array([[0.0], [0.0], [1.0]])
         y = np.array([0.0, 1.0, 2.0])
-        with pytest.raises((OptimizationError, CholeskyError), match="nugget"):
+        with pytest.raises(OptimizationError, match="nugget"):
             fit(None, x, y, settings=GpSettings(nugget=0.0, multistarts=2))
 
     def test_constant_targets_rejected(self):
@@ -526,3 +525,31 @@ def test_predict_refuses_scalars_the_model_was_not_trained_with():
     no_scalars = predict(model, features[:4], None)
     empty = predict(model, features[:4], np.zeros((4, 0)))
     assert np.array_equal(no_scalars.mean, empty.mean)
+
+
+def test_predict_refuses_features_the_model_was_not_trained_with():
+    features, scalars, y = _fit_inputs()
+    model = fit(None, scalars, y, settings=GpSettings(multistarts=1))
+    with pytest.raises(ConfigMismatchError, match="without graph features"):
+        predict(model, features[:5], scalars[:3])
+    assert predict(model, None, scalars[:3]).mean.shape == (3,)
+
+
+def test_fit_keeps_the_factor_of_the_best_point_scored(monkeypatch):
+    features, scalars, y = _fit_inputs()
+    calls = []
+    original = np.linalg.cholesky
+
+    def counting(matrix):
+        calls.append(1)
+        return original(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    model = fit(features, scalars, y, settings=GpSettings(multistarts=2))
+    # one factorization per scored point, none more at the optimum
+    assert len(calls) == model.diagnostics.posterior_evaluations
+    monkeypatch.undo()
+    distances = build_train_distances(features, scalars)
+    parts = posterior_parts(np.log(model.ranges), distances, y, model.nugget)
+    assert np.array_equal(model.chol, parts.chol)
+    assert model.diagnostics.log_posterior == parts.value

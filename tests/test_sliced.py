@@ -2,6 +2,7 @@
 
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -383,6 +384,11 @@ def _assert_same_store(a, b):
     assert len(a.blocks) == len(b.blocks)
     for x, y in zip(a.blocks, b.blocks):
         assert np.array_equal(x, y)
+    for x, y in ((a.targets, b.targets), (a.scalars, b.scalars)):
+        assert (x is None and y is None) or (
+            x.dtype == y.dtype and np.array_equal(x, y)
+        )
+    assert a.source_sha256 == b.source_sha256
 
 
 def test_cache_round_trip(tmp_path):
@@ -396,6 +402,23 @@ def test_cache_round_trip(tmp_path):
     per_iteration = back.per_iteration
     assert [[e.graph_id for e in rows] for rows in per_iteration] == [["graph-8", "graph-9"]] * 2
     assert [rows[0].fingerprint for rows in per_iteration] == list(store.fingerprints[1:])
+
+
+def test_store_records_round_trip_exactly(tmp_path):
+    store = replace(
+        _store(["a", "b"]),
+        targets=np.array([0.1, -0.0]),
+        scalars=np.array([[1e-300, 2.0 / 3.0, 5.0], [np.pi, -1.5, 7e300]]),
+        source_sha256="0123456789abcdef" * 4,
+    )
+    save_pq_store(tmp_path, store)
+    _assert_same_store(load_pq_store(tmp_path), store)
+    # no targets, no scalar covariates: none stored, and (N, 0) scalars
+    store = replace(store, targets=None, scalars=np.zeros((2, 0)))
+    save_pq_store(tmp_path, store)
+    back = load_pq_store(tmp_path)
+    _assert_same_store(back, store)
+    assert back.scalars.shape == (2, 0)
 
 
 def test_store_keeps_written_order_of_ids(tmp_path):
@@ -420,6 +443,9 @@ def test_embed_dataset_store_round_trips(tmp_path, per_iteration, jobs):
     )
     assert all(fp.iterations == (0, 2) for fp in store.fingerprints)
     assert all(block.shape == (6, 24) for block in store.blocks)
+    assert np.array_equal(store.targets, dataset.targets())
+    assert np.array_equal(store.scalars, dataset.scalar_matrix())
+    assert store.source_sha256 is None
     save_pq_store(tmp_path, store)
     _assert_same_store(load_pq_store(tmp_path), store)
 
@@ -475,10 +501,29 @@ def _rewrite_header(path, edit):
         lambda h: h["fingerprints"][0].update(iterations=[0, "a"]),
         lambda h: h["fingerprints"][0].update(quantiles=5),  # width != P*Q
         lambda h: h["fingerprints"].append(h["fingerprints"][0]),  # no second block
+        lambda h: h.update(targets=[1.0]),  # one target for two ids
+        lambda h: h.update(targets=[1.0, "2"]),
+        lambda h: h.update(targets=[1.0, True]),
+        lambda h: h.update(targets=[1.0, float("nan")]),
+        lambda h: h.update(targets=[1.0, 10**400]),
+        lambda h: h.update(targets={"a": 1.0}),
+        lambda h: h.update(scalars=[1.0, 2.0]),  # rows must be lists
+        lambda h: h.update(scalars=[[1.0]]),  # one row for two ids
+        lambda h: h.update(scalars=[[1.0], [1.0, 2.0]]),  # ragged
+        lambda h: h.update(scalars=[[1.0], [float("inf")]]),
+        lambda h: h.update(scalars=[[1.0], [None]]),
+        lambda h: h.update(source_sha256="ab" * 31),
+        lambda h: h.update(source_sha256="AB" * 32),
+        lambda h: h.update(source_sha256=7),
+        lambda h: h.pop("scalars"),  # a hash vouches for recorded scalars
     ],
 )
 def test_malformed_store_header_is_parse_error(tmp_path, edit):
-    save_pq_store(tmp_path, _store(["a", "b"]))
+    save_pq_store(tmp_path, replace(
+        _store(["a", "b"]), targets=np.array([1.0, 2.0]), scalars=np.zeros((2, 1)),
+        source_sha256="ab" * 32,
+    ))
+    load_pq_store(tmp_path)  # well formed before the edit
     _rewrite_header(tmp_path / PQ_STORE_NAME, edit)
     with pytest.raises(ParseError):
         load_pq_store(tmp_path)
