@@ -2,9 +2,9 @@
 
 Subcommands: generate, embed, gram, fit, predict, bench, check-psd. Every
 command writes a JSON manifest with its parsed flags, per-stage wall-clock
-timings and the peak resident set size next to its primary output. Numeric
-artifacts are pure functions of (inputs, flags, seed); manifests
-additionally carry timings and memory.
+timings, the peak resident set size and the BLAS set-up next to its primary
+output. Numeric artifacts are pure functions of (inputs, flags, seed);
+manifests additionally carry timings and memory.
 
 Exit codes: 0 success, 2 input validation, 3 configuration/fingerprint
 mismatch, 4 numerical failure; each error class in ``errors`` declares its code.
@@ -17,6 +17,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import os
 import resource
 import sys
 import time
@@ -84,9 +85,26 @@ class _Stages:
         return 1000.0 * (time.perf_counter() - self._t0)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_setup() -> dict:
+    """Name and version of the BLAS numpy was built with (None before numpy
+    1.25, which cannot report them) and the BLAS thread variables' values."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        blas = {}
+    return {
+        "name": blas.get("name"),
+        "version": blas.get("version"),
+        "threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+    }
+
+
 def _write_manifest(path, args, stages, extra=None, **resolved):
-    """Record every parsed flag, overridden by ``resolved`` values, the timings
-    and the peak resident set size."""
+    """Record every parsed flag, overridden by ``resolved`` values, the timings,
+    the peak resident set size and the BLAS set-up."""
     parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     parameters.update(resolved)
     manifest = {
@@ -97,6 +115,7 @@ def _write_manifest(path, args, stages, extra=None, **resolved):
         "total_ms": round(stages.total_ms(), 3),
         # peak resident set of this process so far (ru_maxrss is in KiB on Linux)
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "blas": _blas_setup(),
     }
     if extra:
         manifest.update(extra)

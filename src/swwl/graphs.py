@@ -62,13 +62,10 @@ class AttributedGraph:
                 raise ValidationError(f"self-loop at node {int(edges[loops][0, 0])}")
             lo = np.minimum(edges[:, 0], edges[:, 1])
             hi = np.maximum(edges[:, 0], edges[:, 1])
-            keys = lo * n + hi
-            if len(np.unique(keys)) != len(keys):
+            keys = np.sort(lo * n + hi)
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValidationError("duplicate undirected edge")
-        degrees = np.zeros(n, dtype=np.int64)
-        if len(edges):
-            np.add.at(degrees, edges[:, 0], 1)
-            np.add.at(degrees, edges[:, 1], 1)
+        degrees = np.bincount(edges.reshape(-1), minlength=n).astype(np.int64, copy=False)
         object.__setattr__(self, "attributes", _readonly(attrs))
         object.__setattr__(self, "edges", _readonly(edges))
         object.__setattr__(self, "weights", _readonly(weights))
@@ -89,6 +86,24 @@ class AttributedGraph:
     @property
     def degrees(self) -> np.ndarray:
         return self._degrees
+
+
+def disjoint_union(graphs) -> tuple[AttributedGraph, np.ndarray]:
+    """One graph holding ``graphs`` side by side, and where each one starts.
+
+    Graph i's nodes are rows ``offsets[i]:offsets[i + 1]`` of the union, in
+    their own order, and its edges follow those of graphs 0..i-1, shifted by
+    ``offsets[i]``. No edge joins two of the graphs.
+    """
+    graphs = list(graphs)
+    offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
+    np.cumsum([g.node_count for g in graphs], out=offsets[1:])
+    union = AttributedGraph(
+        np.concatenate([g.attributes for g in graphs]),
+        np.concatenate([g.edges + off for g, off in zip(graphs, offsets)]),
+        np.concatenate([g.weights for g in graphs]),
+    )
+    return union, offsets
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """Dataset-level drivers tying graphs, WL iterations and embeddings together.
 
 One projection set is sampled per configuration and shared by every graph,
-training and test alike; the per-record work (WL iterations, projections,
-quantiles) is independent across graphs and can run on a thread pool.
+training and test alike. Consecutive records are embedded in batches of at
+most ``_BATCH_NODES`` nodes (a larger graph is a batch of its own): the WL
+iterations run once on the disjoint union of a batch's graphs, which they
+never cross, and each graph's rows of the result are then projected and
+sorted on their own. Batches are independent and can run on a thread pool;
+the embeddings do not depend on the batching or on the pool.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .graphs import Dataset, StandardizationStats, apply_standardization
+from .graphs import Dataset, StandardizationStats, apply_standardization, disjoint_union
 from .sliced import (
     EmpiricalMeasure,
     PqStore,
@@ -22,6 +26,20 @@ from .sliced import (
     sample_projections,
 )
 from .wl import WlConfig, embed as wl_embed
+
+_BATCH_NODES = 8192
+
+
+def _batches(node_counts) -> list[tuple[int, int]]:
+    """Consecutive [start, stop) record ranges holding at most ``_BATCH_NODES``
+    nodes each; a larger graph is a range of its own."""
+    starts, total = [0], 0
+    for i, n in enumerate(node_counts):
+        if total and total + n > _BATCH_NODES:
+            starts.append(i)
+            total = 0
+        total += n
+    return list(zip(starts, starts[1:] + [len(node_counts)]))
 
 
 def embed_dataset(
@@ -42,6 +60,8 @@ def embed_dataset(
     embedding; with ``per_iteration``, ``blocks[1 + h]`` embeds kept
     iteration h alone under its own directions. The store also carries the
     records' targets (when every record has one) and scalar covariates.
+    With ``jobs > 1`` that many threads share the batches; the store is the
+    same for every ``jobs``.
     """
     if standardization is not None:
         dataset = apply_standardization(dataset, standardization)
@@ -56,18 +76,23 @@ def embed_dataset(
         np.empty((len(dataset), n_projections * n_quantiles)) for _ in projection_sets
     )
 
-    def one(i):
-        wl = wl_embed(dataset.records[i].graph, wl_config)
+    def embed_batch(batch):
+        start, stop = batch
+        union, offsets = disjoint_union(rec.graph for rec in dataset.records[start:stop])
+        wl = wl_embed(union, wl_config)
         supports = [wl.values] + [wl.block(pos) for pos in range(len(blocks) - 1)]
-        for block, projections, support in zip(blocks, projection_sets, supports):
-            block[i] = pq_embed(EmpiricalMeasure(support), projections, grid, r=r).values
+        for i, lo, hi in zip(range(start, stop), offsets, offsets[1:]):
+            for block, projections, support in zip(blocks, projection_sets, supports):
+                measure = EmpiricalMeasure(support[lo:hi])
+                block[i] = pq_embed(measure, projections, grid, r=r).values
 
-    if jobs > 1:
+    batches = _batches(dataset.node_counts())
+    if jobs > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(one, range(len(dataset))))
+            list(pool.map(embed_batch, batches))
     else:
-        for i in range(len(dataset)):
-            one(i)
+        for batch in batches:
+            embed_batch(batch)
 
     fingerprints = tuple(
         pq_fingerprint(

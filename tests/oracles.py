@@ -10,7 +10,9 @@ reference optimum for ``gp.fit``'s grid-then-one-run range search.
 
 The exact transport distances, the quantile conventions, the sliced
 estimate between two embeddings, one WL step and node degrees are here too:
-only the tests use them.
+only the tests use them. So are the graph validation that deduplicated
+edges with ``np.unique`` and counted degrees with ``np.add.at``, and the
+dataset embedding that ran WL on one graph at a time.
 """
 
 import itertools
@@ -18,7 +20,17 @@ import itertools
 import numpy as np
 import scipy.optimize
 
-from swwl import marginal_posterior, matern52
+from swwl import (
+    EmpiricalMeasure,
+    PqStore,
+    QuantileGrid,
+    apply_standardization,
+    marginal_posterior,
+    matern52,
+    pq_embed,
+    sample_projection_blocks,
+    sample_projections,
+)
 from swwl.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -27,8 +39,8 @@ from swwl.errors import (
     ValidationError,
 )
 from swwl.kernels import _fingerprint_line
-from swwl.sliced import _step_indices, check_compatible
-from swwl.wl import _iterate, _neighbor_operator, _warn_nonpositive_weights
+from swwl.sliced import _step_indices, check_compatible, pq_fingerprint
+from swwl.wl import _iterate, _neighbor_operator, _warn_nonpositive_weights, embed as wl_embed
 
 
 def step_quantiles(values, levels):
@@ -130,6 +142,89 @@ def degree(graph, u):
     if not 0 <= u < graph.node_count:
         raise IndexError(f"node {u} out of range for {graph.node_count} nodes")
     return int(graph.degrees[u])
+
+
+def unique_checked_degrees(attributes, edges, weights=None):
+    """Degrees of the graph ``AttributedGraph`` accepts, or its refusal.
+
+    The constructor's checks as they were, in their order and with their
+    messages: duplicates found by ``np.unique`` on the ``lo * n + hi`` keys,
+    degrees counted by two ``np.add.at`` calls.
+    """
+    attrs = np.asarray(attributes, dtype=float)
+    if attrs.ndim != 2 or attrs.shape[0] < 1 or attrs.shape[1] < 1:
+        raise ValidationError(f"attributes must be (n, d) with n, d >= 1, got {attrs.shape}")
+    if not np.all(np.isfinite(attrs)):
+        raise ValidationError("attributes contain non-finite values")
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.ones(len(edges)) if weights is None else weights
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    if len(weights) != len(edges):
+        raise ValidationError("edge and weight counts differ")
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError("edge weights contain non-finite values")
+    n = attrs.shape[0]
+    if len(edges):
+        bad = (edges < 0) | (edges >= n)
+        if bad.any():
+            offender = int(edges[bad][0])
+            raise ValidationError(f"edge endpoint {offender} out of range for {n} nodes")
+        loops = edges[:, 0] == edges[:, 1]
+        if loops.any():
+            raise ValidationError(f"self-loop at node {int(edges[loops][0, 0])}")
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        keys = lo * n + hi
+        if len(np.unique(keys)) != len(keys):
+            raise ValidationError("duplicate undirected edge")
+    degrees = np.zeros(n, dtype=np.int64)
+    if len(edges):
+        np.add.at(degrees, edges[:, 0], 1)
+        np.add.at(degrees, edges[:, 1], 1)
+    return degrees
+
+
+def embed_dataset_per_graph(
+    dataset, wl_config, *, seed, n_projections, n_quantiles, r=2.0,
+    standardization=None, per_iteration=False,
+):
+    """``swwl.embed_dataset`` with one WL run per graph, one graph after another.
+
+    The same projection sets, levels, fingerprints and record fields; row i
+    of each block is filled from record i's own WL embedding.
+    """
+    if standardization is not None:
+        dataset = apply_standardization(dataset, standardization)
+    k = wl_config.block_count
+    projection_sets = [sample_projections(seed, n_projections, k * dataset.attr_dim)]
+    if per_iteration:
+        projection_sets += sample_projection_blocks(
+            seed, n_projections, dataset.attr_dim, k
+        )
+    grid = QuantileGrid(n_quantiles)
+    blocks = tuple(
+        np.empty((len(dataset), n_projections * n_quantiles)) for _ in projection_sets
+    )
+    for i, rec in enumerate(dataset):
+        wl = wl_embed(rec.graph, wl_config)
+        supports = [wl.values] + [wl.block(pos) for pos in range(len(blocks) - 1)]
+        for block, projections, support in zip(blocks, projection_sets, supports):
+            block[i] = pq_embed(EmpiricalMeasure(support), projections, grid, r=r).values
+    fingerprints = tuple(
+        pq_fingerprint(
+            projections, grid, r,
+            iterations=wl_config.iterations,
+            standardized=standardization is not None,
+        )
+        for projections in projection_sets
+    )
+    return PqStore(
+        ids=tuple(dataset.ids),
+        blocks=blocks,
+        fingerprints=fingerprints,
+        targets=dataset.targets() if dataset.has_targets else None,
+        scalars=dataset.scalar_matrix(),
+    )
 
 
 def naive_quantile(values, level):

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -563,7 +564,10 @@ def parser_flags():
     }
 
 
-def test_manifests_record_every_flag(workspace, tmp_path):
+def test_manifests_record_every_flag(workspace, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     emb = workspace / "emb-train"
     gram, model = tmp_path / "gram.txt", tmp_path / "model.bin"
     pred, bench = tmp_path / "pred.csv", tmp_path / "bench.csv"
@@ -575,9 +579,14 @@ def test_manifests_record_every_flag(workspace, tmp_path):
                "--embeddings", workspace / "emb-test", "--out", pred) == 0
     assert run("bench", "--out", bench, "--nodes", 20, "--graphs", 3,
                "--projections", 2, "--quantiles", 4) == 0
+    # generate and embed again, so that every manifest sees the environment above
+    assert run("generate", "--out-train", tmp_path / "train.jsonl", "--out-test",
+               tmp_path / "test.jsonl", "--n-train", 2, "--n-test", 1, "--nodes", 5) == 0
+    assert run("embed", "--input", tmp_path / "train.jsonl", "--out", tmp_path / "emb",
+               "--projections", 2, "--quantiles", 3) == 0
     manifests = {
-        "generate": workspace / "train.jsonl.manifest.json",
-        "embed": emb / "manifest.json",
+        "generate": tmp_path / "train.jsonl.manifest.json",
+        "embed": tmp_path / "emb" / "manifest.json",
         "gram": tmp_path / "gram.txt.manifest.json",
         "check-psd": tmp_path / "gram.txt.psd.manifest.json",
         "fit": tmp_path / "model.bin.manifest.json",
@@ -591,6 +600,30 @@ def test_manifests_record_every_flag(workspace, tmp_path):
         assert manifest["command"] == command
         assert set(manifest["parameters"]) == flags[command], command
         assert manifest["peak_rss_mb"] > 0
+        assert manifest["blas"] == {
+            "name": blas["name"],
+            "version": blas["version"],
+            "threads": {
+                "OPENBLAS_NUM_THREADS": "3",
+                "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+                "MKL_NUM_THREADS": None,
+            },
+        }
+
+
+def test_manifest_blas_without_build_config(tmp_path, monkeypatch):
+    # numpy before 1.25 has no show_config(mode=...): name and version are null
+    def show_config(mode=None):
+        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    out = tmp_path / "train.jsonl"
+    assert run("generate", "--out-train", out, "--out-test", tmp_path / "test.jsonl",
+               "--n-train", 2, "--n-test", 1, "--nodes", 5) == 0
+    blas = json.loads((tmp_path / "train.jsonl.manifest.json").read_text())["blas"]
+    assert blas["name"] is None and blas["version"] is None
+    assert blas["threads"]["OMP_NUM_THREADS"] == "2"
 
 
 # the exit-code table in the swwl.errors docstring

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swwl import (
     AttributedGraph,
@@ -17,7 +18,7 @@ from swwl import (
 from swwl.errors import ParseError, SchemaError, ValidationError
 from swwl.graphs import StandardizationStats
 
-from oracles import degree
+from oracles import degree, unique_checked_degrees
 
 
 def write_lines(path, lines):
@@ -249,3 +250,57 @@ def test_standardization_of_another_dimension_is_refused():
     stats = StandardizationStats.from_dict({"mean": [0], "std": [1]})
     with pytest.raises(ValidationError, match="1 attribute dimensions, dataset has 2"):
         apply_standardization(dataset, stats)
+
+
+@st.composite
+def graph_inputs(draw):
+    """Attributes, edges and weights, mostly valid, sometimes refused.
+
+    Edges are pairs of nodes, endpoints one past either end of the range,
+    self-loops, or a copy of an earlier edge, as given or reversed. A few
+    draws put a non-finite value among the attributes or weights, give one
+    weight too many, or leave the weights to their default.
+    """
+    n = draw(st.integers(1, 8))
+    node, outside = st.integers(0, n - 1), st.sampled_from([-1, n])
+    edges = []
+    kinds = ["pair"] * 4 + ["outside", "loop", "copy", "reverse"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        if kind == "outside":
+            edges.append(draw(st.permutations([draw(outside), draw(node)])))
+        elif kind == "loop":
+            u = draw(node)
+            edges.append([u, u])
+        elif kind == "pair" or not edges:
+            edges.append(draw(st.lists(node, min_size=2, max_size=2, unique=n > 1)))
+        else:
+            u, v = draw(st.sampled_from(edges))
+            edges.append([u, v] if kind == "copy" else [v, u])
+    attrs = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * n, max_size=2 * n)))
+    weights = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=len(edges),
+                                     max_size=len(edges))))
+    flaw = draw(st.sampled_from([None] * 26 + ["attribute", "weight", "count", "default"]))
+    if flaw == "attribute":
+        attrs[draw(st.integers(0, attrs.size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+    elif flaw == "weight" and edges:
+        weights[draw(st.integers(0, len(edges) - 1))] = draw(st.sampled_from([np.nan, -np.inf]))
+    elif flaw == "count":
+        weights = np.append(weights, 1.0)
+    return (attrs.reshape(n, 2), np.array(edges, dtype=np.int64).reshape(-1, 2),
+            None if flaw == "default" else weights)
+
+
+def _validation_outcome(make, attrs, edges, weights):
+    try:
+        degrees = make(attrs, edges, weights)
+    except ValidationError as exc:
+        return "refused", str(exc)
+    return degrees.dtype, degrees.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_inputs())
+def test_graph_refusals_and_degrees_match_the_unique_version(inputs):
+    expected = _validation_outcome(unique_checked_degrees, *inputs)
+    got = _validation_outcome(lambda *a: AttributedGraph(*a).degrees, *inputs)
+    assert got == expected

@@ -18,6 +18,7 @@ from swwl import (
     sample_projection_blocks,
     sample_projections,
 )
+from swwl import pipeline
 from swwl.errors import (
     ConfigMismatchError,
     DegenerateDrawError,
@@ -450,10 +451,13 @@ def test_embed_dataset_store_round_trips(tmp_path, per_iteration, jobs):
     _assert_same_store(load_pq_store(tmp_path), store)
 
 
-def test_embed_dataset_threads_fill_every_row():
+def test_embed_dataset_threads_fill_every_row(monkeypatch):
     # more workers than cores and frequent thread switches: each worker must
-    # write its own rows of the shared blocks, and every row must be written
+    # write its own batches' rows of the shared blocks, and every row must be
+    # written; a budget of 25 nodes splits the 24 graphs into over 8 batches
+    monkeypatch.setattr(pipeline, "_BATCH_NODES", 25)
     dataset = generate_regression_dataset(seed=6, n_graphs=24, mean_nodes=10)
+    assert len(pipeline._batches(dataset.node_counts())) > 8
     config = WlConfig(iterations=(0, 1))
     kwargs = dict(seed=2, n_projections=3, n_quantiles=4, per_iteration=True)
     serial = embed_dataset(dataset, config, **kwargs)
