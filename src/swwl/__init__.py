@@ -14,12 +14,11 @@ from .graphs import (
     Dataset,
     GraphRecord,
     StandardizationStats,
-    apply_standardization,
     compute_standardization,
     load_dataset,
     save_dataset,
 )
-from .wl import WlConfig, WlEmbedding, embed, sqrt_skip_iterations
+from .wl import WlConfig, embed, sqrt_skip_iterations
 from .sliced import (
     EmpiricalMeasure,
     PqEmbedding,
@@ -74,8 +73,6 @@ __all__ = [
     "StandardizationStats",
     "TrainDistances",
     "WlConfig",
-    "WlEmbedding",
-    "apply_standardization",
     "assemble_gram",
     "assemble_gram_aniso",
     "build_train_distances",

@@ -250,29 +250,24 @@ def cmd_gram(args) -> int:
         store = load_pq_store(args.embeddings)
     if args.distances_only:
         with stages.time("assemble"):
-            values = sw_squared_distances(store.embeddings)
+            values = sw_squared_distances(store.blocks[0])
         fp = store.fingerprints[0].to_dict()
         fp.update({"kind": "sw-squared-distances", "gamma": 0.0})
         gram = GramMatrix(values=values, row_ids=store.ids, fingerprint=fp)
-    elif args.aniso:
-        if not args.gammas:
-            raise ValidationError("--aniso requires --gammas")
-        per_iter = store.per_iteration
-        if per_iter is None:
+    elif args.gammas is not None:
+        if len(store.blocks) == 1:
             raise ValidationError(f"{args.embeddings} has no per-iteration blocks (embed --aniso)")
         gammas = np.array([float(t) for t in args.gammas.split(",")])
         with stages.time("assemble"):
             gram = assemble_gram_aniso(
-                per_iter, gammas, variance=args.variance, nugget=args.nugget
+                store, gammas, variance=args.variance, nugget=args.nugget
             )
     else:
-        if args.gamma is None:
-            raise ValidationError("need --gamma, --distances-only or --aniso")
         cfg = KernelConfig(
             gamma=args.gamma, variance=args.variance, nugget=args.nugget
         )
         with stages.time("assemble"):
-            gram = assemble_gram(store.embeddings, None, cfg)
+            gram = assemble_gram(store, None, cfg)
     report = None
     if args.check_psd:
         with stages.time("check_psd"):
@@ -411,7 +406,7 @@ def _bench_timing_rows(args):
         for p, q, store, start in _bench_cells(args, dataset, args.seed):
             rows.append([n, args.graphs, p, q, "embed", _ms_since(start), ""])
             start = time.perf_counter()
-            assemble_gram(store.embeddings, None, KernelConfig(gamma=1.0))
+            assemble_gram(store, None, KernelConfig(gamma=1.0))
             rows.append([n, args.graphs, p, q, "gram", _ms_since(start), ""])
     return rows
 
@@ -529,10 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--binary-out")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--gammas", help="comma list of per-iteration precisions (--aniso)")
-    p.add_argument("--distances-only", action="store_true")
-    p.add_argument("--aniso", action="store_true")
+    kernel = p.add_mutually_exclusive_group(required=True)
+    kernel.add_argument("--gamma", type=float, help="precision of the isotropic kernel")
+    kernel.add_argument("--gammas", help="comma list of per-iteration precisions of the "
+                        "anisotropic kernel (a store written by embed --aniso)")
+    kernel.add_argument("--distances-only", action="store_true",
+                        help="write the squared sliced Wasserstein distances")
     p.add_argument("--variance", type=float, default=1.0)
     p.add_argument("--nugget", type=float, default=0.0)
     p.add_argument("--check-psd", action="store_true")

@@ -585,8 +585,10 @@ def load_model(path) -> GpModel:
     """
     header, arrays = read_container(path, MODEL_MAGIC)
     n, ids = header.get("n"), header.get("train_ids")
-    if type(n) is not int or not isinstance(ids, list) or len(ids) != n:
-        raise ParseError(f"{path}: 'train_ids' must list the 'n' training records")
+    if type(n) is not int or n < 2:
+        raise ParseError(f"{path}: 'n' must be an integer of at least 2, got {n!r}")
+    if not isinstance(ids, list) or len(ids) != n or not all(isinstance(i, str) for i in ids):
+        raise ParseError(f"{path}: 'train_ids' must list the 'n' training records' ids as strings")
     nugget = header.get("nugget")
     if type(nugget) not in (int, float):
         raise ParseError(f"{path}: 'nugget' must be a number")

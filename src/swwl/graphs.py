@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -271,19 +272,34 @@ def load_dataset(source) -> Dataset:
         fh = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
     else:
         fh = open(source, "r", encoding="utf-8")
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # also an integer literal of over 4300 digits
-                raise ParseError(str(exc), line=lineno) from exc
-            try:
-                records.append(_record_from_obj(obj, lineno))
-            except OverflowError as exc:  # a JSON integer beyond the double range
-                raise ParseError(f"number out of range: {exc}", line=lineno) from exc
+    try:
+        with fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:  # also an integer literal of over 4300 digits
+                    raise ParseError(str(exc), line=lineno) from exc
+                try:
+                    records.append(_record_from_obj(obj, lineno))
+                except OverflowError as exc:  # a JSON integer beyond the double range
+                    raise ParseError(f"number out of range: {exc}", line=lineno) from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(source, exc) from exc
     return Dataset(records=tuple(records))
+
+
+def _not_utf8(source, exc: UnicodeDecodeError) -> ParseError:
+    """``exc`` as a ParseError naming the line of the first byte of ``source``
+    (a path or bytes) that is not UTF-8. The decoder reads ahead, so the
+    offset in ``exc`` is one within a chunk, not within the file."""
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    return ParseError(f"not UTF-8 text: {exc.reason}", line=data.count(b"\n", 0, exc.start) + 1)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -351,23 +367,3 @@ def compute_standardization(dataset: Dataset) -> StandardizationStats:
     std = np.where(std > 0, std, 1.0)
     return StandardizationStats(mean=mean, std=std)
 
-
-def apply_standardization(dataset: Dataset, stats: StandardizationStats) -> Dataset:
-    if stats.mean.shape != (dataset.attr_dim,) or stats.std.shape != (dataset.attr_dim,):
-        raise ValidationError(
-            f"standardization statistics for {stats.mean.size} attribute dimensions, "
-            f"dataset has {dataset.attr_dim}"
-        )
-    records = []
-    for rec in dataset:
-        g = rec.graph
-        scaled = (g.attributes - stats.mean) / stats.std
-        records.append(
-            GraphRecord(
-                graph=AttributedGraph(scaled, g.edges, g.weights),
-                scalars=rec.scalars,
-                target=rec.target,
-                id=rec.id,
-            )
-        )
-    return Dataset(records=tuple(records))

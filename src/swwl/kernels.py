@@ -4,8 +4,9 @@ The graph factor is exp(-gamma * d^2) with d the estimated sliced
 Wasserstein distance between projected quantile embeddings; scalar
 covariates contribute Matern-5/2 factors; the anisotropic variant multiplies
 one exponential factor per WL iteration. Assembly works on the pairwise
-distance matrices of the cached embeddings, so its cost depends on the
-number of graphs and the embedding width only, never on graph node counts.
+distance matrices of a ``PqStore``'s feature blocks, so its cost depends on
+the number of graphs and the embedding width only, never on graph node
+counts.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+# cdist is not called here: perfbench/spans.py times the distance layer by
+# wrapping ``swwl.kernels.pdist`` and ``swwl.kernels.cdist``
+from scipy.spatial.distance import cdist, pdist, squareform  # noqa: F401
 
 from .binio import read_container, write_container
 from .errors import LengthMismatchError, NonSymmetricError, ParseError, ValidationError
-from .sliced import PqEmbedding, check_compatible, features_matrix
+from .sliced import PqStore
 
 GRAM_MAGIC = "SWWL-G1"
 _TEXT_BLOCK_ROWS = 256
@@ -81,17 +84,10 @@ def matern52(distance, lengthscale: float):
     return float(out) if out.ndim == 0 else out
 
 
-def sw_squared_distances(embeddings: list[PqEmbedding]) -> np.ndarray:
-    """Symmetric matrix of squared estimated sliced Wasserstein distances."""
-    feats = features_matrix(embeddings)
-    return squareform(pdist(feats, "sqeuclidean"))
-
-
-def cross_sw_squared_distances(
-    rows: list[PqEmbedding], cols: list[PqEmbedding]
-) -> np.ndarray:
-    check_compatible(rows[0], cols[0])
-    return cdist(features_matrix(rows), features_matrix(cols), "sqeuclidean")
+def sw_squared_distances(features: np.ndarray) -> np.ndarray:
+    """Symmetric matrix of squared estimated sliced Wasserstein distances
+    between the rows of an (N, P*Q) feature matrix."""
+    return squareform(pdist(features, "sqeuclidean"))
 
 
 def scalar_abs_distances(scalars: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
@@ -121,7 +117,8 @@ def correlation_from_distances(
 
 
 def _gram(
-    embeddings: list[PqEmbedding],
+    store: PqStore,
+    block: int,
     sw_sq: np.ndarray,
     scalar_abs: np.ndarray | None,
     gamma: float,
@@ -130,28 +127,28 @@ def _gram(
     nugget: float,
     labels: dict,
 ) -> GramMatrix:
-    """variance * correlation + nugget * I, fingerprinted and labelled by row."""
+    """variance * correlation + nugget * I, labelled by the store's ids and
+    fingerprinted by its ``block``-th fingerprint."""
     values = variance * correlation_from_distances(sw_sq, scalar_abs, gamma, lengthscales)
     if nugget:
-        values = values + nugget * np.eye(len(embeddings))
-    fp = embeddings[0].fingerprint.to_dict()
+        values = values + nugget * np.eye(len(store.ids))
+    fp = store.fingerprints[block].to_dict()
     fp.update(labels, variance=variance, nugget=nugget)
-    return GramMatrix(
-        values=values, row_ids=tuple(e.graph_id for e in embeddings), fingerprint=fp
-    )
+    return GramMatrix(values=values, row_ids=store.ids, fingerprint=fp)
 
 
 def assemble_gram(
-    embeddings: list[PqEmbedding],
+    store: PqStore,
     scalars: np.ndarray | None,
     cfg: KernelConfig,
 ) -> GramMatrix:
-    """Tensorized kernel matrix over all record pairs, plus ``cfg.nugget`` * I.
+    """Tensorized kernel matrix over all record pairs of ``store.blocks[0]``,
+    plus ``cfg.nugget`` * I.
 
     The upper triangle is computed once per unordered pair (condensed
     distances) and mirrored, so the result is symmetric by construction.
     """
-    n = len(embeddings)
+    n = len(store.ids)
     if scalars is None:
         scalars = np.zeros((n, 0))
     scalars = np.asarray(scalars, dtype=float)
@@ -163,7 +160,7 @@ def assemble_gram(
         )
     scalar_abs = scalar_abs_distances(scalars) if scalars.shape[1] else None
     return _gram(
-        embeddings, sw_squared_distances(embeddings), scalar_abs, cfg.gamma,
+        store, 0, sw_squared_distances(store.blocks[0]), scalar_abs, cfg.gamma,
         cfg.matern_lengthscales, cfg.variance, cfg.nugget,
         {"kind": "swwl", "gamma": cfg.gamma,
          "matern_lengthscales": list(cfg.matern_lengthscales)},
@@ -171,30 +168,32 @@ def assemble_gram(
 
 
 def assemble_gram_aniso(
-    per_iter_embeddings: list[list[PqEmbedding]],
+    store: PqStore,
     gammas: np.ndarray,
     variance: float = 1.0,
     nugget: float = 0.0,
 ) -> GramMatrix:
     """Anisotropic Gram: product over iterations of exponential factors.
 
-    ``per_iter_embeddings[h]`` holds the embeddings of iteration h for all
-    graphs, each built from that iteration's d-dimensional values alone.
-    The product is evaluated as exp(-1 * sum_h gamma_h d_h^2).
+    ``store.blocks[1 + h]`` embeds kept iteration h of every graph, built
+    from that iteration's d-dimensional values alone, and ``gammas[h]`` is
+    its precision. The product is evaluated as exp(-1 * sum_h gamma_h d_h^2).
+    The Gram carries the fingerprint of ``blocks[1]``.
     """
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
-    if len(per_iter_embeddings) != len(gammas):
+    iteration_blocks = store.blocks[1:]
+    if not iteration_blocks:
+        raise ValidationError("the store has no per-iteration blocks")
+    if len(iteration_blocks) != len(gammas):
         raise LengthMismatchError(
-            f"{len(gammas)} precisions for {len(per_iter_embeddings)} iterations"
+            f"{len(gammas)} precisions for {len(iteration_blocks)} iterations"
         )
-    n = len(per_iter_embeddings[0])
+    n = len(store.ids)
     weighted_sq = np.zeros((n, n))
-    for embs, g in zip(per_iter_embeddings, gammas):
-        if len(embs) != n:
-            raise LengthMismatchError("iteration blocks cover different graph counts")
-        weighted_sq += g * sw_squared_distances(embs)
+    for features, g in zip(iteration_blocks, gammas):
+        weighted_sq += g * sw_squared_distances(features)
     return _gram(
-        per_iter_embeddings[0], weighted_sq, None, 1.0, (), variance, nugget,
+        store, 1, weighted_sq, None, 1.0, (), variance, nugget,
         {"kind": "aswwl", "gammas": gammas.tolist()},
     )
 
@@ -260,34 +259,37 @@ def load_gram_text(path) -> GramMatrix:
     Rows are read only while the file has them: a row count that the file
     does not back is refused once the rows run out.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        try:
-            n = int(header[0])
-            fp = {
-                "seed": int(header[1]),
-                "projections": int(header[2]),
-                "quantiles": int(header[3]),
-                "gamma": float(header[4]),
-            }
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"{path}: malformed fingerprint line: {exc}") from exc
-        if n < 0:
-            raise ParseError(f"{path}: negative row count {n}")
-        for token in header[5:]:
-            key, _, val = token.partition("=")
-            fp[key] = val
-        rows = []
-        for line in fh:
-            if len(rows) == n:
-                raise ParseError(f"{path}: more than the announced {n} rows")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().split()
             try:
-                row = np.array(line.split(), dtype=float)
-            except ValueError as exc:
-                raise ParseError(f"{path}: row {len(rows) + 1}: {exc}") from exc
-            if row.shape != (n,):
-                raise ParseError(f"{path}: row {len(rows) + 1} has {row.size} values, not {n}")
-            rows.append(row)
+                n = int(header[0])
+                fp = {
+                    "seed": int(header[1]),
+                    "projections": int(header[2]),
+                    "quantiles": int(header[3]),
+                    "gamma": float(header[4]),
+                }
+            except (IndexError, ValueError) as exc:
+                raise ParseError(f"{path}: malformed fingerprint line: {exc}") from exc
+            if n < 0:
+                raise ParseError(f"{path}: negative row count {n}")
+            for token in header[5:]:
+                key, _, val = token.partition("=")
+                fp[key] = val
+            rows = []
+            for line in fh:
+                if len(rows) == n:
+                    raise ParseError(f"{path}: more than the announced {n} rows")
+                try:
+                    row = np.array(line.split(), dtype=float)
+                except ValueError as exc:
+                    raise ParseError(f"{path}: row {len(rows) + 1}: {exc}") from exc
+                if row.shape != (n,):
+                    raise ParseError(f"{path}: row {len(rows) + 1} has {row.size} values, not {n}")
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason}); a binary Gram?") from exc
     if len(rows) != n:
         raise ParseError(f"{path}: {len(rows)} rows, the fingerprint line announces {n}")
     ids = tuple(str(i) for i in range(n))

@@ -6,16 +6,19 @@ most ``_BATCH_NODES`` nodes (a larger graph is a batch of its own): the WL
 iterations run once on the disjoint union of a batch's graphs, which they
 never cross, and each graph's rows of the result are then projected and
 sorted on their own. Batches are independent and can run on a thread pool;
-the embeddings do not depend on the batching or on the pool.
+the embeddings do not depend on the batching or on the pool. Attribute
+standardization is applied to each batch's union before its WL run.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
-from .graphs import Dataset, StandardizationStats, apply_standardization, disjoint_union
+from .errors import ValidationError
+from .graphs import Dataset, StandardizationStats, disjoint_union
 from .sliced import (
     EmpiricalMeasure,
     PqStore,
@@ -63,14 +66,17 @@ def embed_dataset(
     With ``jobs > 1`` that many threads share the batches; the store is the
     same for every ``jobs``.
     """
-    if standardization is not None:
-        dataset = apply_standardization(dataset, standardization)
-    k = wl_config.block_count
-    projection_sets = [sample_projections(seed, n_projections, k * dataset.attr_dim)]
-    if per_iteration:
-        projection_sets += sample_projection_blocks(
-            seed, n_projections, dataset.attr_dim, k
+    d, k = dataset.attr_dim, wl_config.block_count
+    if standardization is not None and not (
+        standardization.mean.shape == standardization.std.shape == (d,)
+    ):
+        raise ValidationError(
+            f"standardization statistics for {standardization.mean.size} attribute "
+            f"dimensions, dataset has {d}"
         )
+    projection_sets = [sample_projections(seed, n_projections, k * d)]
+    if per_iteration:
+        projection_sets += sample_projection_blocks(seed, n_projections, d, k)
     grid = QuantileGrid(n_quantiles)
     blocks = tuple(
         np.empty((len(dataset), n_projections * n_quantiles)) for _ in projection_sets
@@ -79,8 +85,12 @@ def embed_dataset(
     def embed_batch(batch):
         start, stop = batch
         union, offsets = disjoint_union(rec.graph for rec in dataset.records[start:stop])
+        if standardization is not None:
+            scaled = (union.attributes - standardization.mean) / standardization.std
+            union = replace(union, attributes=scaled)
         wl = wl_embed(union, wl_config)
-        supports = [wl.values] + [wl.block(pos) for pos in range(len(blocks) - 1)]
+        # the full embedding, then kept iteration h's columns for blocks[1 + h]
+        supports = [wl] + [wl[:, h * d : (h + 1) * d] for h in range(len(blocks) - 1)]
         for i, lo, hi in zip(range(start, stop), offsets, offsets[1:]):
             for block, projections, support in zip(blocks, projection_sets, supports):
                 measure = EmpiricalMeasure(support[lo:hi])

@@ -27,7 +27,6 @@ import numpy as np
 
 from .binio import read_container, write_container
 from .errors import (
-    ConfigMismatchError,
     DegenerateDrawError,
     DimensionMismatchError,
     EmptyInputError,
@@ -259,23 +258,6 @@ def pq_embed(
     )
 
 
-def check_compatible(a: PqEmbedding, b: PqEmbedding) -> None:
-    if a.fingerprint != b.fingerprint:
-        raise ConfigMismatchError(
-            f"embeddings built under different configurations: "
-            f"{a.fingerprint} vs {b.fingerprint}"
-        )
-
-
-def features_matrix(embeddings: list[PqEmbedding]) -> np.ndarray:
-    """Stack embeddings into an (N, P*Q) matrix after a compatibility check."""
-    if not embeddings:
-        raise ValidationError("no embeddings given")
-    for emb in embeddings[1:]:
-        check_compatible(embeddings[0], emb)
-    return np.vstack([e.values for e in embeddings])
-
-
 @dataclass(frozen=True)
 class PqStore:
     """The embeddings of one dataset as matrices, rows in dataset order.
@@ -289,6 +271,10 @@ class PqStore:
     and their ``scalars`` are (N, m), m >= 0; both are None in a store that
     did not record them. ``source_sha256`` is the hex sha256 of the input
     file the records were parsed from, when known.
+
+    The Gram assembly reads the blocks as they are. ``store[i]`` is row i of
+    ``blocks[0]`` as a :class:`PqEmbedding` (a view, not a copy), and
+    ``len(store)`` is the record count.
     """
 
     ids: tuple[str, ...]
@@ -298,23 +284,18 @@ class PqStore:
     scalars: np.ndarray | None = None
     source_sha256: str | None = None
 
-    def _rows(self, k: int) -> list[PqEmbedding]:
-        return [
-            PqEmbedding(values=row, fingerprint=self.fingerprints[k], graph_id=i)
-            for row, i in zip(self.blocks[k], self.ids)
-        ]
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> PqEmbedding:
+        return PqEmbedding(
+            values=self.blocks[0][i], fingerprint=self.fingerprints[0], graph_id=self.ids[i]
+        )
 
     @property
-    def embeddings(self) -> list[PqEmbedding]:
-        """Row views of ``blocks[0]``, one per id."""
-        return self._rows(0)
-
-    @property
-    def per_iteration(self) -> list[list[PqEmbedding]] | None:
-        """Row views of each kept iteration's block; None without them."""
-        if len(self.blocks) == 1:
-            return None
-        return [self._rows(k) for k in range(1, len(self.blocks))]
+    def embeddings(self) -> "PqStore":
+        """The store itself, which indexes as a sequence of ``blocks[0]`` rows."""
+        return self
 
 
 def save_pq_store(directory, store: PqStore) -> None:

@@ -39,21 +39,6 @@ class WlConfig:
         return len(self.iterations)
 
 
-@dataclass(frozen=True)
-class WlEmbedding:
-    """Per-node embedding matrix, one d-wide column block per kept iteration."""
-
-    values: np.ndarray
-    config: WlConfig
-    graph_id: str
-
-    def block(self, position: int) -> np.ndarray:
-        """Columns of the kept iteration at ``position`` in the config list."""
-        k = self.config.block_count
-        d = self.values.shape[1] // k
-        return self.values[:, position * d : (position + 1) * d]
-
-
 def sqrt_skip_iterations(mean_node_count: float, blocks: int = 4) -> tuple[int, ...]:
     """Iteration schedule 0, T, 2T, ... with T about sqrt(mean node count)."""
     step = max(1, round(float(mean_node_count) ** 0.5))
@@ -95,8 +80,12 @@ def _iterate(current: np.ndarray, adj, inv_deg: np.ndarray) -> np.ndarray:
     return out
 
 
-def embed(graph: AttributedGraph, config: WlConfig, graph_id: str = "") -> WlEmbedding:
-    """Run the iteration up to max(kept) and concatenate the kept iterates."""
+def embed(graph: AttributedGraph, config: WlConfig) -> np.ndarray:
+    """Run the iteration up to max(kept) and concatenate the kept iterates.
+
+    Returns an (n, K*d) matrix for K kept iterations: columns
+    ``k*d:(k+1)*d`` hold the iterate at ``config.iterations[k]``.
+    """
     _warn_nonpositive_weights(graph)
     adj, inv_deg = _neighbor_operator(graph)
     kept = set(config.iterations)
@@ -105,8 +94,7 @@ def embed(graph: AttributedGraph, config: WlConfig, graph_id: str = "") -> WlEmb
     current = np.asarray(graph.attributes, dtype=float)
     for h in range(last + 1):
         if h in kept:
-            blocks.append(current if h > 0 else current.copy())
+            blocks.append(current)
         if h < last:
             current = _iterate(current, adj, inv_deg)
-    values = np.hstack(blocks)
-    return WlEmbedding(values=values, config=config, graph_id=graph_id)
+    return np.hstack(blocks)

@@ -11,8 +11,9 @@ reference optimum for ``gp.fit``'s grid-then-one-run range search.
 The exact transport distances, the quantile conventions, the sliced
 estimate between two embeddings, one WL step and node degrees are here too:
 only the tests use them. So are the graph validation that deduplicated
-edges with ``np.unique`` and counted degrees with ``np.add.at``, and the
-dataset embedding that ran WL on one graph at a time.
+edges with ``np.unique`` and counted degrees with ``np.add.at``, the
+standardization that rebuilt every record, the dataset embedding that ran
+WL on one graph at a time, and the stacking of embedding rows into a store.
 """
 
 import itertools
@@ -21,10 +22,13 @@ import numpy as np
 import scipy.optimize
 
 from swwl import (
+    AttributedGraph,
+    Dataset,
     EmpiricalMeasure,
+    GraphRecord,
     PqStore,
     QuantileGrid,
-    apply_standardization,
+    WlConfig,
     marginal_posterior,
     matern52,
     pq_embed,
@@ -32,6 +36,7 @@ from swwl import (
     sample_projections,
 )
 from swwl.errors import (
+    ConfigMismatchError,
     DimensionMismatchError,
     EmptyInputError,
     LengthMismatchError,
@@ -39,7 +44,7 @@ from swwl.errors import (
     ValidationError,
 )
 from swwl.kernels import _fingerprint_line
-from swwl.sliced import _step_indices, check_compatible, pq_fingerprint
+from swwl.sliced import _step_indices, pq_fingerprint
 from swwl.wl import _iterate, _neighbor_operator, _warn_nonpositive_weights, embed as wl_embed
 
 
@@ -71,7 +76,11 @@ def interp_quantiles(values, grid):
 
 def sw_estimate(a, b):
     """Estimated sliced Wasserstein distance: r-norm of the embedding gap."""
-    check_compatible(a, b)
+    if a.fingerprint != b.fingerprint:
+        raise ConfigMismatchError(
+            f"embeddings built under different configurations: "
+            f"{a.fingerprint} vs {b.fingerprint}"
+        )
     diff = a.values - b.values
     r = a.fingerprint.r
     if r == 2.0:
@@ -184,6 +193,47 @@ def unique_checked_degrees(attributes, edges, weights=None):
     return degrees
 
 
+def apply_standardization(dataset, stats):
+    """``dataset`` with every record's attributes standardized by ``stats``,
+    each record and the dataset rebuilt and validated anew."""
+    if stats.mean.shape != (dataset.attr_dim,) or stats.std.shape != (dataset.attr_dim,):
+        raise ValidationError(
+            f"standardization statistics for {stats.mean.size} attribute dimensions, "
+            f"dataset has {dataset.attr_dim}"
+        )
+    records = []
+    for rec in dataset:
+        g = rec.graph
+        scaled = (g.attributes - stats.mean) / stats.std
+        records.append(
+            GraphRecord(
+                graph=AttributedGraph(scaled, g.edges, g.weights),
+                scalars=rec.scalars,
+                target=rec.target,
+                id=rec.id,
+            )
+        )
+    return Dataset(records=tuple(records))
+
+
+def store_of(*row_lists):
+    """A ``PqStore`` whose block k stacks the embeddings ``row_lists[k]``.
+
+    The ids are the ``graph_id`` of ``row_lists[0]``; every list must have
+    as many rows, and the rows of one list one fingerprint.
+    """
+    for rows in row_lists:
+        if len(rows) != len(row_lists[0]):
+            raise LengthMismatchError("row lists of different lengths")
+        if any(e.fingerprint != rows[0].fingerprint for e in rows):
+            raise ConfigMismatchError("rows built under different configurations")
+    return PqStore(
+        ids=tuple(e.graph_id for e in row_lists[0]),
+        blocks=tuple(np.vstack([e.values for e in rows]) for rows in row_lists),
+        fingerprints=tuple(rows[0].fingerprint for rows in row_lists),
+    )
+
+
 def embed_dataset_per_graph(
     dataset, wl_config, *, seed, n_projections, n_quantiles, r=2.0,
     standardization=None, per_iteration=False,
@@ -206,8 +256,11 @@ def embed_dataset_per_graph(
         np.empty((len(dataset), n_projections * n_quantiles)) for _ in projection_sets
     )
     for i, rec in enumerate(dataset):
-        wl = wl_embed(rec.graph, wl_config)
-        supports = [wl.values] + [wl.block(pos) for pos in range(len(blocks) - 1)]
+        # a WL run of its own for each kept iteration's block
+        supports = [wl_embed(rec.graph, wl_config)] + [
+            wl_embed(rec.graph, WlConfig(iterations=(h,)))
+            for h in wl_config.iterations[: len(blocks) - 1]
+        ]
         for block, projections, support in zip(blocks, projection_sets, supports):
             block[i] = pq_embed(EmpiricalMeasure(support), projections, grid, r=r).values
     fingerprints = tuple(

@@ -37,7 +37,7 @@ from swwl.cli import main as cli_main
 from swwl.synthetic import generate_regression_dataset, generate_timing_graph
 from swwl.wl import embed as wl_embed
 
-from oracles import naive_sw, sw_estimate, sw_exact_1d, w_exact_tiny
+from oracles import naive_sw, store_of, sw_estimate, sw_exact_1d, w_exact_tiny
 
 
 def verdict(number, name, ok, detail):
@@ -85,12 +85,12 @@ def test_acceptance_1_positive_definiteness():
             per_iteration=True,
         )
         gamma = float(10.0 ** rng.uniform(-3, 1))
-        gram = assemble_gram(result.embeddings, None, KernelConfig(gamma=gamma))
+        gram = assemble_gram(result, None, KernelConfig(gamma=gamma))
         report = check_psd(gram)
         worst = min(worst, report.min_eigenvalue / report.trace)
         assert report.min_eigenvalue >= -1e-8 * report.trace
         gammas = 10.0 ** rng.uniform(-3, 1, h + 1)
-        gram_a = assemble_gram_aniso(result.per_iteration, gammas)
+        gram_a = assemble_gram_aniso(result, gammas)
         report_a = check_psd(gram_a)
         worst = min(worst, report_a.min_eigenvalue / report_a.trace)
         assert report_a.min_eigenvalue >= -1e-8 * report_a.trace
@@ -196,8 +196,7 @@ def test_acceptance_4_slicing_lower_bounds_tiny_exact_transport():
 
 
 def _embed_one(graph, config, projections, grid):
-    wl = wl_embed(graph, config)
-    return pq_embed(EmpiricalMeasure(wl.values), projections, grid)
+    return pq_embed(EmpiricalMeasure(wl_embed(graph, config)), projections, grid)
 
 
 def test_acceptance_5_complexity():
@@ -211,10 +210,10 @@ def test_acceptance_5_complexity():
     # The two sizes are timed in alternation, so drift in the machine's speed
     # hits both alike; the first round is a warm-up and is dropped.
     embeddings = {
-        n_nodes: [
+        n_nodes: store_of([
             _embed_one(generate_timing_graph(seed, n_nodes), config, projections, grid)
             for seed in range(100)
-        ]
+        ])
         for n_nodes in (100, 10_000)
     }
     reps = {n_nodes: [] for n_nodes in embeddings}
@@ -415,7 +414,7 @@ def test_acceptance_9_determinism(tmp_path):
         ]) == 0
         assert cli_main([
             "gram", "--embeddings", str(emb_train), "--out", str(root / "aniso.txt"),
-            "--aniso", "--gammas", "0.5,1.5",
+            "--gammas", "0.5,1.5",
         ]) == 0
         assert cli_main([
             "fit", "--input", str(train), "--embeddings", str(emb_train),

@@ -154,6 +154,26 @@ def test_gram_rerun_byte_identical(workspace, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [(), ("--gamma", 1, "--gammas", "0.5,1"), ("--distances-only", "--gamma", 5),
+     ("--gammas", "1", "--distances-only")],
+    ids=["none", "gamma-and-gammas", "distances-and-gamma", "gammas-and-distances"],
+)
+def test_gram_takes_exactly_one_kernel_exits_2(workspace, tmp_path, flags):
+    with pytest.raises(SystemExit) as info:
+        run("gram", "--embeddings", workspace / "emb-train", "--out", tmp_path / "g.txt",
+            *flags)
+    assert info.value.code == 2
+    assert not (tmp_path / "g.txt").exists()
+
+
+def test_gram_gammas_without_iteration_blocks_exits_2(workspace, tmp_path, capsys):
+    assert run("gram", "--embeddings", workspace / "emb-train", "--out", tmp_path / "g.txt",
+               "--gammas", "0.5,1") == 2
+    assert "no per-iteration blocks (embed --aniso)" in capsys.readouterr().err
+
+
 def test_gram_missing_caches_exits_2(tmp_path):
     assert run("gram", "--embeddings", tmp_path, "--out", tmp_path / "g.txt",
                "--gamma", 1.0) == 2
@@ -420,6 +440,15 @@ def test_check_psd_command(workspace, tmp_path):
     assert run("check-psd", "--gram", bad) == 4
 
 
+def test_check_psd_of_a_binary_gram_read_as_text_exits_2(workspace, tmp_path, capsys):
+    binary = tmp_path / "gram.bin"
+    assert run("gram", "--embeddings", workspace / "emb-train", "--out", tmp_path / "g.txt",
+               "--gamma", 1.0, "--binary-out", binary) == 0
+    capsys.readouterr()
+    assert run("check-psd", "--gram", binary) == 2
+    assert f"error: {binary}: not UTF-8 text" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "header, values",
     [
@@ -471,14 +500,16 @@ def test_aniso_flow(tmp_path):
     assert [fp.block for fp in store.fingerprints] == [None, 0, 1, 2]
     gram_path = tmp_path / "aniso.txt"
     assert run(
-        "gram", "--embeddings", emb, "--out", gram_path, "--aniso",
+        "gram", "--embeddings", emb, "--out", gram_path,
         "--gammas", "0.5,1.0,2.0", "--check-psd",
     ) == 0
     gram = load_gram_text(gram_path)
     assert np.all(np.diag(gram.values) == 1.0)
+    # the fingerprint is the first iteration's block's: block 0, s = d = 2
+    assert {"kind=aswwl", "block=0", "s=2"} <= set(gram_path.read_text().split("\n")[0].split())
     scaled = tmp_path / "aniso.bin"
     assert run(
-        "gram", "--embeddings", emb, "--out", tmp_path / "aniso2.txt", "--aniso",
+        "gram", "--embeddings", emb, "--out", tmp_path / "aniso2.txt",
         "--gammas", "0.5,1.0,2.0", "--variance", 2, "--binary-out", scaled,
     ) == 0
     gram2 = load_gram_binary(scaled)

@@ -311,6 +311,14 @@ def _set(mapping, key, value):
     mapping[key] = value
 
 
+def _first_records(header, arrays, k):
+    """Keep the first k training records, a model consistent in every shape."""
+    header["n"], header["train_ids"] = k, header["train_ids"][:k]
+    for name in ("targets", "train_features", "train_scalars"):
+        arrays[name] = arrays[name][:k]
+    arrays["chol"] = arrays["chol"][:k, :k]
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -334,12 +342,16 @@ def _set(mapping, key, value):
         lambda h, a: a["chol"].__setitem__((4, 4), 0.0),
         lambda h, a: a["chol"].__setitem__((4, 4), -a["chol"][4, 4]),
         lambda h, a: _set(a, "targets", np.full(12, 0.5)),
+        lambda h, a: _set(h, "train_ids", [1, {"a": 2}, None, [3]] + h["train_ids"][4:]),
+        lambda h, a: _first_records(h, a, 0),
+        lambda h, a: _first_records(h, a, 1),
     ],
     ids=["no-nugget", "nugget-str", "no-ids", "ids-vs-n", "n-str",
          "no-ranges", "ranges-count", "chol-shape", "targets-length",
          "scalar-rows", "features-1d", "no-inputs", "nugget-nan",
          "rinv-h-inf", "chol-nan", "features-inf", "ranges-nan",
-         "chol-zero-diagonal", "chol-negative-diagonal", "constant-targets"],
+         "chol-zero-diagonal", "chol-negative-diagonal", "constant-targets",
+         "ids-not-str", "n-0", "n-1"],
 )
 def test_malformed_model_is_parse_error(tmp_path, damage):
     rng = np.random.default_rng(10)

@@ -10,15 +10,16 @@ from swwl import (
     AttributedGraph,
     Dataset,
     GraphRecord,
-    apply_standardization,
+    WlConfig,
     compute_standardization,
+    embed_dataset,
     load_dataset,
     save_dataset,
 )
 from swwl.errors import ParseError, SchemaError, ValidationError
 from swwl.graphs import StandardizationStats
 
-from oracles import degree, unique_checked_degrees
+from oracles import apply_standardization, degree, unique_checked_degrees
 
 
 def write_lines(path, lines):
@@ -60,6 +61,18 @@ def test_load_dimension_mismatch(tmp_path):
     )
     with pytest.raises(SchemaError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("as_bytes", [False, True])
+def test_bytes_that_are_not_utf8_are_a_parse_error_naming_the_line(tmp_path, as_bytes):
+    good = '{"id":"a","nodes":[[0.0]],"edges":[]}'
+    # the bad byte lies beyond the decoder's first read-ahead chunk
+    data = "\n".join([good] * 400).encode() + b'\n{"id":"\xb8","nodes":[[0.0]]}\n'
+    path = tmp_path / "ds.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="line 401: not UTF-8") as info:
+        load_dataset(data if as_bytes else path)
+    assert info.value.line == 401
 
 
 def test_load_malformed_line_reports_line_number(tmp_path):
@@ -203,6 +216,11 @@ def test_standardization_statistics_and_reuse():
     expected = (test.records[0].graph.attributes - stats.mean) / stats.std
     shifted = apply_standardization(test, stats)
     np.testing.assert_allclose(shifted.records[0].graph.attributes, expected)
+    # and so does the embedding
+    kwargs = dict(seed=1, n_projections=3, n_quantiles=4)
+    store = embed_dataset(test, WlConfig(iterations=(0,)), standardization=stats, **kwargs)
+    plain = embed_dataset(shifted, WlConfig(iterations=(0,)), **kwargs)
+    assert np.array_equal(store.blocks[0], plain.blocks[0])
 
     # persistence keeps the numbers identical
     back = StandardizationStats.from_dict(json.loads(json.dumps(stats.to_dict())))
@@ -249,7 +267,8 @@ def test_standardization_of_another_dimension_is_refused():
     dataset = random_dataset(rng, n_records=2, d=2, m=0)
     stats = StandardizationStats.from_dict({"mean": [0], "std": [1]})
     with pytest.raises(ValidationError, match="1 attribute dimensions, dataset has 2"):
-        apply_standardization(dataset, stats)
+        embed_dataset(dataset, WlConfig(iterations=(0,)), seed=0, n_projections=2,
+                      n_quantiles=2, standardization=stats)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Kernel values, Gram assembly, positive definiteness, export formats."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from swwl.kernels import (
 
 from oracles import (
     aswwl_kernel,
+    store_of,
     sw_estimate,
     swwl_kernel,
     tensorized_kernel,
@@ -49,9 +51,10 @@ def dirac_pair(a, b, seed=0, p=3, q=4):
 
 
 def random_embeddings(rng, n, s=2, p=4, q=5, seed=0):
+    """A store of n embeddings of random clouds in R^s."""
     ps = sample_projections(seed, p, s)
     grid = QuantileGrid(q)
-    return [
+    return store_of([
         pq_embed(
             EmpiricalMeasure(rng.standard_normal((int(rng.integers(1, 12)), s))),
             ps,
@@ -59,7 +62,7 @@ def random_embeddings(rng, n, s=2, p=4, q=5, seed=0):
             graph_id=f"g{i}",
         )
         for i in range(n)
-    ]
+    ])
 
 
 class TestSwwlKernel:
@@ -165,7 +168,7 @@ class TestAssembleGram:
     def test_duplicate_records(self):
         rng = np.random.default_rng(1)
         emb = random_embeddings(rng, 1)[0]
-        gram = assemble_gram([emb, emb], None, KernelConfig(gamma=1.0, nugget=0.1))
+        gram = assemble_gram(store_of([emb, emb]), None, KernelConfig(gamma=1.0, nugget=0.1))
         assert gram.values[0, 1] == pytest.approx(1.0)
         assert gram.values[0, 0] == pytest.approx(1.1)
         assert gram.values[1, 1] == pytest.approx(1.1)
@@ -216,7 +219,11 @@ class TestAssembleGram:
             for h in range(3)
         ]
         gammas = np.array([0.5, 1.0, 2.0])
-        gram = assemble_gram_aniso(per_iter, gammas)
+        # blocks[0], the full embedding, is not read by the anisotropic assembly
+        gram = assemble_gram_aniso(store_of(random_embeddings(rng, 8), *per_iter), gammas)
+        # fingerprinted by the first iteration's block, not by blocks[0]
+        assert (gram.fingerprint["block"], gram.fingerprint["s"]) == (0, 2)
+        assert gram.row_ids == tuple(f"g{i}" for i in range(8))
         for i in range(8):
             for j in range(8):
                 want = aswwl_kernel(
@@ -231,7 +238,7 @@ class TestAssembleGram:
         rng = np.random.default_rng(6)
         embs = random_embeddings(rng, 7)
         gamma = 1.7
-        d2 = sw_squared_distances(embs)
+        d2 = sw_squared_distances(embs.blocks[0])
         direct = assemble_gram(embs, None, KernelConfig(gamma=gamma)).values
         np.testing.assert_allclose(np.exp(-gamma * d2), direct, rtol=1e-15)
 
@@ -247,10 +254,10 @@ def test_assembly_time_tracks_embedding_width():
 
     def assembly_time(n_proj):
         ps = sample_projections(0, n_proj, 3)
-        embs = [
+        embs = store_of([
             pq_embed(EmpiricalMeasure(s), ps, grid, graph_id=str(i))
             for i, s in enumerate(supports)
-        ]
+        ])
         reps = []
         for _ in range(5):
             t0 = time.perf_counter()
@@ -333,6 +340,14 @@ class TestGramFiles:
         path = tmp_path / "gram.txt"
         path.write_text(text)
         with pytest.raises(ParseError):
+            load_gram_text(path)
+
+    @pytest.mark.parametrize("data", [b"\xb8SWWL-G1", b"2 0 1 2 1.0\n1 0\n0 \xff\n"],
+                             ids=["header", "row"])
+    def test_bytes_that_are_not_utf8_are_a_parse_error_naming_the_file(self, tmp_path, data):
+        path = tmp_path / "gram.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8 text")):
             load_gram_text(path)
 
     def test_binary_round_trip(self, tmp_path):

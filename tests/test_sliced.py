@@ -9,7 +9,6 @@ import pytest
 
 from swwl import (
     EmpiricalMeasure,
-    PqStore,
     ProjectionSet,
     QuantileGrid,
     WlConfig,
@@ -36,6 +35,7 @@ from oracles import (
     naive_quantile,
     naive_sw,
     step_quantiles,
+    store_of,
     sw_estimate,
     sw_exact_1d,
     w_exact_tiny,
@@ -371,12 +371,7 @@ def _embeddings(ids, seed=123):
 
 def _store(ids, seeds=(123,)):
     """A store with one block per seed, its rows embedded from random clouds."""
-    blocks = [_embeddings(ids, seed=s) for s in seeds]
-    return PqStore(
-        ids=tuple(ids),
-        blocks=tuple(np.vstack([e.values for e in block]) for block in blocks),
-        fingerprints=tuple(block[0].fingerprint for block in blocks),
-    )
+    return store_of(*(_embeddings(ids, seed=s) for s in seeds))
 
 
 def _assert_same_store(a, b):
@@ -397,12 +392,12 @@ def test_cache_round_trip(tmp_path):
     save_pq_store(tmp_path, store)
     back = load_pq_store(tmp_path)
     _assert_same_store(back, store)
-    restored = back.embeddings
-    assert [e.graph_id for e in restored] == ["graph-8", "graph-9"]
-    assert sw_estimate(store.embeddings[1], restored[1]) == 0.0
-    per_iteration = back.per_iteration
-    assert [[e.graph_id for e in rows] for rows in per_iteration] == [["graph-8", "graph-9"]] * 2
-    assert [rows[0].fingerprint for rows in per_iteration] == list(store.fingerprints[1:])
+    # indexing a store gives the rows of blocks[0], as views with their ids
+    assert back.embeddings is back and len(back) == 2
+    assert [e.graph_id for e in back] == ["graph-8", "graph-9"]
+    assert back[1].fingerprint == store.fingerprints[0]
+    assert np.shares_memory(back[1].values, back.blocks[0])
+    assert sw_estimate(store[1], back[1]) == 0.0
 
 
 def test_store_records_round_trip_exactly(tmp_path):
@@ -427,7 +422,7 @@ def test_store_keeps_written_order_of_ids(tmp_path):
     save_pq_store(tmp_path, _store(ids))
     back = load_pq_store(tmp_path)
     assert back.ids == tuple(ids)
-    assert back.per_iteration is None
+    assert len(back.blocks) == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -478,7 +473,7 @@ def test_embed_dataset_rows_are_per_graph_embeddings():
     projections = sample_projections(7, 3, 2 * dataset.attr_dim)
     for row, rec in zip(store.blocks[0], dataset):
         wl = wl_embed(rec.graph, WlConfig(iterations=(0, 1)))
-        emb = pq_embed(EmpiricalMeasure(wl.values), projections, QuantileGrid(5))
+        emb = pq_embed(EmpiricalMeasure(wl), projections, QuantileGrid(5))
         assert np.array_equal(row, emb.values)
 
 

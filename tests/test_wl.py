@@ -53,12 +53,12 @@ def test_isolated_node_identity():
 def test_embed_iteration_zero_is_raw_attributes():
     g = two_node_graph()
     emb = embed(g, WlConfig(iterations=(0,)))
-    np.testing.assert_array_equal(emb.values, g.attributes)
+    np.testing.assert_array_equal(emb, g.attributes)
 
 
 def test_embed_concatenates_hand_values():
     emb = embed(two_node_graph(), WlConfig(iterations=(0, 1)))
-    np.testing.assert_allclose(emb.values, [[0.0, 1.0], [2.0, 1.0]])
+    np.testing.assert_allclose(emb, [[0.0, 1.0], [2.0, 1.0]])
 
 
 def test_complete_graph_constant_attributes_fixed_point():
@@ -67,7 +67,7 @@ def test_complete_graph_constant_attributes_fixed_point():
     g = AttributedGraph(attrs, np.array([[0, 1], [0, 2], [1, 2]]))
     emb = embed(g, WlConfig(iterations=(0, 1, 2)))
     for pos in range(3):
-        np.testing.assert_allclose(emb.block(pos), attrs)
+        np.testing.assert_allclose(emb[:, 2 * pos : 2 * pos + 2], attrs)
 
 
 def test_componentwise_constant_fixed_point():
@@ -95,7 +95,7 @@ def test_permutation_equivariance():
         permuted = AttributedGraph(g.attributes[perm], inv[g.edges], g.weights)
         a = embed(g, WlConfig(iterations=(0, 1, 2)))
         b = embed(permuted, WlConfig(iterations=(0, 1, 2)))
-        np.testing.assert_allclose(b.values, a.values[perm], atol=1e-12)
+        np.testing.assert_allclose(b, a[perm], atol=1e-12)
 
 
 def test_update_stays_in_neighborhood_interval():
@@ -161,6 +161,7 @@ def test_skip_schedule_skips_storage_not_computation():
     g = random_graph(rng, 6, 2)
     full = embed(g, WlConfig(iterations=(0, 1, 2, 3, 4)))
     skipped = embed(g, WlConfig(iterations=(0, 2, 4)))
-    np.testing.assert_array_equal(skipped.block(0), full.block(0))
-    np.testing.assert_array_equal(skipped.block(1), full.block(2))
-    np.testing.assert_array_equal(skipped.block(2), full.block(4))
+    # columns 2k:2k+2 hold the k-th kept iterate
+    np.testing.assert_array_equal(skipped[:, 0:2], full[:, 0:2])
+    np.testing.assert_array_equal(skipped[:, 2:4], full[:, 4:6])
+    np.testing.assert_array_equal(skipped[:, 4:6], full[:, 8:10])
