@@ -211,7 +211,6 @@ def cmd_embed(args) -> int:
             seed=args.seed,
             n_projections=args.projections,
             n_quantiles=args.quantiles,
-            r=args.r,
             standardization=standardization,
             per_iteration=args.aniso,
             jobs=args.jobs,
@@ -245,6 +244,13 @@ def cmd_embed(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    if args.distances_only and (args.variance is not None or args.nugget is not None):
+        raise ValidationError("--distances-only takes neither --variance nor --nugget")
+    # the variance and nugget the kernel uses, which the manifest records
+    kernel = {} if args.distances_only else {
+        "variance": 1.0 if args.variance is None else args.variance,
+        "nugget": 0.0 if args.nugget is None else args.nugget,
+    }
     stages = _Stages()
     with stages.time("load"):
         store = load_pq_store(args.embeddings)
@@ -259,13 +265,9 @@ def cmd_gram(args) -> int:
             raise ValidationError(f"{args.embeddings} has no per-iteration blocks (embed --aniso)")
         gammas = np.array([float(t) for t in args.gammas.split(",")])
         with stages.time("assemble"):
-            gram = assemble_gram_aniso(
-                store, gammas, variance=args.variance, nugget=args.nugget
-            )
+            gram = assemble_gram_aniso(store, gammas, **kernel)
     else:
-        cfg = KernelConfig(
-            gamma=args.gamma, variance=args.variance, nugget=args.nugget
-        )
+        cfg = KernelConfig(gamma=args.gamma, **kernel)
         with stages.time("assemble"):
             gram = assemble_gram(store, None, cfg)
     report = None
@@ -290,6 +292,7 @@ def cmd_gram(args) -> int:
             if report is None
             else {"min_eigenvalue": report.min_eigenvalue, "is_psd": report.is_psd},
         },
+        **kernel,
     )
     print(f"wrote {gram.size}x{gram.size} matrix to {args.out}")
     return 0
@@ -304,7 +307,7 @@ def cmd_fit(args) -> int:
     with stages.time("optimize"):
         model = gp_fit(
             store.blocks[0],
-            store.scalars,  # (N, 0) without scalar covariates, which fit takes as none
+            store.scalars,
             store.targets,
             ids=store.ids,
             fingerprint=store.fingerprints[0],
@@ -513,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--projections", type=int, default=50)
     p.add_argument("--quantiles", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--standardize-stats", help="reuse training statistics from file")
     p.add_argument("--aniso", action="store_true", help="also store one block per kept iteration")
@@ -530,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "anisotropic kernel (a store written by embed --aniso)")
     kernel.add_argument("--distances-only", action="store_true",
                         help="write the squared sliced Wasserstein distances")
-    p.add_argument("--variance", type=float, default=1.0)
-    p.add_argument("--nugget", type=float, default=0.0)
+    p.add_argument("--variance", type=float, help="kernel variance (default 1)")
+    p.add_argument("--nugget", type=float, help="kernel nugget (default 0)")
     p.add_argument("--check-psd", action="store_true")
     p.set_defaults(func=cmd_gram)
 

@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .kernels import correlation_from_distances, scalar_abs_distances
+from .kernels import correlation_from_distances, scalar_abs_distances, scalar_matrix
 from .sliced import PqFingerprint
 
 MODEL_MAGIC = "SWWL-M1"
@@ -58,33 +58,29 @@ def jr_prior_rate(n: int, n_ranges: int, a: float = JR_PRIOR_A) -> float:
 
 @dataclass(frozen=True)
 class TrainDistances:
-    """Cached pairwise distances: one squared graph matrix, m |delta| stacks."""
+    """Cached pairwise distances: the (N, N') squared graph distances and an
+    (m, N, N') stack of per-covariate |delta|, m >= 0 (None: m = 0)."""
 
-    sw_sq: np.ndarray | None
-    scalar_abs: np.ndarray | None
+    sw_sq: np.ndarray
+    scalar_abs: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.scalar_abs is None:
+            object.__setattr__(self, "scalar_abs", np.zeros((0, *self.sw_sq.shape)))
 
     @property
     def n_ranges(self) -> int:
-        m = 0 if self.scalar_abs is None else self.scalar_abs.shape[0]
-        return (0 if self.sw_sq is None else 1) + m
+        return 1 + self.scalar_abs.shape[0]
 
     @property
     def size(self) -> int:
-        if self.sw_sq is not None:
-            return self.sw_sq.shape[0]
-        return self.scalar_abs.shape[1]
+        return self.sw_sq.shape[0]
 
     def mean_scales(self) -> np.ndarray:
         """Mean off-diagonal distance per coordinate (prior scales C_l)."""
-        n = self.size
-        off = ~np.eye(n, dtype=bool)
-        scales = []
-        if self.sw_sq is not None:
-            scales.append(float(np.sqrt(np.maximum(self.sw_sq, 0.0))[off].mean()))
-        if self.scalar_abs is not None:
-            for dist in self.scalar_abs:
-                scales.append(float(dist[off].mean()))
-        return np.array(scales)
+        off = ~np.eye(self.size, dtype=bool)
+        graph = np.sqrt(np.maximum(self.sw_sq, 0.0))[off].mean()
+        return np.array([graph] + [dist[off].mean() for dist in self.scalar_abs])
 
     @functools.cached_property
     def prior_scales(self) -> np.ndarray:
@@ -92,30 +88,28 @@ class TrainDistances:
         return self.mean_scales()
 
 
-def build_train_distances(
-    features: np.ndarray | None, scalars: np.ndarray | None
-) -> TrainDistances:
-    sw_sq = None
-    if features is not None:
-        feats = np.asarray(features, dtype=float)
-        diffs = scipy.spatial.distance.pdist(feats, "sqeuclidean")
-        sw_sq = scipy.spatial.distance.squareform(diffs)
-    scalar_abs = None
-    if scalars is not None and np.asarray(scalars).size:
-        scalar_abs = scalar_abs_distances(np.asarray(scalars, dtype=float))
-    if sw_sq is None and scalar_abs is None:
-        raise ValidationError("need graph features or scalar covariates")
-    return TrainDistances(sw_sq=sw_sq, scalar_abs=scalar_abs)
+def _feature_matrix(features: np.ndarray) -> np.ndarray:
+    """The (N, W) graph feature matrix as floats; ValidationError without one."""
+    if features is None:
+        raise ValidationError("graph features are required: an (N, W) matrix")
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2:
+        raise ValidationError(f"graph features must be an (N, W) matrix, got {features.shape}")
+    return features
+
+
+def build_train_distances(features: np.ndarray, scalars: np.ndarray | None) -> TrainDistances:
+    feats = _feature_matrix(features)
+    sw_sq = scipy.spatial.distance.squareform(
+        scipy.spatial.distance.pdist(feats, "sqeuclidean")
+    )
+    return TrainDistances(sw_sq, scalar_abs_distances(scalar_matrix(scalars, len(feats))))
 
 
 def _correlation(distances: TrainDistances, ranges: np.ndarray) -> np.ndarray:
     ranges = np.asarray(ranges, dtype=float)
-    if distances.sw_sq is not None:
-        gamma = 1.0 / (ranges[0] * ranges[0])
-        return correlation_from_distances(
-            distances.sw_sq, distances.scalar_abs, gamma, ranges[1:]
-        )
-    return correlation_from_distances(None, distances.scalar_abs, 1.0, ranges)
+    gamma = 1.0 / (ranges[0] * ranges[0])
+    return correlation_from_distances(distances.sw_sq, distances.scalar_abs, gamma, ranges[1:])
 
 
 def _nugget_correlation(distances: TrainDistances, ranges: np.ndarray, nugget: float) -> np.ndarray:
@@ -128,7 +122,7 @@ def _nugget_correlation(distances: TrainDistances, ranges: np.ndarray, nugget: f
 def _require_finite(**values) -> None:
     """ValidationError naming the first argument with a NaN or infinite entry."""
     for name, value in values.items():
-        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
             raise ValidationError(f"{name} must be finite")
 
 
@@ -298,16 +292,16 @@ class GpModel:
     """Trained state: fitted ranges, the lower Cholesky factor of R + nugget*I
     and the targets, from which the constructor derives the solve caches.
 
-    The training features and scalars are kept so that prediction only needs
-    the new inputs' embeddings.
+    The training features (N, W) and scalars (N, m), m >= 0, are kept so that
+    prediction only needs the new inputs' embeddings.
     """
 
     ranges: np.ndarray
     nugget: float
     chol: np.ndarray
     targets: np.ndarray
-    train_features: np.ndarray | None
-    train_scalars: np.ndarray | None
+    train_features: np.ndarray
+    train_scalars: np.ndarray
     train_ids: tuple[str, ...]
     fingerprint: PqFingerprint | None
     diagnostics: FitDiagnostics | None = None  # set by fit, not saved
@@ -363,7 +357,7 @@ class PredictiveDistribution:
     dof: int
 
     def scale_diagonal(self) -> np.ndarray:
-        return np.diag(self.scale) if self.scale.size else np.zeros(0)
+        return np.diag(self.scale)
 
     def standard_errors(self) -> np.ndarray:
         return np.sqrt(np.maximum(self.scale_diagonal(), 0.0))
@@ -385,7 +379,7 @@ def _floor_psd(matrix: np.ndarray) -> np.ndarray:
 
 
 def fit(
-    features: np.ndarray | None,
+    features: np.ndarray,
     scalars: np.ndarray | None,
     targets: np.ndarray,
     *,
@@ -394,6 +388,10 @@ def fit(
     settings: GpSettings = GpSettings(),
 ) -> GpModel:
     """Estimate ranges by maximizing the log marginal posterior.
+
+    ``features`` is the (N, W) feature matrix, which is required, and
+    ``scalars`` the (N, m) scalar covariates, None for m = 0; the model has
+    1 + m ranges.
 
     All log-ranges are shifted together over a 9-point grid, one log unit
     apart, around the log of the mean pairwise distance of each coordinate;
@@ -410,12 +408,14 @@ def fit(
     n = len(y)
     if n < 3:
         raise ValidationError(f"need at least 3 training records, got {n}")
+    features = _feature_matrix(features)
+    if len(features) != n:
+        raise LengthMismatchError(f"{len(features)} inputs for {n} targets")
+    scalars = scalar_matrix(scalars, n)
     _require_finite(targets=y, features=features, scalars=scalars)
     if np.ptp(y) == 0.0:
         raise ConstantTargetError("all training targets are identical")
     distances = build_train_distances(features, scalars)
-    if distances.size != n:
-        raise LengthMismatchError(f"{distances.size} inputs for {n} targets")
     scales = distances.prior_scales
     start_center = np.log(np.where(scales > 0, scales, 1.0))
     rng = np.random.Generator(np.random.Philox(key=int(settings.seed)))
@@ -453,9 +453,8 @@ def fit(
         nugget=settings.nugget,
         chol=best.parts.chol,
         targets=y,
-        train_features=None if features is None else np.asarray(features, float),
-        train_scalars=None if scalars is None or not np.asarray(scalars).size
-        else np.asarray(scalars, float),
+        train_features=features,
+        train_scalars=scalars,
         train_ids=tuple(ids) if ids is not None else tuple(str(i) for i in range(n)),
         fingerprint=fingerprint,
         diagnostics=FitDiagnostics(
@@ -467,33 +466,9 @@ def fit(
     )
 
 
-def _test_distances(
-    model: GpModel,
-    features: np.ndarray | None,
-    scalars: np.ndarray | None,
-    to_train: bool,
-) -> TrainDistances:
-    """Distances from the test inputs to the training inputs, or among themselves."""
-    sw_sq = None
-    if model.train_features is not None:
-        if features is None:
-            raise ConfigMismatchError("model was trained with graph features")
-        other = model.train_features if to_train else features
-        sw_sq = scipy.spatial.distance.cdist(features, other, "sqeuclidean")
-    scalar_abs = None
-    if model.train_scalars is None and scalars is not None and np.asarray(scalars).size:
-        raise LengthMismatchError("model was trained without scalar covariates")
-    if model.train_scalars is not None:
-        if scalars is None or np.asarray(scalars).shape[1] != model.train_scalars.shape[1]:
-            raise LengthMismatchError("scalar covariate count differs from training")
-        scalars = np.asarray(scalars, float)
-        scalar_abs = scalar_abs_distances(scalars, model.train_scalars if to_train else None)
-    return TrainDistances(sw_sq=sw_sq, scalar_abs=scalar_abs)
-
-
 def predict(
     model: GpModel,
-    features: np.ndarray | None,
+    features: np.ndarray,
     scalars: np.ndarray | None = None,
     fingerprint: PqFingerprint | None = None,
 ) -> PredictiveDistribution:
@@ -508,26 +483,27 @@ def predict(
                 "test embeddings were built under a different configuration "
                 f"({fingerprint}) than the model ({model.fingerprint})"
             )
+    features = _feature_matrix(features)
+    scalars = scalar_matrix(scalars, len(features))
     _require_finite(features=features, scalars=scalars)
-    if model.train_features is None and features is not None:
-        raise ConfigMismatchError("model was trained without graph features")
-    n_test = 0
-    if features is not None:
-        features = np.asarray(features, dtype=float)
-        n_test = features.shape[0]
-    elif scalars is not None:
-        n_test = np.asarray(scalars).shape[0]
-    if n_test == 0:
-        return PredictiveDistribution(
-            mean=np.zeros(0), scale=np.zeros((0, 0)), dof=model.dof
+    if scalars.shape[1] != model.train_scalars.shape[1]:
+        raise LengthMismatchError(
+            f"scalar covariates: {scalars.shape[1]} given, "
+            f"the model was trained with {model.train_scalars.shape[1]}"
         )
-    cross_d = _test_distances(model, features, scalars, to_train=True)
+    cross_d = TrainDistances(
+        scipy.spatial.distance.cdist(features, model.train_features, "sqeuclidean"),
+        scalar_abs_distances(scalars, model.train_scalars),
+    )
     cross = _correlation(cross_d, model.ranges)  # (N*, N)
     mean = model.theta_hat + cross @ model.rinv_centered_y
     # (N, N*); the factor is finite (fit and load_model check it), and its
     # transposed view is the Fortran-ordered upper factor LAPACK reads as is
     rinv_cross_t = scipy.linalg.cho_solve((model.chol.T, False), cross.T, check_finite=False)
-    test_d = _test_distances(model, features, scalars, to_train=False)
+    test_d = TrainDistances(
+        scipy.spatial.distance.cdist(features, features, "sqeuclidean"),
+        scalar_abs_distances(scalars),
+    )
     cbar = _correlation(test_d, model.ranges) - cross @ rinv_cross_t
     trend_gap = 1.0 - cross @ model.rinv_h  # h* - R* R^-1 h
     cbar = cbar + np.outer(trend_gap, trend_gap) / model.h_rinv_h
@@ -569,10 +545,9 @@ def save_model(model: GpModel, path) -> None:
         "fingerprint": None if model.fingerprint is None else model.fingerprint.to_dict(),
         "swwl_precision_mapping": "gamma = 1 / range[0]**2",
     }
-    arrays = {"ranges": model.ranges, "chol": model.chol, "targets": model.targets}
-    if model.train_features is not None:
-        arrays["train_features"] = model.train_features
-    if model.train_scalars is not None:
+    arrays = {"ranges": model.ranges, "chol": model.chol, "targets": model.targets,
+              "train_features": model.train_features}
+    if model.train_scalars.shape[1]:
         arrays["train_scalars"] = model.train_scalars
     write_container(path, MODEL_MAGIC, header, arrays)
 
@@ -601,14 +576,16 @@ def load_model(path) -> GpModel:
     for name, a in arrays.items():
         if not np.all(np.isfinite(a)):
             raise ParseError(f"{path}: array {name!r} holds a NaN or infinite entry")
-    feats, scal = arrays.get("train_features"), arrays.get("train_scalars")
+    if "train_features" not in arrays:
+        raise ParseError(
+            f"{path}: no 'train_features' (a scalar-only model from an earlier release?)"
+        )
+    feats = arrays["train_features"]
+    scal = arrays.get("train_scalars", np.zeros((n, 0)))
     for name, a in (("train_features", feats), ("train_scalars", scal)):
-        if a is not None and (a.ndim != 2 or a.shape[0] != n):
+        if a.ndim != 2 or a.shape[0] != n:
             raise ParseError(f"{path}: {name!r} must hold one row per training record")
-    n_ranges = (feats is not None) + (0 if scal is None else scal.shape[1])
-    if n_ranges == 0:
-        raise ParseError(f"{path}: model holds neither training features nor scalars")
-    for name, shape in {"ranges": (n_ranges,), "chol": (n, n), "targets": (n,)}.items():
+    for name, shape in {"ranges": (1 + scal.shape[1],), "chol": (n, n), "targets": (n,)}.items():
         if name not in arrays or arrays[name].shape != shape:
             raise ParseError(f"{path}: array {name!r} must have shape {shape}")
     if not np.all(np.diag(arrays["chol"]) > 0):
@@ -635,7 +612,7 @@ def write_predictions_csv(
     level: float = 0.95,
 ) -> None:
     """Prediction table with mean, Student-t scale and interval bounds."""
-    lo, hi = dist.interval(level) if dist.mean.size else (np.zeros(0), np.zeros(0))
+    lo, hi = dist.interval(level)
     sd = dist.standard_errors()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -11,6 +11,7 @@ counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,18 @@ from .sliced import PqStore
 
 GRAM_MAGIC = "SWWL-G1"
 _TEXT_BLOCK_ROWS = 256
+
+
+def _check_hyperparameters(gammas, variance: float, nugget: float) -> None:
+    """ValidationError unless every precision and the variance are finite and
+    positive and the nugget is finite and nonnegative."""
+    for gamma in gammas:
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ValidationError(f"gamma must be finite and positive, got {gamma}")
+    if not (math.isfinite(variance) and variance > 0):
+        raise ValidationError(f"variance must be finite and positive, got {variance}")
+    if not (math.isfinite(nugget) and nugget >= 0):
+        raise ValidationError(f"nugget must be finite and nonnegative, got {nugget}")
 
 
 @dataclass(frozen=True)
@@ -42,15 +55,10 @@ class KernelConfig:
     nugget: float = 0.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
-        if self.variance <= 0:
-            raise ValidationError(f"variance must be positive, got {self.variance}")
-        if self.nugget < 0:
-            raise ValidationError(f"nugget must be nonnegative, got {self.nugget}")
+        _check_hyperparameters((self.gamma,), self.variance, self.nugget)
         ls = tuple(float(v) for v in self.matern_lengthscales)
-        if any(v <= 0 for v in ls):
-            raise ValidationError("Matern lengthscales must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in ls):
+            raise ValidationError(f"Matern lengthscales must be finite and positive, got {ls}")
         object.__setattr__(self, "matern_lengthscales", ls)
 
 
@@ -90,6 +98,16 @@ def sw_squared_distances(features: np.ndarray) -> np.ndarray:
     return squareform(pdist(features, "sqeuclidean"))
 
 
+def scalar_matrix(scalars: np.ndarray | None, n: int) -> np.ndarray:
+    """The scalar covariates of n inputs as an (n, m) matrix; None is m = 0."""
+    if scalars is None:
+        return np.zeros((n, 0))
+    scalars = np.asarray(scalars, dtype=float)
+    if scalars.ndim != 2 or scalars.shape[0] != n:
+        raise LengthMismatchError(f"scalars of shape {scalars.shape} for {n} inputs")
+    return scalars
+
+
 def scalar_abs_distances(scalars: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
     """Per-covariate |delta| tensors with shape (m, N, N') for cached reuse."""
     scalars = np.asarray(scalars, dtype=float)
@@ -98,21 +116,16 @@ def scalar_abs_distances(scalars: np.ndarray, other: np.ndarray | None = None) -
 
 
 def correlation_from_distances(
-    sw_sq: np.ndarray | None,
-    scalar_abs: np.ndarray | None,
+    sw_sq: np.ndarray,
+    scalar_abs: np.ndarray,
     gamma: float,
     lengthscales: np.ndarray,
 ) -> np.ndarray:
-    """Correlation matrix: exp(-gamma * d^2) times Matern-5/2 scalar factors."""
-    if sw_sq is not None:
-        corr = np.exp(-gamma * sw_sq)
-    else:
-        if scalar_abs is None or len(scalar_abs) == 0:
-            raise ValidationError("need at least one of graph or scalar distances")
-        corr = np.ones(scalar_abs.shape[1:])
-    if scalar_abs is not None:
-        for dist, ls in zip(scalar_abs, np.asarray(lengthscales, dtype=float)):
-            corr = corr * matern52(dist, ls)
+    """Correlation matrix: exp(-gamma * d^2) times one Matern-5/2 factor per
+    (N, N') slice of the (m, N, N') ``scalar_abs``, m >= 0."""
+    corr = np.exp(-gamma * sw_sq)
+    for dist, ls in zip(scalar_abs, np.asarray(lengthscales, dtype=float)):
+        corr = corr * matern52(dist, ls)
     return corr
 
 
@@ -120,7 +133,7 @@ def _gram(
     store: PqStore,
     block: int,
     sw_sq: np.ndarray,
-    scalar_abs: np.ndarray | None,
+    scalar_abs: np.ndarray,
     gamma: float,
     lengthscales,
     variance: float,
@@ -148,20 +161,14 @@ def assemble_gram(
     The upper triangle is computed once per unordered pair (condensed
     distances) and mirrored, so the result is symmetric by construction.
     """
-    n = len(store.ids)
-    if scalars is None:
-        scalars = np.zeros((n, 0))
-    scalars = np.asarray(scalars, dtype=float)
-    if scalars.shape[0] != n:
-        raise LengthMismatchError(f"{scalars.shape[0]} scalar rows for {n} embeddings")
+    scalars = scalar_matrix(scalars, len(store.ids))
     if scalars.shape[1] != len(cfg.matern_lengthscales):
         raise LengthMismatchError(
             f"{scalars.shape[1]} scalars but {len(cfg.matern_lengthscales)} lengthscales"
         )
-    scalar_abs = scalar_abs_distances(scalars) if scalars.shape[1] else None
     return _gram(
-        store, 0, sw_squared_distances(store.blocks[0]), scalar_abs, cfg.gamma,
-        cfg.matern_lengthscales, cfg.variance, cfg.nugget,
+        store, 0, sw_squared_distances(store.blocks[0]), scalar_abs_distances(scalars),
+        cfg.gamma, cfg.matern_lengthscales, cfg.variance, cfg.nugget,
         {"kind": "swwl", "gamma": cfg.gamma,
          "matern_lengthscales": list(cfg.matern_lengthscales)},
     )
@@ -181,6 +188,7 @@ def assemble_gram_aniso(
     The Gram carries the fingerprint of ``blocks[1]``.
     """
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
+    _check_hyperparameters(gammas, variance, nugget)
     iteration_blocks = store.blocks[1:]
     if not iteration_blocks:
         raise ValidationError("the store has no per-iteration blocks")
@@ -193,7 +201,7 @@ def assemble_gram_aniso(
     for features, g in zip(iteration_blocks, gammas):
         weighted_sq += g * sw_squared_distances(features)
     return _gram(
-        store, 1, weighted_sq, None, 1.0, (), variance, nugget,
+        store, 1, weighted_sq, np.zeros((0, n, n)), 1.0, (), variance, nugget,
         {"kind": "aswwl", "gammas": gammas.tolist()},
     )
 

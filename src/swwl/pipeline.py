@@ -52,7 +52,6 @@ def embed_dataset(
     seed: int,
     n_projections: int,
     n_quantiles: int,
-    r: float = 2.0,
     standardization: StandardizationStats | None = None,
     per_iteration: bool = False,
     jobs: int = 1,
@@ -94,7 +93,7 @@ def embed_dataset(
         for i, lo, hi in zip(range(start, stop), offsets, offsets[1:]):
             for block, projections, support in zip(blocks, projection_sets, supports):
                 measure = EmpiricalMeasure(support[lo:hi])
-                block[i] = pq_embed(measure, projections, grid, r=r).values
+                block[i] = pq_embed(measure, projections, grid).values
 
     batches = _batches(dataset.node_counts())
     if jobs > 1 and len(batches) > 1:
@@ -106,7 +105,7 @@ def embed_dataset(
 
     fingerprints = tuple(
         pq_fingerprint(
-            projections, grid, r,
+            projections, grid, 2.0,
             iterations=wl_config.iterations,
             standardized=standardization is not None,
         )

@@ -325,6 +325,11 @@ def load_pq_store(directory) -> PqStore:
     if not isinstance(fps, list) or not fps:
         raise ParseError(f"{path}: 'fingerprints' must be a non-empty list")
     fingerprints = tuple(PqFingerprint.from_dict(fp) for fp in fps)
+    for fp in fingerprints:
+        # the Gram and the GP take squared Euclidean distances between rows,
+        # which estimate the sliced Wasserstein distance only at r = 2
+        if fp.r != 2.0:
+            raise ParseError(f"{path}: embeddings of distance order r={fp.r:g}, not 2")
     if list(arrays) != [f"block{k}" for k in range(len(fingerprints))]:
         raise ParseError(f"{path}: arrays {list(arrays)} do not match the fingerprints")
     for fp, block in zip(fingerprints, arrays.values()):

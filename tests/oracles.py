@@ -235,7 +235,7 @@ def store_of(*row_lists):
 
 
 def embed_dataset_per_graph(
-    dataset, wl_config, *, seed, n_projections, n_quantiles, r=2.0,
+    dataset, wl_config, *, seed, n_projections, n_quantiles,
     standardization=None, per_iteration=False,
 ):
     """``swwl.embed_dataset`` with one WL run per graph, one graph after another.
@@ -262,10 +262,10 @@ def embed_dataset_per_graph(
             for h in wl_config.iterations[: len(blocks) - 1]
         ]
         for block, projections, support in zip(blocks, projection_sets, supports):
-            block[i] = pq_embed(EmpiricalMeasure(support), projections, grid, r=r).values
+            block[i] = pq_embed(EmpiricalMeasure(support), projections, grid).values
     fingerprints = tuple(
         pq_fingerprint(
-            projections, grid, r,
+            projections, grid, 2.0,
             iterations=wl_config.iterations,
             standardized=standardization is not None,
         )

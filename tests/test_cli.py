@@ -168,6 +168,60 @@ def test_gram_takes_exactly_one_kernel_exits_2(workspace, tmp_path, flags):
     assert not (tmp_path / "g.txt").exists()
 
 
+@pytest.fixture(scope="module")
+def aniso_store(workspace):
+    """The training records with one block per kept iteration (0 and 1)."""
+    out = workspace / "emb-aniso"
+    assert run("embed", "--input", workspace / "train.jsonl", "--out", out, "--iterations",
+               "0,1", "--projections", 6, "--quantiles", 12, "--seed", 9, "--aniso") == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--gamma", "nan"), ("--gamma", "inf"), ("--gamma", 0),
+     ("--gamma", 1, "--variance", -2), ("--gamma", 1, "--nugget", -1),
+     ("--gamma", 1, "--variance", "inf"), ("--gammas=-1,1,1,1", "--variance", -2, "--nugget", -1),
+     ("--gammas=-1,1",), ("--gammas", "1,nan"), ("--gammas", "1,1", "--variance", "nan"),
+     ("--gammas", "1,1", "--nugget", -1)],
+    ids=["gamma-nan", "gamma-inf", "gamma-0", "variance-negative", "nugget-negative",
+         "variance-inf", "gammas-variance-nugget-negative", "gammas-negative", "gammas-nan",
+         "gammas-variance-nan", "gammas-nugget-negative"],
+)
+def test_gram_refuses_bad_hyperparameters_exits_2(aniso_store, tmp_path, capsys, flags):
+    assert run("gram", "--embeddings", aniso_store, "--out", tmp_path / "g.txt", *flags) == 2
+    assert "must be finite and" in capsys.readouterr().err
+    assert not (tmp_path / "g.txt").exists()
+
+
+@pytest.mark.parametrize("flags", [("--variance", 5), ("--nugget", 3), ("--nugget", 0)])
+def test_gram_distances_only_refuses_kernel_flags_exits_2(workspace, tmp_path, capsys, flags):
+    assert run("gram", "--embeddings", workspace / "emb-train", "--out", tmp_path / "d.txt",
+               "--distances-only", *flags) == 2
+    assert "--distances-only takes neither" in capsys.readouterr().err
+    assert not (tmp_path / "d.txt").exists()
+
+
+def test_gram_manifests_record_the_variance_and_nugget_used(workspace, aniso_store, tmp_path):
+    runs = {
+        "iso": (("--embeddings", workspace / "emb-train", "--gamma", 1), (1.0, 0.0)),
+        "aniso": (("--embeddings", aniso_store, "--gammas", "1,2", "--nugget", 0.5), (1.0, 0.5)),
+        "d2": (("--embeddings", workspace / "emb-train", "--distances-only"), (None, None)),
+    }
+    for name, (flags, used) in runs.items():
+        out = tmp_path / f"{name}.txt"
+        assert run("gram", "--out", out, *flags) == 0
+        parameters = json.loads(Path(f"{out}.manifest.json").read_text())["parameters"]
+        assert (parameters["variance"], parameters["nugget"]) == used, name
+
+
+def test_embed_has_no_distance_order_flag(workspace, tmp_path):
+    # the Gram and the GP use squared Euclidean distances, the r = 2 estimate
+    with pytest.raises(SystemExit) as info:
+        run("embed", "--input", workspace / "train.jsonl", "--out", tmp_path / "e", "--r", 1)
+    assert info.value.code == 2
+
+
 def test_gram_gammas_without_iteration_blocks_exits_2(workspace, tmp_path, capsys):
     assert run("gram", "--embeddings", workspace / "emb-train", "--out", tmp_path / "g.txt",
                "--gammas", "0.5,1") == 2

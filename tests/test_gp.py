@@ -75,9 +75,7 @@ class TestPosterior:
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, (12, 1))
         y = np.sin(3 * x[:, 0])
-        distances = TrainDistances(
-            sw_sq=None, scalar_abs=np.abs(x[:, 0][None, :, None] - x[:, 0][None, None, :])
-        )
+        distances = build_train_distances(x, None)
         mid = marginal_posterior(np.log([0.3]), distances, y)
         tiny = marginal_posterior(np.log([1e-8]), distances, y)
         huge = marginal_posterior(np.log([1e8]), distances, y)
@@ -94,14 +92,17 @@ def scalar_inputs(n, seed=0):
 
 class TestFit:
     def test_scalar_only_leave_one_out(self):
+        # the covariate enters as a Matern factor only: a constant feature
+        # column makes every graph distance 0 and the graph factor 1
         x, y = scalar_inputs(30)
+        zero = np.zeros((len(y), 1))
         keep_rmse = []
         for i in range(len(y)):
             mask = np.arange(len(y)) != i
             model = fit(
-                None, x[mask], y[mask], settings=GpSettings(multistarts=3, nugget=1e-8)
+                zero[mask], x[mask], y[mask], settings=GpSettings(multistarts=3, nugget=1e-8)
             )
-            dist = predict(model, None, x[i : i + 1])
+            dist = predict(model, zero[i : i + 1], x[i : i + 1])
             keep_rmse.append(float(dist.mean[0] - y[i]))
         loo = float(np.sqrt(np.mean(np.square(keep_rmse))))
         assert loo < 0.1 * float(np.std(y))
@@ -110,12 +111,12 @@ class TestFit:
         x = np.array([[0.0], [0.0], [1.0]])
         y = np.array([0.0, 1.0, 2.0])
         with pytest.raises(OptimizationError, match="nugget"):
-            fit(None, x, y, settings=GpSettings(nugget=0.0, multistarts=2))
+            fit(x, None, y, settings=GpSettings(nugget=0.0, multistarts=2))
 
     def test_constant_targets_rejected(self):
         x = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(ConstantTargetError):
-            fit(None, x, np.ones(3))
+            fit(x, None, np.ones(3))
 
     def test_sigma2_matches_quadratic_form(self):
         rng = np.random.default_rng(1)
@@ -139,10 +140,8 @@ class TestFit:
 
     def test_local_optimality_of_reported_ranges(self):
         x, y = scalar_inputs(20, seed=2)
-        model = fit(None, x, y, settings=GpSettings(multistarts=3))
-        distances = TrainDistances(
-            sw_sq=None, scalar_abs=np.abs(x[:, 0][None, :, None] - x[:, 0][None, None, :])
-        )
+        model = fit(x, None, y, settings=GpSettings(multistarts=3))
+        distances = build_train_distances(x, None)
         best = marginal_posterior(np.log(model.ranges), distances, y, model.nugget)
         for bump in (0.8, 1.2):
             perturbed = marginal_posterior(
@@ -174,10 +173,12 @@ class TestPredict:
 
     def test_empty_test_set(self):
         x, y = scalar_inputs(8, seed=5)
-        model = fit(None, x, y, settings=GpSettings(multistarts=1))
-        dist = predict(model, None, np.zeros((0, 1)))
+        model = fit(x, None, y, settings=GpSettings(multistarts=1))
+        dist = predict(model, np.zeros((0, 1)), None)
         assert dist.mean.shape == (0,)
         assert dist.scale.shape == (0, 0)
+        assert dist.scale_diagonal().shape == (0,)
+        assert all(bound.shape == (0,) for bound in dist.interval())
 
     def test_target_shift_equivariance(self):
         rng = np.random.default_rng(6)
@@ -232,8 +233,8 @@ class TestPredict:
             y = np.sin(2.0 * x[:, 0]) + 0.05 * rng.standard_normal(25)
             xt = rng.uniform(-2, 2, (15, 1))
             truth = np.sin(2.0 * xt[:, 0])
-            model = fit(None, x, y, settings=GpSettings(multistarts=2, nugget=1e-6, seed=seed))
-            lo, hi = predict(model, None, xt).interval(0.95)
+            model = fit(x, None, y, settings=GpSettings(multistarts=2, nugget=1e-6, seed=seed))
+            lo, hi = predict(model, xt, None).interval(0.95)
             hits += int(np.sum((truth >= lo) & (truth <= hi)))
             total += len(truth)
         assert hits / total >= 0.85
@@ -307,6 +308,33 @@ class TestMetricsAndIO:
         assert np.array_equal(a.scale, b.scale)
 
 
+    def test_model_without_scalars_stores_no_scalar_array(self, tmp_path):
+        features, _, y = _fit_inputs()
+        model = fit(features, None, y, settings=GpSettings(multistarts=1))
+        assert model.train_scalars.shape == (25, 0)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        _, arrays = read_container(path, MODEL_MAGIC)
+        assert set(arrays) == {"ranges", "chol", "targets", "train_features"}
+        back = load_model(path)
+        assert back.train_scalars.shape == (25, 0)
+        assert np.array_equal(predict(back, features[:4]).mean, predict(model, features[:4]).mean)
+
+    def test_scalar_only_model_file_is_refused(self, tmp_path):
+        # a model on scalar covariates alone, as earlier releases wrote them:
+        # one range per covariate and no training features
+        features, scalars, y = _fit_inputs()
+        model = fit(features, scalars, y, settings=GpSettings(multistarts=1))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        header, arrays = read_container(path, MODEL_MAGIC)
+        del arrays["train_features"]
+        arrays["ranges"] = arrays["ranges"][1:]
+        write_container(path, MODEL_MAGIC, header, arrays)
+        with pytest.raises(ParseError, match="no 'train_features'"):
+            load_model(path)
+
+
 def _set(mapping, key, value):
     mapping[key] = value
 
@@ -345,13 +373,14 @@ def _first_records(header, arrays, k):
         lambda h, a: _set(h, "train_ids", [1, {"a": 2}, None, [3]] + h["train_ids"][4:]),
         lambda h, a: _first_records(h, a, 0),
         lambda h, a: _first_records(h, a, 1),
+        lambda h, a: a.pop("train_features"),
     ],
     ids=["no-nugget", "nugget-str", "no-ids", "ids-vs-n", "n-str",
          "no-ranges", "ranges-count", "chol-shape", "targets-length",
          "scalar-rows", "features-1d", "no-inputs", "nugget-nan",
          "rinv-h-inf", "chol-nan", "features-inf", "ranges-nan",
          "chol-zero-diagonal", "chol-negative-diagonal", "constant-targets",
-         "ids-not-str", "n-0", "n-1"],
+         "ids-not-str", "n-0", "n-1", "no-features"],
 )
 def test_malformed_model_is_parse_error(tmp_path, damage):
     rng = np.random.default_rng(10)
@@ -431,8 +460,11 @@ def test_several_ranges_optimum_matches_five_start_reference(n_scalars, seed):
     x = rng.uniform(-2.0, 2.0, (40, n_scalars))
     y = np.sin(2.0 * x[:, 0]) + np.cos(3.0 * x[:, 1]) + x[:, 2:].sum(axis=1)
     y = y + 0.01 * rng.standard_normal(40)
-    model = fit(None, x, y)
-    want, _ = multistart_nelder_mead(build_train_distances(None, x), y, model.nugget)
+    # the first covariate as the graph features, the others as scalars
+    model = fit(x[:, :1], x[:, 1:], y)
+    want, _ = multistart_nelder_mead(
+        build_train_distances(x[:, :1], x[:, 1:]), y, model.nugget
+    )
     assert model.diagnostics.log_posterior >= want - 1e-6 * abs(want)
 
 
@@ -532,19 +564,27 @@ def test_settings_refuse_out_of_range_values(settings):
 def test_predict_refuses_scalars_the_model_was_not_trained_with():
     features, scalars, y = _fit_inputs()
     model = fit(features, None, y, settings=GpSettings(multistarts=1))
-    with pytest.raises(LengthMismatchError, match="without scalar covariates"):
+    with pytest.raises(LengthMismatchError, match="1 given, the model was trained with 0"):
         predict(model, features[:4], scalars[:4])
     no_scalars = predict(model, features[:4], None)
     empty = predict(model, features[:4], np.zeros((4, 0)))
     assert np.array_equal(no_scalars.mean, empty.mean)
+    # and the converse: a model with a covariate, test inputs without one
+    model = fit(features, scalars, y, settings=GpSettings(multistarts=1))
+    for missing in (None, np.zeros((4, 0))):
+        with pytest.raises(LengthMismatchError, match="0 given, the model was trained with 1"):
+            predict(model, features[:4], missing)
 
 
-def test_predict_refuses_features_the_model_was_not_trained_with():
+def test_fit_and_predict_refuse_a_missing_feature_matrix():
     features, scalars, y = _fit_inputs()
-    model = fit(None, scalars, y, settings=GpSettings(multistarts=1))
-    with pytest.raises(ConfigMismatchError, match="without graph features"):
-        predict(model, features[:5], scalars[:3])
-    assert predict(model, None, scalars[:3]).mean.shape == (3,)
+    with pytest.raises(ValidationError, match="graph features are required"):
+        fit(None, scalars, y)
+    model = fit(features, scalars, y, settings=GpSettings(multistarts=1))
+    with pytest.raises(ValidationError, match="graph features are required"):
+        predict(model, None, scalars[:3])
+    with pytest.raises(ValidationError, match=r"must be an \(N, W\) matrix"):
+        predict(model, features[0], scalars[:1])
 
 
 def test_fit_keeps_the_factor_of_the_best_point_scored(monkeypatch):

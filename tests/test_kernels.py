@@ -234,6 +234,26 @@ class TestAssembleGram:
                 assert gram.values[i, j] == pytest.approx(want, rel=1e-12)
         assert check_psd(gram).is_psd
 
+    @pytest.mark.parametrize(
+        "gamma, variance, nugget",
+        [(-1.0, 1.0, 0.0), (0.0, 1.0, 0.0), (math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
+         (1.0, -2.0, 0.0), (1.0, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, math.inf, 0.0),
+         (1.0, 1.0, -1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)],
+    )
+    def test_both_assemblies_refuse_bad_hyperparameters(self, gamma, variance, nugget):
+        # precisions and variance finite and > 0, nugget finite and >= 0
+        embs = random_embeddings(np.random.default_rng(7), 3)
+        with pytest.raises(ValidationError):
+            KernelConfig(gamma=gamma, variance=variance, nugget=nugget)
+        with pytest.raises(ValidationError):
+            assemble_gram_aniso(store_of(embs, embs), [gamma], variance, nugget)
+        assert assemble_gram_aniso(store_of(embs, embs), [1.0]).size == 3
+
+    @pytest.mark.parametrize("lengthscale", [0.0, -1.0, math.nan, math.inf])
+    def test_matern_lengthscales_must_be_finite_and_positive(self, lengthscale):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            KernelConfig(gamma=1.0, matern_lengthscales=(1.0, lengthscale))
+
     def test_distance_cache_equals_direct_assembly(self):
         rng = np.random.default_rng(6)
         embs = random_embeddings(rng, 7)

@@ -109,9 +109,7 @@ def test_per_iteration_and_standardization(monkeypatch, per_iteration, standardi
     monkeypatch.setattr(pipeline, "_BATCH_NODES", 40)
     dataset = _random_dataset(5, [12, 9, 15, 11, 8, 14, 10])
     stats = compute_standardization(dataset) if standardize else None
-    _assert_matches_per_graph(
-        dataset, per_iteration=per_iteration, standardization=stats, r=1.5
-    )
+    _assert_matches_per_graph(dataset, per_iteration=per_iteration, standardization=stats)
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 8])

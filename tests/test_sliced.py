@@ -515,6 +515,7 @@ def _rewrite_header(path, edit):
         lambda h: h.update(source_sha256="AB" * 32),
         lambda h: h.update(source_sha256=7),
         lambda h: h.pop("scalars"),  # a hash vouches for recorded scalars
+        lambda h: h["fingerprints"][0].update(r=1.0),  # distances are squared Euclidean
     ],
 )
 def test_malformed_store_header_is_parse_error(tmp_path, edit):
