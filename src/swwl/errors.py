@@ -42,7 +42,8 @@ class EmptyInputError(SwwlError):
 
 
 class DimensionMismatchError(SwwlError):
-    """Projection directions and measure support live in different spaces."""
+    """Arrays that must live in one space do not, such as projection
+    directions and a measure's support, or test and training features."""
 
 
 class ConfigMismatchError(SwwlError):

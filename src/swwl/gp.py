@@ -32,6 +32,7 @@ from .binio import read_container, write_container
 from .errors import (
     ConfigMismatchError,
     ConstantTargetError,
+    DimensionMismatchError,
     LengthMismatchError,
     OptimizationError,
     ParseError,
@@ -476,6 +477,8 @@ def predict(
 
     Refuses embeddings whose fingerprint differs from the training one; the
     projection directions define the feature space and must be shared.
+    Features of another width than the training ones are refused with
+    DimensionMismatchError even when no fingerprints are given.
     """
     if model.fingerprint is not None and fingerprint is not None:
         if model.fingerprint != fingerprint:
@@ -484,6 +487,11 @@ def predict(
                 f"({fingerprint}) than the model ({model.fingerprint})"
             )
     features = _feature_matrix(features)
+    if features.shape[1] != model.train_features.shape[1]:
+        raise DimensionMismatchError(
+            f"graph features: {features.shape[1]} wide, "
+            f"the model was trained on {model.train_features.shape[1]}-wide features"
+        )
     scalars = scalar_matrix(scalars, len(features))
     _require_finite(features=features, scalars=scalars)
     if scalars.shape[1] != model.train_scalars.shape[1]:

@@ -8,6 +8,7 @@ rows back to inputs downstream.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 from dataclasses import dataclass, field
@@ -261,19 +262,47 @@ def _record_from_obj(obj: dict, line: int) -> GraphRecord:
     )
 
 
+class _GcPaused:
+    """Hold off the cyclic garbage collector, then restore the caller's setting.
+
+    Decoding or encoding JSONL allocates a few short-lived lists per node and
+    per edge, and that churn sets off hundreds of collector passes per file
+    (several of them over the whole heap) which find nothing: JSON values and
+    the records built from them hold no reference cycles. Reference counting
+    still frees everything as usual while the collector is off. What the
+    block allocates still counts towards the young generation, so the first
+    allocation after it may start one young-generation pass; this is a class
+    rather than a generator so that its exit allocates nothing. Of calls
+    overlapping in several threads, the first to exit that found the
+    collector on turns it back on while the others may still be working;
+    that costs them time, never a different result.
+    """
+
+    def __enter__(self):
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self._was_enabled:
+            gc.enable()
+
+
 def load_dataset(source) -> Dataset:
     """Load a dataset; one JSON object per line per the documented schema.
 
     ``source`` is a path, or the bytes of such a file already read, so that
-    a caller can hash exactly the bytes that are parsed.
+    a caller can hash exactly the bytes that are parsed. Record ids must be
+    unique within the file (an explicit ``id`` or the ``record-<line>``
+    default); a repeated one is a ParseError naming both lines.
     """
     records = []
+    first_line = {}  # record id -> line it first appeared on
     if isinstance(source, bytes):
         fh = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
     else:
         fh = open(source, "r", encoding="utf-8")
     try:
-        with fh:
+        with _GcPaused(), fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -282,12 +311,18 @@ def load_dataset(source) -> Dataset:
                 except ValueError as exc:  # also an integer literal of over 4300 digits
                     raise ParseError(str(exc), line=lineno) from exc
                 try:
-                    records.append(_record_from_obj(obj, lineno))
+                    rec = _record_from_obj(obj, lineno)
                 except OverflowError as exc:  # a JSON integer beyond the double range
                     raise ParseError(f"number out of range: {exc}", line=lineno) from exc
+                seen = first_line.setdefault(rec.id, lineno)
+                if seen != lineno:
+                    raise ParseError(
+                        f"record id {rec.id!r} repeats the id of line {seen}", line=lineno
+                    )
+                records.append(rec)
+            return Dataset(records=tuple(records))
     except UnicodeDecodeError as exc:
         raise _not_utf8(source, exc) from exc
-    return Dataset(records=tuple(records))
 
 
 def _not_utf8(source, exc: UnicodeDecodeError) -> ParseError:
@@ -304,7 +339,7 @@ def _not_utf8(source, exc: UnicodeDecodeError) -> ParseError:
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write JSONL that reloads bit-exactly (shortest round-trip floats)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _GcPaused(), open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in dataset:
             g = rec.graph
             edges = [

@@ -115,6 +115,16 @@ def test_failed_embed_leaves_no_output_directory(tmp_path):
     assert not out.exists()
 
 
+def test_embed_refuses_a_repeated_record_id_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    record = '{"id":"a","nodes":[[0.0],[1.0]],"edges":[[0,1]],"target":1.0}'
+    bad.write_text(record + "\n" + record + "\n")
+    out = tmp_path / "emb"
+    assert run("embed", "--input", bad, "--out", out, "--projections", 2, "--quantiles", 4) == 2
+    assert "line 2: record id 'a' repeats the id of line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gram_identical_caches_all_ones(tmp_path):
     rng = np.random.default_rng(1)
     g = AttributedGraph(rng.standard_normal((6, 2)), np.array([[0, 1], [2, 3]]))
@@ -532,6 +542,27 @@ def test_predict_with_malformed_model_exits_2(workspace, tmp_path):
         "predict", "--model", model_path, "--input", workspace / "test.jsonl",
         "--embeddings", workspace / "emb-test", "--out", tmp_path / "p.csv",
     ) == 2
+
+
+def test_predict_with_features_of_another_width_exits_2(workspace, tmp_path, capsys):
+    model_path = tmp_path / "model.bin"
+    assert run(
+        "fit", "--input", workspace / "train.jsonl", "--embeddings",
+        workspace / "emb-train", "--out", model_path, "--multistarts", 1,
+    ) == 0
+    # a model without a fingerprint (as the library writes by default) whose
+    # training features are 5 wide, given the test store's 72-wide features
+    header, arrays = read_container(model_path, MODEL_MAGIC)
+    header["fingerprint"] = None
+    arrays["train_features"] = np.ascontiguousarray(arrays["train_features"][:, :5])
+    write_container(model_path, MODEL_MAGIC, header, arrays)
+    out = tmp_path / "p.csv"
+    assert run(
+        "predict", "--model", model_path, "--input", workspace / "test.jsonl",
+        "--embeddings", workspace / "emb-test", "--out", out,
+    ) == 2
+    assert "72 wide, the model was trained on 5-wide features" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_aniso_flow(tmp_path):

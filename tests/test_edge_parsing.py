@@ -58,7 +58,7 @@ def test_mixed_entry_lengths_and_integer_floats_load(tmp_path):
     path = tmp_path / "ds.jsonl"
     record = {"id": "g", "nodes": [[0.0], [1.0], [2.0], [3.0]],
               "edges": [[0, 1], [1.0, 2.0, 0.5], [2, 3, 2], [3.0, 0]]}
-    path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "edges": []}) + "\n")
+    path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": "h", "edges": []}) + "\n")
     mixed, empty = load_dataset(path).records
     assert mixed.graph.edges.tolist() == [[0, 1], [1, 2], [2, 3], [3, 0]]
     assert mixed.graph.weights.tolist() == [1.0, 0.5, 2.0, 1.0]

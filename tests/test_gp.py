@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 
 from swwl import (
     GpSettings,
@@ -18,6 +19,7 @@ from swwl import (
 from swwl.errors import (
     ConfigMismatchError,
     ConstantTargetError,
+    DimensionMismatchError,
     LengthMismatchError,
     OptimizationError,
     ParseError,
@@ -585,6 +587,24 @@ def test_fit_and_predict_refuse_a_missing_feature_matrix():
         predict(model, None, scalars[:3])
     with pytest.raises(ValidationError, match=r"must be an \(N, W\) matrix"):
         predict(model, features[0], scalars[:1])
+
+
+def test_predict_refuses_features_of_another_width(monkeypatch):
+    features, _, y = _fit_inputs()
+    model = fit(features, None, y, settings=GpSettings(multistarts=1))
+    rng = np.random.default_rng(5)
+
+    def no_distances(*args, **kwargs):
+        raise AssertionError("distances computed before the width check")
+
+    # no fingerprints to compare: the width alone tells the feature spaces apart
+    monkeypatch.setattr(scipy.spatial.distance, "cdist", no_distances)
+    for width in (3, 5):
+        with pytest.raises(
+            DimensionMismatchError, match=f"{width} wide, the model was trained on 4-wide"
+        ) as info:
+            predict(model, rng.standard_normal((2, width)))
+        assert info.value.exit_code == 2
 
 
 def test_fit_keeps_the_factor_of_the_best_point_scored(monkeypatch):

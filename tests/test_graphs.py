@@ -1,5 +1,7 @@
 """Dataset containers, JSONL ingestion and validation."""
 
+import contextlib
+import gc
 import json
 
 import numpy as np
@@ -63,9 +65,30 @@ def test_load_dimension_mismatch(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "lines, rec_id, first, repeat",
+    [
+        (['{"id":"a","nodes":[[0.0]]}', '{"id":"b","nodes":[[1.0]]}',
+          '{"id":"a","nodes":[[2.0]]}'], "a", 1, 3),
+        # an explicit id equal to the default id of a later line
+        (['{"id":"record-2","nodes":[[0.0]]}', '{"nodes":[[1.0]]}'], "record-2", 1, 2),
+    ],
+    ids=["explicit", "explicit-and-default"],
+)
+def test_repeated_record_id_is_a_parse_error_naming_both_lines(
+    tmp_path, lines, rec_id, first, repeat
+):
+    path = tmp_path / "ds.jsonl"
+    write_lines(path, lines)
+    message = f"line {repeat}: record id '{rec_id}' repeats the id of line {first}"
+    with pytest.raises(ParseError, match=message) as info:
+        load_dataset(path)
+    assert info.value.line == repeat
+
+
 @pytest.mark.parametrize("as_bytes", [False, True])
 def test_bytes_that_are_not_utf8_are_a_parse_error_naming_the_line(tmp_path, as_bytes):
-    good = '{"id":"a","nodes":[[0.0]],"edges":[]}'
+    good = '{"nodes":[[0.0]],"edges":[]}'  # ids default to record-<line>, so differ
     # the bad byte lies beyond the decoder's first read-ahead chunk
     data = "\n".join([good] * 400).encode() + b'\n{"id":"\xb8","nodes":[[0.0]]}\n'
     path = tmp_path / "ds.jsonl"
@@ -174,6 +197,108 @@ def test_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "ds2.jsonl"
     save_dataset(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the block with the cyclic GC on or off, then restore its setting."""
+    was_enabled = gc.isenabled()
+    set_collector(enabled)
+    try:
+        yield
+    finally:
+        set_collector(was_enabled)
+
+
+def set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def passes_during(call, *args):
+    """The generation of each collector pass that ``call(*args)`` starts,
+    with the collector on and its generations emptied beforehand."""
+    passes = []
+
+    def hook(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    with collector(True):
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            call(*args)
+            # counted before anything else allocates: the allocations made
+            # during a pause may start a young pass at the next allocation
+            count = len(passes)
+        finally:
+            gc.callbacks.remove(hook)
+    return passes[:count]
+
+
+def large_dataset(n_records=20, n_nodes=800):
+    """Records big enough that one record's JSON lists outnumber the young
+    generation's threshold (700 allocations)."""
+    rng = np.random.default_rng(3)
+    path = np.stack([np.arange(n_nodes - 1), np.arange(1, n_nodes)], axis=1)
+    return Dataset(records=tuple(
+        GraphRecord(
+            graph=AttributedGraph(rng.standard_normal((n_nodes, 2)), path),
+            scalars=rng.standard_normal(1),
+            target=float(i),
+            id=f"rec{i}",
+        )
+        for i in range(n_records)
+    ))
+
+
+def test_load_and_save_start_no_collector_pass(tmp_path, monkeypatch):
+    ds = large_dataset()
+    path = tmp_path / "ds.jsonl"
+    assert passes_during(save_dataset, ds, path) == []
+    assert passes_during(load_dataset, path) == []
+    assert load_dataset(path).ids == ds.ids
+    # without the pause the same calls start passes, so the empty counts
+    # above are not for want of allocations
+    monkeypatch.setattr("swwl.graphs._GcPaused", contextlib.nullcontext)
+    assert passes_during(save_dataset, ds, path)
+    assert passes_during(load_dataset, path)
+
+
+GOOD_RECORD = b'{"nodes":[[0.0],[1.0]],"edges":[[0,1]]}\n'
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (GOOD_RECORD, None),
+        (GOOD_RECORD + b"{not json\n", ParseError),
+        (GOOD_RECORD + b'{"nodes":[[0.0],[1.0]],"edges":[[0,5]]}\n', ValidationError),
+        (GOOD_RECORD + b'{"id":"\xb8","nodes":[[0.0]]}\n', ParseError),
+    ],
+    ids=["loaded", "parse-error", "validation-error", "not-utf8"],
+)
+def test_load_leaves_the_callers_collector_setting(tmp_path, enabled, data, error):
+    path = tmp_path / "ds.jsonl"
+    path.write_bytes(data)
+    with collector(enabled):
+        if error is None:
+            load_dataset(path)
+        else:
+            with pytest.raises(error):
+                load_dataset(path)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_save_leaves_the_callers_collector_setting(tmp_path, enabled):
+    with collector(enabled):
+        save_dataset(random_dataset(np.random.default_rng(4)), tmp_path / "ds.jsonl")
+        assert gc.isenabled() is enabled
 
 
 def test_degree_sum_equals_twice_edges():
