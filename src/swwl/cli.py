@@ -52,11 +52,10 @@ from .kernels import (
     assemble_gram,
     assemble_gram_aniso,
     check_psd,
-    load_gram_binary,
-    load_gram_text,
+    load_gram,
     save_gram_binary,
     save_gram_text,
-    sw_squared_distances,
+    sq_distances,
 )
 from .pipeline import embed_dataset
 from .sliced import PqStore, load_pq_store, save_pq_store
@@ -256,7 +255,7 @@ def cmd_gram(args) -> int:
         store = load_pq_store(args.embeddings)
     if args.distances_only:
         with stages.time("assemble"):
-            values = sw_squared_distances(store.blocks[0])
+            values = sq_distances(store.blocks[0])
         fp = store.fingerprints[0].to_dict()
         fp.update({"kind": "sw-squared-distances", "gamma": 0.0})
         gram = GramMatrix(values=values, row_ids=store.ids, fingerprint=fp)
@@ -312,10 +311,7 @@ def cmd_fit(args) -> int:
             ids=store.ids,
             fingerprint=store.fingerprints[0],
             settings=GpSettings(
-                nugget=args.nugget,
-                multistarts=args.multistarts,
-                max_evals=args.max_evals,
-                seed=args.opt_seed,
+                nugget=args.nugget, multistarts=args.multistarts, seed=args.opt_seed
             ),
         )
     with stages.time("write"):
@@ -466,7 +462,7 @@ def cmd_bench(args) -> int:
 def cmd_check_psd(args) -> int:
     stages = _Stages()
     with stages.time("load"):
-        gram = load_gram_binary(args.gram) if args.binary else load_gram_text(args.gram)
+        gram = load_gram(args.gram)
     with stages.time("check_psd"):
         report = check_psd(gram, tol=args.tol)
     print(
@@ -545,8 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multistarts", type=int, default=1,
                    help="Nelder-Mead runs: the first from the best of a 9-point "
                    "log-range grid, the others from --opt-seed random starts")
-    p.add_argument("--max-evals", type=int, default=400,
-                   help="posterior evaluations per Nelder-Mead run")
     p.add_argument("--opt-seed", type=int, default=0)
     p.set_defaults(func=cmd_fit)
 
@@ -570,8 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("check-psd", help="report the smallest eigenvalue of a Gram file")
-    p.add_argument("--gram", required=True)
-    p.add_argument("--binary", action="store_true")
+    p.add_argument("--gram", required=True, help="a text or binary (SWWL-G1) Gram")
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_check_psd)
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-import scipy.spatial.distance
 import scipy.stats
 
 from .binio import read_container, write_container
@@ -38,7 +37,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .kernels import correlation_from_distances, scalar_abs_distances, scalar_matrix
+from .kernels import correlation_from_distances, scalar_abs_distances, scalar_matrix, sq_distances
 from .sliced import PqFingerprint
 
 MODEL_MAGIC = "SWWL-M1"
@@ -50,6 +49,8 @@ DEFAULT_NUGGET = 1e-8
 # centre, then a Nelder-Mead simplex half a grid step wide around the best.
 GRID_SHIFTS = np.arange(-4.0, 5.0)
 SIMPLEX_STEP = 0.5
+# objective calls each Nelder-Mead run may make (a one-range fit scores 25-40)
+MAX_EVALS = 400
 
 
 def jr_prior_rate(n: int, n_ranges: int, a: float = JR_PRIOR_A) -> float:
@@ -101,22 +102,19 @@ def _feature_matrix(features: np.ndarray) -> np.ndarray:
 
 def build_train_distances(features: np.ndarray, scalars: np.ndarray | None) -> TrainDistances:
     feats = _feature_matrix(features)
-    sw_sq = scipy.spatial.distance.squareform(
-        scipy.spatial.distance.pdist(feats, "sqeuclidean")
+    return TrainDistances(
+        sq_distances(feats), scalar_abs_distances(scalar_matrix(scalars, len(feats)))
     )
-    return TrainDistances(sw_sq, scalar_abs_distances(scalar_matrix(scalars, len(feats))))
 
 
-def _correlation(distances: TrainDistances, ranges: np.ndarray) -> np.ndarray:
+def _correlation(distances: TrainDistances, ranges: np.ndarray, nugget: float = 0.0) -> np.ndarray:
+    """R at the given ranges; a nugget is added in place to the diagonal of
+    the fresh (square) matrix."""
     ranges = np.asarray(ranges, dtype=float)
     gamma = 1.0 / (ranges[0] * ranges[0])
-    return correlation_from_distances(distances.sw_sq, distances.scalar_abs, gamma, ranges[1:])
-
-
-def _nugget_correlation(distances: TrainDistances, ranges: np.ndarray, nugget: float) -> np.ndarray:
-    """R + nugget * I, the nugget added in place to the fresh correlation matrix."""
-    corr = _correlation(distances, ranges)
-    corr.flat[:: corr.shape[0] + 1] += nugget
+    corr = correlation_from_distances(distances.sw_sq, distances.scalar_abs, gamma, ranges[1:])
+    if nugget:
+        corr.flat[:: len(corr) + 1] += nugget
     return corr
 
 
@@ -187,7 +185,7 @@ def posterior_parts(
             f"{len(ranges)} ranges for {distances.n_ranges} coordinates"
         )
     try:
-        chol = np.linalg.cholesky(_nugget_correlation(distances, ranges, nugget))
+        chol = np.linalg.cholesky(_correlation(distances, ranges, nugget))
     except np.linalg.LinAlgError:
         return PosteriorParts(
             value=-np.inf, log_likelihood=-np.inf, log_prior=0.0, s2=np.nan,
@@ -225,7 +223,7 @@ def marginal_posterior(
     distances: TrainDistances,
     targets: np.ndarray,
     nugget: float = DEFAULT_NUGGET,
-    best: _BestPoint | None = None,
+    best: _Search | None = None,
 ) -> float:
     """The value of :func:`posterior_parts`; the evaluation is offered to ``best``."""
     parts = posterior_parts(log_ranges, distances, targets, nugget)
@@ -250,33 +248,22 @@ class FitDiagnostics:
     log_posterior: float
 
 
-class _BestPoint:
-    """The highest finite-scoring log-ranges offered so far, with their
-    :class:`PosteriorParts`, whose factor becomes the fitted model's, so that
-    ``fit`` does not factorize R once more at the optimum.
+class _Search:
+    """The range search's objective, minus the log marginal posterior, and
+    its record: each point is scored once (one N x N Cholesky), keyed by its
+    exact bytes, as Nelder-Mead revisits points; -inf costs ``PENALTY``, a
+    finite stand-in that keeps the simplex well defined; and the best point
+    keeps its :class:`PosteriorParts`, whose factor becomes the model's.
     """
 
-    def __init__(self):
-        self.log_ranges = None
-        self.parts = None
+    PENALTY = 1e300
 
-    def offer(self, log_ranges: np.ndarray, parts: PosteriorParts) -> None:
-        if np.isfinite(parts.value) and (self.parts is None or parts.value > self.parts.value):
-            self.log_ranges, self.parts = log_ranges, parts
-
-
-class _ScoreMemo:
-    """Objective wrapper that scores each point once, keyed by its exact bytes.
-
-    The first Nelder-Mead run starts from the best grid point, which is
-    already scored, and every run revisits points it has scored; each visit
-    would otherwise factorize the same N x N correlation matrix again.
-    """
-
-    def __init__(self, score):
-        self.score = score
+    def __init__(self, distances: TrainDistances, targets: np.ndarray, nugget: float):
+        self.distances, self.targets, self.nugget = distances, targets, nugget
         self.scores = {}
         self.hits = 0
+        self.log_ranges = None
+        self.parts = None
 
     def __call__(self, log_ranges: np.ndarray) -> float:
         key = log_ranges.tobytes()
@@ -286,6 +273,22 @@ class _ScoreMemo:
         else:
             self.hits += 1
         return value
+
+    def score(self, log_ranges: np.ndarray) -> float:
+        value = marginal_posterior(log_ranges, self.distances, self.targets, self.nugget, self)
+        return -value if np.isfinite(value) else self.PENALTY
+
+    def offer(self, log_ranges: np.ndarray, parts: PosteriorParts) -> None:
+        if np.isfinite(parts.value) and (self.parts is None or parts.value > self.parts.value):
+            self.log_ranges, self.parts = log_ranges, parts
+
+    def diagnostics(self) -> FitDiagnostics:
+        return FitDiagnostics(
+            posterior_evaluations=len(self.scores),
+            repeated_points=self.hits,
+            failed_points=sum(v >= self.PENALTY for v in self.scores.values()),
+            log_posterior=self.parts.value,
+        )
 
 
 @dataclass(frozen=True)
@@ -337,7 +340,6 @@ class GpModel:
 class GpSettings:
     nugget: float = DEFAULT_NUGGET
     multistarts: int = 1
-    max_evals: int = 400
     seed: int = 0
 
     def __post_init__(self):
@@ -345,8 +347,6 @@ class GpSettings:
             raise ValidationError(f"nugget must be finite and nonnegative, got {self.nugget}")
         if self.multistarts < 1:
             raise ValidationError(f"multistarts must be at least 1, got {self.multistarts}")
-        if self.max_evals < 1:
-            raise ValidationError(f"max_evals must be at least 1, got {self.max_evals}")
 
 
 @dataclass(frozen=True)
@@ -399,8 +399,8 @@ def fit(
     one Nelder-Mead run then starts from the best grid point, with a simplex
     half a grid step wide. Each further start (``settings.multistarts - 1``
     of them) runs Nelder-Mead from the grid centre plus a U(-2, 2) offset per
-    coordinate drawn from ``Philox(settings.seed)``. ``settings.max_evals``
-    bounds each Nelder-Mead run; the grid is scored on top of it. The model
+    coordinate drawn from ``Philox(settings.seed)``. ``MAX_EVALS`` bounds
+    each Nelder-Mead run; the grid is scored on top of it. The model
     takes the best point scored, and the factor computed when scoring it.
     Candidates whose correlation matrix cannot be factorized score -inf and
     simply lose the comparison.
@@ -416,19 +416,17 @@ def fit(
     _require_finite(targets=y, features=features, scalars=scalars)
     if np.ptp(y) == 0.0:
         raise ConstantTargetError("all training targets are identical")
+    ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
+    if len(ids) != n:
+        raise LengthMismatchError(f"{len(ids)} ids for {n} training records")
+    if not all(isinstance(i, str) for i in ids):
+        raise ValidationError("training record ids must be strings")
     distances = build_train_distances(features, scalars)
     scales = distances.prior_scales
     start_center = np.log(np.where(scales > 0, scales, 1.0))
     rng = np.random.Generator(np.random.Philox(key=int(settings.seed)))
-    penalty = 1e300  # finite stand-in for -inf so the simplex stays well defined
-    best = _BestPoint()
-
-    def score(log_ranges):
-        value = marginal_posterior(log_ranges, distances, y, settings.nugget, best)
-        return -value if np.isfinite(value) else penalty
-
-    objective = _ScoreMemo(score)
-    grid_best = min((start_center + t for t in GRID_SHIFTS), key=objective)
+    search = _Search(distances, y, settings.nugget)
+    grid_best = min((start_center + t for t in GRID_SHIFTS), key=search)
     for k in range(settings.multistarts):
         if k == 0:
             x0 = grid_best
@@ -437,33 +435,28 @@ def fit(
             x0 = start_center + rng.uniform(-2.0, 2.0, len(scales))
             simplex = None  # scipy's default simplex around x0
         scipy.optimize.minimize(
-            objective,
+            search,
             x0,
             method="Nelder-Mead",
-            options={"xatol": 1e-4, "fatol": 1e-7, "maxfev": settings.max_evals,
+            options={"xatol": 1e-4, "fatol": 1e-7, "maxfev": MAX_EVALS,
                      "initial_simplex": simplex},
         )
-    if best.parts is None:
+    if search.parts is None:
         raise OptimizationError(
             "every optimizer start failed: the correlation matrix could not be "
             "factorized for any candidate ranges; duplicated inputs or a zero "
             "nugget are the usual cause (try raising the nugget)"
         )
     return GpModel(
-        ranges=np.exp(best.log_ranges),
+        ranges=np.exp(search.log_ranges),
         nugget=settings.nugget,
-        chol=best.parts.chol,
+        chol=search.parts.chol,
         targets=y,
         train_features=features,
         train_scalars=scalars,
-        train_ids=tuple(ids) if ids is not None else tuple(str(i) for i in range(n)),
+        train_ids=ids,
         fingerprint=fingerprint,
-        diagnostics=FitDiagnostics(
-            posterior_evaluations=len(objective.scores),
-            repeated_points=objective.hits,
-            failed_points=sum(v >= penalty for v in objective.scores.values()),
-            log_posterior=best.parts.value,
-        ),
+        diagnostics=search.diagnostics(),
     )
 
 
@@ -500,7 +493,7 @@ def predict(
             f"the model was trained with {model.train_scalars.shape[1]}"
         )
     cross_d = TrainDistances(
-        scipy.spatial.distance.cdist(features, model.train_features, "sqeuclidean"),
+        sq_distances(features, model.train_features),
         scalar_abs_distances(scalars, model.train_scalars),
     )
     cross = _correlation(cross_d, model.ranges)  # (N*, N)
@@ -508,10 +501,9 @@ def predict(
     # (N, N*); the factor is finite (fit and load_model check it), and its
     # transposed view is the Fortran-ordered upper factor LAPACK reads as is
     rinv_cross_t = scipy.linalg.cho_solve((model.chol.T, False), cross.T, check_finite=False)
-    test_d = TrainDistances(
-        scipy.spatial.distance.cdist(features, features, "sqeuclidean"),
-        scalar_abs_distances(scalars),
-    )
+    # features twice rather than y=None: perfbench/spans.py labels a cdist of
+    # one matrix with itself gp.test_dist
+    test_d = TrainDistances(sq_distances(features, features), scalar_abs_distances(scalars))
     cbar = _correlation(test_d, model.ranges) - cross @ rinv_cross_t
     trend_gap = 1.0 - cross @ model.rinv_h  # h* - R* R^-1 h
     cbar = cbar + np.outer(trend_gap, trend_gap) / model.h_rinv_h

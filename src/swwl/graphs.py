@@ -126,7 +126,7 @@ class GraphRecord:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered list of records sharing one attribute and scalar dimension."""
+    """Ordered list of records with distinct ids and one attribute and scalar dimension."""
 
     records: tuple[GraphRecord, ...]
     attr_dim: int = field(init=False)
@@ -138,7 +138,11 @@ class Dataset:
             raise SchemaError("dataset has no records")
         d = records[0].graph.attr_dim
         m = records[0].scalars.shape[0]
+        seen = set()
         for rec in records:
+            if rec.id in seen:
+                raise SchemaError(f"record id {rec.id!r} appears more than once")
+            seen.add(rec.id)
             if rec.graph.attr_dim != d:
                 raise SchemaError(
                     f"record {rec.id!r}: attribute dimension {rec.graph.attr_dim} != {d}"

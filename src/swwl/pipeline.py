@@ -65,6 +65,8 @@ def embed_dataset(
     With ``jobs > 1`` that many threads share the batches; the store is the
     same for every ``jobs``.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     d, k = dataset.attr_dim, wl_config.block_count
     if standardization is not None and not (
         standardization.mean.shape == standardization.std.shape == (d,)

@@ -322,6 +322,8 @@ def load_pq_store(directory) -> PqStore:
     ids, fps = header.get("ids"), header.get("fingerprints")
     if not isinstance(ids, list) or not ids or not all(isinstance(i, str) for i in ids):
         raise ParseError(f"{path}: 'ids' must be a non-empty list of strings")
+    if len(set(ids)) != len(ids):
+        raise ParseError(f"{path}: 'ids' repeats a record id")
     if not isinstance(fps, list) or not fps:
         raise ParseError(f"{path}: 'fingerprints' must be a non-empty list")
     fingerprints = tuple(PqFingerprint.from_dict(fp) for fp in fps)

@@ -46,11 +46,9 @@ def sqrt_skip_iterations(mean_node_count: float, blocks: int = 4) -> tuple[int, 
 
 
 def _neighbor_operator(graph: AttributedGraph):
-    """Weighted adjacency (CSR) and inverse-degree column for the update."""
+    """Weighted adjacency (CSR, empty without edges) and inverse-degree column."""
     n = graph.node_count
     edges = graph.edges
-    if len(edges) == 0:
-        return None, np.zeros((n, 1))
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     vals = np.concatenate([graph.weights, graph.weights])
@@ -71,12 +69,9 @@ def _warn_nonpositive_weights(graph: AttributedGraph) -> None:
 
 
 def _iterate(current: np.ndarray, adj, inv_deg: np.ndarray) -> np.ndarray:
-    if adj is None:
-        return current.copy()
     out = 0.5 * (current + inv_deg * (adj @ current))
     isolated = inv_deg[:, 0] == 0
-    if isolated.any():
-        out[isolated] = current[isolated]
+    out[isolated] = current[isolated]
     return out
 
 

@@ -6,7 +6,10 @@ double loop over directions and levels, the kernels are evaluated one
 pair of records at a time, as reference values for the Gram assembly, edge
 lists are parsed one entry at a time and Gram text is written one value at
 a time. Five-start Nelder-Mead on the log marginal posterior gives the
-reference optimum for ``gp.fit``'s grid-then-one-run range search.
+reference optimum for ``gp.fit``'s grid-then-one-run range search; the same
+search with its record kept in a closure, and prediction from scipy's
+``cdist`` and a correlation built term by term, give the references that
+``fit`` and ``predict`` must equal bit for bit.
 
 The exact transport distances, the quantile conventions, the sliced
 estimate between two embeddings, one WL step and node degrees are here too:
@@ -19,7 +22,9 @@ WL on one graph at a time, and the stacking of embedding rows into a store.
 import itertools
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
+import scipy.spatial.distance
 
 from swwl import (
     AttributedGraph,
@@ -31,6 +36,7 @@ from swwl import (
     WlConfig,
     marginal_posterior,
     matern52,
+    posterior_parts,
     pq_embed,
     sample_projection_blocks,
     sample_projections,
@@ -43,7 +49,8 @@ from swwl.errors import (
     ParseError,
     ValidationError,
 )
-from swwl.kernels import _fingerprint_line
+from swwl.gp import _floor_psd
+from swwl.kernels import _fingerprint_line, correlation_from_distances, scalar_abs_distances
 from swwl.sliced import _step_indices, pq_fingerprint
 from swwl.wl import _iterate, _neighbor_operator, _warn_nonpositive_weights, embed as wl_embed
 
@@ -413,3 +420,61 @@ def multistart_nelder_mead(distances, targets, nugget):
         if res.fun < 1e300 and -res.fun > best_value:
             best_value, best_log_ranges = -res.fun, res.x
     return best_value, best_log_ranges
+
+
+def grid_then_nelder_mead(distances, targets, nugget, multistarts=1, seed=0):
+    """``gp.fit``'s range search with its record kept in a closure.
+
+    The 9-point log-range grid, then Nelder-Mead (400 calls each) from the
+    best grid point with a simplex half a step wide, and from
+    ``multistarts - 1`` starts drawn from ``Philox(seed)``; each point is
+    scored once. Returns the best log-ranges, their ``PosteriorParts``, the
+    number of points scored and the number of repeated calls.
+    """
+    scales = distances.prior_scales
+    center = np.log(np.where(scales > 0, scales, 1.0))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    scores, record = {}, {"best": None, "hits": 0}
+
+    def objective(log_ranges):
+        key = log_ranges.tobytes()
+        if key in scores:
+            record["hits"] += 1
+            return scores[key]
+        parts = posterior_parts(log_ranges, distances, targets, nugget)
+        best = record["best"]
+        if np.isfinite(parts.value) and (best is None or parts.value > best[1].value):
+            record["best"] = (log_ranges, parts)
+        scores[key] = -parts.value if np.isfinite(parts.value) else 1e300
+        return scores[key]
+
+    x0 = min((center + t for t in np.arange(-4.0, 5.0)), key=objective)
+    simplex = np.vstack([x0, x0 + 0.5 * np.eye(len(x0))])
+    for k in range(multistarts):
+        if k:
+            x0, simplex = center + rng.uniform(-2.0, 2.0, len(scales)), None
+        scipy.optimize.minimize(
+            objective, x0, method="Nelder-Mead",
+            options={"xatol": 1e-4, "fatol": 1e-7, "maxfev": 400, "initial_simplex": simplex},
+        )
+    log_ranges, parts = record["best"]
+    return log_ranges, parts, len(scores), record["hits"]
+
+
+def predict_mean_and_scale(model, features, scalars):
+    """``gp.predict``'s mean and scale matrix, with each distance matrix from
+    scipy's ``cdist`` and no nugget on the correlations."""
+    gamma = 1.0 / (model.ranges[0] * model.ranges[0])
+
+    def correlation(a, b, scalars_a, scalars_b):
+        sw_sq = scipy.spatial.distance.cdist(a, b, "sqeuclidean")
+        scalar_abs = scalar_abs_distances(scalars_a, scalars_b)
+        return correlation_from_distances(sw_sq, scalar_abs, gamma, model.ranges[1:])
+
+    cross = correlation(features, model.train_features, scalars, model.train_scalars)
+    mean = model.theta_hat + cross @ model.rinv_centered_y
+    rinv_cross_t = scipy.linalg.cho_solve((model.chol.T, False), cross.T, check_finite=False)
+    cbar = correlation(features, features, scalars, scalars) - cross @ rinv_cross_t
+    trend_gap = 1.0 - cross @ model.rinv_h
+    cbar = cbar + np.outer(trend_gap, trend_gap) / model.h_rinv_h
+    return mean, model.sigma2_hat * _floor_psd(cbar)

@@ -465,7 +465,7 @@ def test_fit_and_predict_refuse_non_finite_inputs_exit_2(workspace, tmp_path, ca
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--nugget", -0.5), ("--multistarts", 0), ("--max-evals", 0)],
+    [("--nugget", -0.5), ("--multistarts", 0)],
 )
 def test_fit_refuses_out_of_range_settings_exit_2(workspace, tmp_path, capsys, flag, value):
     assert run(
@@ -504,13 +504,34 @@ def test_check_psd_command(workspace, tmp_path):
     assert run("check-psd", "--gram", bad) == 4
 
 
-def test_check_psd_of_a_binary_gram_read_as_text_exits_2(workspace, tmp_path, capsys):
-    binary = tmp_path / "gram.bin"
-    assert run("gram", "--embeddings", workspace / "emb-train", "--out", tmp_path / "g.txt",
+def test_check_psd_tells_a_binary_gram_from_a_text_one(workspace, tmp_path, capsys):
+    text, binary = tmp_path / "g.txt", tmp_path / "gram.bin"
+    assert run("gram", "--embeddings", workspace / "emb-train", "--out", text,
                "--gamma", 1.0, "--binary-out", binary) == 0
     capsys.readouterr()
-    assert run("check-psd", "--gram", binary) == 2
-    assert f"error: {binary}: not UTF-8 text" in capsys.readouterr().err
+    reports = []
+    for path in (text, binary):
+        assert run("check-psd", "--gram", path) == 0
+        reports.append(json.loads(Path(f"{path}.psd.manifest.json").read_text())["psd"])
+    assert reports[0] == reports[1]
+    # a text Gram of the wrong encoding is still refused as text
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"1 0 0 0 0\n\xe9\n")
+    assert run("check-psd", "--gram", bad) == 2
+    assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check-psd", "--gram", "g.bin", "--binary"),
+     ("fit", "--input", "t.jsonl", "--embeddings", "e", "--out", "m.bin", "--max-evals", 5)],
+    ids=["check-psd-binary", "fit-max-evals"],
+)
+def test_removed_flags_are_refused(argv):
+    # check-psd reads the format from the file; each Nelder-Mead run has a fixed budget
+    with pytest.raises(SystemExit) as info:
+        run(*argv)
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -526,7 +547,7 @@ def test_check_psd_of_a_binary_gram_read_as_text_exits_2(workspace, tmp_path, ca
 def test_check_psd_malformed_binary_exits_2(tmp_path, header, values):
     path = tmp_path / "gram.bin"
     write_container(path, GRAM_MAGIC, header, {} if values is None else {"values": values})
-    assert run("check-psd", "--gram", path, "--binary") == 2
+    assert run("check-psd", "--gram", path) == 2
 
 
 def test_predict_with_malformed_model_exits_2(workspace, tmp_path):
@@ -668,6 +689,29 @@ def test_jobs_flag_gives_identical_artifacts(workspace, tmp_path):
         "--seed", 9, "--jobs", 4,
     ) == 0
     assert store_bytes(out) == store_bytes(workspace / "emb-train")
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_embed_refuses_fewer_than_one_job_exits_2(workspace, tmp_path, capsys, jobs):
+    out = tmp_path / "emb"
+    assert run("embed", "--input", workspace / "train.jsonl", "--out", out,
+               "--projections", 4, "--quantiles", 5, "--jobs", jobs) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _repeated_id(header, arrays):
+    header["ids"][1] = header["ids"][0]
+
+
+@pytest.mark.parametrize("command", ["gram", "fit"])
+def test_store_with_a_repeated_id_exits_2(workspace, tmp_path, capsys, command):
+    store = _edited_store(workspace / "emb-train", tmp_path / "repeated", _repeated_id)
+    out = tmp_path / "out"
+    flags = ("--gamma", 1.0) if command == "gram" else ("--input", workspace / "train.jsonl")
+    assert run(command, "--embeddings", store, "--out", out, *flags) == 2
+    assert "'ids' repeats a record id" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def parser_flags():

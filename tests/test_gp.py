@@ -10,6 +10,7 @@ from swwl import (
     fit,
     load_model,
     marginal_posterior,
+    matern52,
     posterior_parts,
     predict,
     q2,
@@ -25,7 +26,7 @@ from swwl.errors import (
     ParseError,
     ValidationError,
 )
-from oracles import multistart_nelder_mead
+from oracles import grid_then_nelder_mead, multistart_nelder_mead, predict_mean_and_scale
 from swwl import build_train_distances, gp
 from swwl.binio import read_container, write_container
 from swwl.gp import MODEL_MAGIC, jr_prior_rate
@@ -436,12 +437,35 @@ def test_fit_scores_each_point_once(monkeypatch):
     assert model.diagnostics.repeated_points > 0
 
     calls.clear()
-    monkeypatch.setattr(gp._ScoreMemo, "__call__", lambda self, x: self.score(x))
+    monkeypatch.setattr(gp._Search, "__call__", lambda self, x: self.score(x))
     bypassed = fit(features, None, y, settings=settings)
     assert len(calls) == len(set(calls)) + model.diagnostics.repeated_points
     assert np.array_equal(model.ranges, bypassed.ranges)
     assert model.theta_hat == bypassed.theta_hat
     assert model.sigma2_hat == bypassed.sigma2_hat
+
+
+@pytest.mark.parametrize("n_scalars", [0, 1])
+def test_fit_and_predict_equal_the_reference_formulas(n_scalars):
+    features, scalars, y = _fit_inputs()
+    scalars = scalars[:, :n_scalars]
+    settings = GpSettings(multistarts=2, seed=5)
+    model = fit(features[:20], scalars[:20], y[:20], settings=settings)
+    distances = build_train_distances(features[:20], scalars[:20])
+    log_ranges, parts, scored, repeats = grid_then_nelder_mead(
+        distances, y[:20], settings.nugget, settings.multistarts, settings.seed
+    )
+    assert np.array_equal(model.ranges, np.exp(log_ranges))
+    assert np.array_equal(model.chol, parts.chol)
+    assert model.diagnostics == gp.FitDiagnostics(scored, repeats, 0, parts.value)
+    # R + nugget * I with the nugget added as a scaled identity
+    corr = np.exp(-(1.0 / (model.ranges[0] * model.ranges[0])) * distances.sw_sq)
+    for dist, ls in zip(distances.scalar_abs, model.ranges[1:]):
+        corr = corr * matern52(dist, ls)
+    assert np.array_equal(model.chol, np.linalg.cholesky(corr + settings.nugget * np.eye(20)))
+    dist = predict(model, features[20:], scalars[20:])
+    mean, scale = predict_mean_and_scale(model, features[20:], scalars[20:])
+    assert np.array_equal(dist.mean, mean) and np.array_equal(dist.scale, scale)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -555,12 +579,26 @@ def test_predict_refuses_non_finite_inputs(where):
 
 @pytest.mark.parametrize(
     "settings",
-    [{"nugget": -0.5}, {"multistarts": 0}, {"max_evals": 0}],
-    ids=["nugget-negative", "multistarts-0", "max-evals-0"],
+    [{"nugget": -0.5}, {"multistarts": 0}],
+    ids=["nugget-negative", "multistarts-0"],
 )
 def test_settings_refuse_out_of_range_values(settings):
     with pytest.raises(ValidationError):
         GpSettings(**settings)
+
+
+@pytest.mark.parametrize(
+    "ids, error",
+    [(("a",), LengthMismatchError), (tuple(map(str, range(26))), LengthMismatchError),
+     (tuple(range(25)), ValidationError)],
+    ids=["one-id", "one-too-many", "not-strings"],
+)
+def test_fit_refuses_ids_that_do_not_name_each_record(monkeypatch, ids, error):
+    # refused before the search starts, rather than saved as a model load_model refuses
+    features, _, y = _fit_inputs()
+    monkeypatch.setattr(gp, "build_train_distances", None)
+    with pytest.raises(error, match="ids"):
+        fit(features, None, y, ids=ids)
 
 
 def test_predict_refuses_scalars_the_model_was_not_trained_with():

@@ -323,6 +323,15 @@ def test_scalar_dim_mismatch_rejected():
         Dataset(records=(a, b))
 
 
+def test_repeated_record_id_is_a_schema_error_naming_it():
+    g = AttributedGraph(np.zeros((2, 1)), np.zeros((0, 2)))
+    a = GraphRecord(graph=g, scalars=np.zeros(0), target=None, id="a")
+    b = GraphRecord(graph=g, scalars=np.zeros(0), target=None, id="b")
+    with pytest.raises(SchemaError, match="record id 'a' appears more than once"):
+        Dataset(records=(a, b, a))
+    assert Dataset(records=(a, b)).ids == ["a", "b"]
+
+
 def test_standardization_statistics_and_reuse():
     rng = np.random.default_rng(3)
     train = random_dataset(rng, n_records=5, d=2, m=0)

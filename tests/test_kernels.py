@@ -5,14 +5,18 @@ import re
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from swwl import (
+    Dataset,
     EmpiricalMeasure,
     KernelConfig,
     QuantileGrid,
+    WlConfig,
     assemble_gram,
     assemble_gram_aniso,
     check_psd,
+    embed_dataset,
     matern52,
     pq_embed,
     sample_projection_blocks,
@@ -23,12 +27,14 @@ from swwl.errors import LengthMismatchError, NonSymmetricError, ParseError, Vali
 from swwl.kernels import (
     GRAM_MAGIC,
     GramMatrix,
+    load_gram,
     load_gram_binary,
     load_gram_text,
     save_gram_binary,
     save_gram_text,
-    sw_squared_distances,
+    sq_distances,
 )
+from swwl.synthetic import generate_regression_dataset
 
 from oracles import (
     aswwl_kernel,
@@ -258,7 +264,7 @@ class TestAssembleGram:
         rng = np.random.default_rng(6)
         embs = random_embeddings(rng, 7)
         gamma = 1.7
-        d2 = sw_squared_distances(embs.blocks[0])
+        d2 = sq_distances(embs.blocks[0])
         direct = assemble_gram(embs, None, KernelConfig(gamma=gamma)).values
         np.testing.assert_allclose(np.exp(-gamma * d2), direct, rtol=1e-15)
 
@@ -398,8 +404,25 @@ class TestGramFiles:
     def test_malformed_binary_is_parse_error(self, tmp_path, header, arrays):
         path = tmp_path / "gram.bin"
         write_container(path, GRAM_MAGIC, header, arrays)
-        with pytest.raises(ParseError):
-            load_gram_binary(path)
+        for reader in (load_gram_binary, load_gram):
+            with pytest.raises(ParseError):
+                reader(path)
+
+    def test_load_gram_tells_the_format_from_the_first_bytes(self, tmp_path):
+        gram = assemble_gram(random_embeddings(np.random.default_rng(9), 4), None,
+                             KernelConfig(gamma=0.3))
+        text, binary = tmp_path / "gram.txt", tmp_path / "gram.bin"
+        save_gram_text(gram, text)
+        save_gram_binary(gram, binary)
+        for path, reader in ((text, load_gram_text), (binary, load_gram_binary)):
+            got, want = load_gram(path), reader(path)
+            assert np.array_equal(got.values, want.values)
+            assert (got.row_ids, got.fingerprint) == (want.row_ids, want.fingerprint)
+        # files that do not start with the whole magic are read as text
+        for data in (b"", b"SWWL-G", b"\xb8SWWL-G1"):
+            text.write_bytes(data)
+            with pytest.raises(ParseError, match="fingerprint line|not UTF-8"):
+                load_gram(text)
 
     def test_empty_gram_is_validation_error(self, tmp_path):
         path = tmp_path / "gram.bin"
@@ -408,3 +431,36 @@ class TestGramFiles:
         gram = load_gram_binary(path)
         with pytest.raises(ValidationError):
             check_psd(gram)
+
+
+@pytest.fixture(scope="module")
+def acceptance_7_stores():
+    """Train (with per-iteration blocks) and test stores of acceptance 7's
+    first seed: 120 + 40 graphs of 200 nodes, iterations 0-3, P=50, Q=500."""
+    records = generate_regression_dataset(seed=0, n_graphs=160, mean_nodes=200).records
+    kwargs = dict(seed=0, n_projections=50, n_quantiles=500)
+    config = WlConfig(iterations=(0, 1, 2, 3))
+    train = embed_dataset(Dataset(records[:120]), config, per_iteration=True, **kwargs)
+    return train, embed_dataset(Dataset(records[120:]), config, **kwargs)
+
+
+def test_sq_distances_equal_scipy_on_acceptance_7_data(acceptance_7_stores):
+    train, test = (store.blocks[0] for store in acceptance_7_stores)
+    assert train.shape == (120, 25_000)
+    assert np.array_equal(sq_distances(train), squareform(pdist(train, "sqeuclidean")))
+    assert np.array_equal(sq_distances(test, train), cdist(test, train, "sqeuclidean"))
+    assert np.array_equal(sq_distances(test, test), cdist(test, test, "sqeuclidean"))
+
+
+def test_gram_nugget_equals_adding_a_scaled_identity(acceptance_7_stores):
+    store = acceptance_7_stores[0]
+    cfg = KernelConfig(gamma=0.02, variance=2.0, nugget=0.1)
+    d2 = squareform(pdist(store.blocks[0], "sqeuclidean"))
+    want = 2.0 * np.exp(-0.02 * d2) + 0.1 * np.eye(120)
+    assert np.array_equal(assemble_gram(store, None, cfg).values, want)
+    gammas = np.array([0.5, 0.1, 0.05, 0.02])
+    weighted = np.zeros((120, 120))
+    for block, g in zip(store.blocks[1:], gammas):
+        weighted += g * squareform(pdist(block, "sqeuclidean"))
+    want = 2.0 * np.exp(-1.0 * weighted) + 0.1 * np.eye(120)
+    assert np.array_equal(assemble_gram_aniso(store, gammas, 2.0, 0.1).values, want)

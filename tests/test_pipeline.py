@@ -5,6 +5,7 @@ import pytest
 
 from swwl import AttributedGraph, Dataset, GraphRecord, WlConfig, compute_standardization
 from swwl import pipeline
+from swwl.errors import ValidationError
 from swwl.graphs import disjoint_union
 from swwl.pipeline import _batches, embed_dataset
 
@@ -118,6 +119,12 @@ def test_every_jobs_count_gives_the_same_store(monkeypatch, jobs):
     dataset = _random_dataset(6, np.random.default_rng(6).integers(1, 20, 30))
     assert len(_batches(dataset.node_counts())) > 8
     _assert_matches_per_graph(dataset, jobs=jobs, per_iteration=True)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_fewer_than_one_job_is_refused(jobs):
+    with pytest.raises(ValidationError, match="jobs must be at least 1"):
+        embed_dataset(_random_dataset(7, [4, 5]), CONFIG, jobs=jobs, **KWARGS)
 
 
 def test_nonpositive_weight_warning_is_emitted():

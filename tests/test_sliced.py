@@ -527,3 +527,12 @@ def test_malformed_store_header_is_parse_error(tmp_path, edit):
     _rewrite_header(tmp_path / PQ_STORE_NAME, edit)
     with pytest.raises(ParseError):
         load_pq_store(tmp_path)
+
+
+def test_store_with_a_repeated_id_is_parse_error(tmp_path):
+    # a store is written from a Dataset, whose ids are distinct; a file that
+    # repeats one would give predictions two rows of one id
+    save_pq_store(tmp_path, _store(["a", "b"]))
+    _rewrite_header(tmp_path / PQ_STORE_NAME, lambda h: h.update(ids=["a", "a"]))
+    with pytest.raises(ParseError, match="'ids' repeats a record id"):
+        load_pq_store(tmp_path)

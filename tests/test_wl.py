@@ -48,6 +48,26 @@ def test_isolated_node_identity():
     g = AttributedGraph(np.array([[5.0]]), np.zeros((0, 2)))
     out = wl_iterate(g, np.array([[5.0]]))
     np.testing.assert_array_equal(out, [[5.0]])
+    # several nodes and no edge: every iterate is the attributes, bit for bit
+    attrs = np.random.default_rng(1).standard_normal((6, 3))
+    edgeless = AttributedGraph(attrs, np.zeros((0, 2)))
+    np.testing.assert_array_equal(wl_iterate(edgeless, attrs), attrs)
+    emb = embed(edgeless, WlConfig(iterations=(0, 1, 4)))
+    np.testing.assert_array_equal(emb, np.hstack([attrs] * 3))
+
+
+def test_isolated_nodes_beside_connected_ones():
+    # nodes 1 and 4 are isolated; 0-2-3 is a path, so each connected node
+    # sums at most two neighbour terms and the hand formula is exact
+    attrs = np.random.default_rng(2).standard_normal((5, 2))
+    g = AttributedGraph(attrs, np.array([[0, 2], [2, 3]]), np.array([0.5, 2.0]))
+    out = wl_iterate(g, attrs)
+    want = attrs.copy()
+    want[0] = 0.5 * (attrs[0] + (0.5 * attrs[2]) / 1)
+    want[2] = 0.5 * (attrs[2] + (0.5 * attrs[0] + 2.0 * attrs[3]) / 2)
+    want[3] = 0.5 * (attrs[3] + (2.0 * attrs[2]) / 1)
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(out[[1, 4]], attrs[[1, 4]])
 
 
 def test_embed_iteration_zero_is_raw_attributes():
