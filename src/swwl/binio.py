@@ -3,7 +3,8 @@
 Layout: an 8-byte magic tag, a little-endian uint64 header length, a UTF-8
 JSON header, then the raw float64 payload arrays (little-endian, C order) in
 the order announced by the header's ``arrays`` entry. The payload ends the
-file: trailing bytes are an error.
+file: trailing bytes are an error. Every artifact reader takes header
+numbers through :func:`header_numbers` and id lists through :func:`record_ids`.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ def read_container(path, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container written by :func:`write_container`.
 
     Raises ParseError when the magic tag does not match, the header is not a
-    JSON object with well-formed array entries, or the payload does not fill
-    the rest of the file exactly. Sizes are checked before anything is
-    allocated.
+    JSON object with well-formed array entries, the payload does not fill
+    the rest of the file exactly, or an array holds a NaN or infinite entry.
+    Sizes are checked before anything is allocated.
     """
     with open(path, "rb") as fh:
         remaining = os.fstat(fh.fileno()).st_size
@@ -101,4 +102,48 @@ def read_container(path, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
             data = bytearray(8 * math.prod(shape))
             fh.readinto(data)
             arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape)
+            if not np.isfinite(arrays[name]).all():
+                raise ParseError(f"{path}: array {name!r} holds a NaN or infinite entry")
     return header, arrays
+
+
+def _numbers(value, depth: int) -> bool:
+    """Whether ``value`` is a JSON number (not a boolean) nested in ``depth`` lists."""
+    if depth == 0:
+        return type(value) in (int, float)
+    return isinstance(value, list) and all(_numbers(v, depth - 1) for v in value)
+
+
+def header_numbers(path, header: dict, key: str, shape: tuple, optional: bool = False):
+    """``header[key]`` as a float array of ``shape``: one finite JSON number
+    for ``()``, a list of them for ``(k,)``, a list of equal-length lists for
+    ``(k, m)``; a dimension given as None takes any length. An absent key is
+    None when ``optional`` and a ParseError otherwise, as is a value of any other form.
+    """
+    value = header.get(key)
+    if value is None and optional:
+        return None
+    try:
+        array = np.array(value, dtype=float) if _numbers(value, len(shape)) else None
+    except (OverflowError, ValueError):  # an integer beyond the double range, ragged rows
+        array = None
+    if array is None or array.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(array.shape, shape)
+    ) or not np.isfinite(array).all():
+        dims = " x ".join("m" if d is None else str(d) for d in shape)
+        what = f"a {dims} list of finite numbers" if shape else "a finite number"
+        raise ParseError(f"{path}: {key!r} must be {what}")
+    return array
+
+
+def record_ids(path, header: dict, key: str, n: int | None = None) -> tuple[str, ...]:
+    """``header[key]``: a list of distinct record ids, all strings, and ``n``
+    of them unless ``n`` is None; ParseError otherwise."""
+    ids = header.get(key)
+    strings = isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+    if not strings or n not in (None, len(ids)):
+        count = "" if n is None else f"{n} "
+        raise ParseError(f"{path}: {key!r} must be a list of {count}record ids as strings")
+    if len(set(ids)) != len(ids):
+        raise ParseError(f"{path}: {key!r} repeats a record id")
+    return tuple(ids)

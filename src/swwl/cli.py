@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import inspect
 import json
 import os
 import resource
@@ -29,6 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigMismatchError, SchemaError, SwwlError, ValidationError
 from .gp import (
+    DEFAULT_NUGGET,
     GpSettings,
     fit as gp_fit,
     load_model,
@@ -537,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="training dataset with targets")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--nugget", type=float, default=1e-8)
+    p.add_argument("--nugget", type=float, default=DEFAULT_NUGGET)
     p.add_argument("--multistarts", type=int, default=1,
                    help="Nelder-Mead runs: the first from the best of a 9-point "
                    "log-range grid, the others from --opt-seed random starts")
@@ -565,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-psd", help="report the smallest eigenvalue of a Gram file")
     p.add_argument("--gram", required=True, help="a text or binary (SWWL-G1) Gram")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float,
+                   default=inspect.signature(check_psd).parameters["tol"].default)
     p.set_defaults(func=cmd_check_psd)
 
     return parser

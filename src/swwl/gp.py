@@ -27,7 +27,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.stats
 
-from .binio import read_container, write_container
+from .binio import header_numbers, read_container, record_ids, write_container
 from .errors import (
     ConfigMismatchError,
     ConstantTargetError,
@@ -53,9 +53,10 @@ SIMPLEX_STEP = 0.5
 MAX_EVALS = 400
 
 
-def jr_prior_rate(n: int, n_ranges: int, a: float = JR_PRIOR_A) -> float:
-    """Exponential rate b = N**(-1/L) * (a + L) of the jointly-robust prior."""
-    return n ** (-1.0 / n_ranges) * (a + n_ranges)
+def jr_prior_rate(n: int, n_ranges: int) -> float:
+    """Exponential rate b = N**(-1/L) * (a + L) of the jointly-robust prior,
+    a = ``JR_PRIOR_A``."""
+    return n ** (-1.0 / n_ranges) * (JR_PRIOR_A + n_ranges)
 
 
 @dataclass(frozen=True)
@@ -419,8 +420,8 @@ def fit(
     ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
     if len(ids) != n:
         raise LengthMismatchError(f"{len(ids)} ids for {n} training records")
-    if not all(isinstance(i, str) for i in ids):
-        raise ValidationError("training record ids must be strings")
+    if not all(isinstance(i, str) for i in ids) or len(set(ids)) != n:
+        raise ValidationError("training record ids must be distinct strings")
     distances = build_train_distances(features, scalars)
     scales = distances.prior_scales
     start_center = np.log(np.where(scales > 0, scales, 1.0))
@@ -559,23 +560,11 @@ def load_model(path) -> GpModel:
     stored solve caches, are ignored: the model derives them.
     """
     header, arrays = read_container(path, MODEL_MAGIC)
-    n, ids = header.get("n"), header.get("train_ids")
+    n = header.get("n")
     if type(n) is not int or n < 2:
         raise ParseError(f"{path}: 'n' must be an integer of at least 2, got {n!r}")
-    if not isinstance(ids, list) or len(ids) != n or not all(isinstance(i, str) for i in ids):
-        raise ParseError(f"{path}: 'train_ids' must list the 'n' training records' ids as strings")
-    nugget = header.get("nugget")
-    if type(nugget) not in (int, float):
-        raise ParseError(f"{path}: 'nugget' must be a number")
-    try:
-        finite = math.isfinite(nugget)
-    except OverflowError:  # a JSON integer beyond the double range
-        finite = False
-    if not finite:
-        raise ParseError(f"{path}: 'nugget' must be finite")
-    for name, a in arrays.items():
-        if not np.all(np.isfinite(a)):
-            raise ParseError(f"{path}: array {name!r} holds a NaN or infinite entry")
+    ids = record_ids(path, header, "train_ids", n)
+    nugget = float(header_numbers(path, header, "nugget", ()))
     if "train_features" not in arrays:
         raise ParseError(
             f"{path}: no 'train_features' (a scalar-only model from an earlier release?)"
@@ -595,24 +584,19 @@ def load_model(path) -> GpModel:
     fp = header.get("fingerprint")
     return GpModel(
         ranges=arrays["ranges"],
-        nugget=float(nugget),
+        nugget=nugget,
         chol=arrays["chol"],
         targets=arrays["targets"],
         train_features=feats,
         train_scalars=scal,
-        train_ids=tuple(ids),
+        train_ids=ids,
         fingerprint=None if fp is None else PqFingerprint.from_dict(fp),
     )
 
 
-def write_predictions_csv(
-    path,
-    ids: list[str],
-    dist: PredictiveDistribution,
-    level: float = 0.95,
-) -> None:
-    """Prediction table with mean, Student-t scale and interval bounds."""
-    lo, hi = dist.interval(level)
+def write_predictions_csv(path, ids: list[str], dist: PredictiveDistribution) -> None:
+    """Prediction table with mean, Student-t scale and 95% interval bounds."""
+    lo, hi = dist.interval()
     sd = dist.standard_errors()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

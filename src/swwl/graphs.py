@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binio import header_numbers
 from .errors import ParseError, SchemaError, ValidationError
 
 
@@ -378,20 +379,11 @@ class StandardizationStats:
         """
         if not isinstance(obj, dict):
             raise ParseError(f"standardization statistics must be a JSON object, got {obj!r}")
-        columns = []
-        for key in ("mean", "std"):
-            values = obj.get(key)
-            if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
-                raise ParseError(f"standardization {key!r} must be a list of numbers")
-            try:
-                columns.append(np.array(values, dtype=float))
-            except OverflowError as exc:
-                raise ParseError(f"standardization {key!r}: {exc}") from exc
-        mean, std = columns
+        mean, std = (header_numbers("standardization", obj, k, (None,)) for k in ("mean", "std"))
         if mean.shape != std.shape:
             raise ParseError(f"standardization has {mean.size} means but {std.size} scales")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0)):
-            raise ParseError("standardization values must be finite, with every std > 0")
+        if not np.all(std > 0):
+            raise ParseError("standardization 'std' must be positive")
         return cls(mean=mean, std=std)
 
 

@@ -21,12 +21,11 @@ import scipy.spatial.distance
 # call by its caller; the name cdist is imported here only as a probe target
 from scipy.spatial.distance import cdist, pdist, squareform  # noqa: F401
 
-from .binio import read_container, write_container
+from .binio import read_container, record_ids, write_container
 from .errors import LengthMismatchError, NonSymmetricError, ParseError, ValidationError
 from .sliced import PqStore
 
 GRAM_MAGIC = "SWWL-G1"
-_TEXT_BLOCK_ROWS = 256
 
 
 def _check_hyperparameters(gammas, variance: float, nugget: float) -> None:
@@ -220,6 +219,8 @@ class PsdReport:
 
 def check_psd(gram: GramMatrix | np.ndarray, tol: float = 1e-8) -> PsdReport:
     """Smallest eigenvalue check: PSD iff min_eig >= -tol * max(1, trace)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
     values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, float)
     if values.size == 0:
         raise ValidationError("cannot check an empty matrix")
@@ -256,13 +257,9 @@ def _fingerprint_line(n: int, fp: dict) -> str:
 
 def save_gram_text(gram: GramMatrix, path) -> None:
     """Plain-text export: fingerprint line, then rows of %.17g doubles."""
-    row_format = " ".join(["%.17g"] * gram.size) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_fingerprint_line(gram.size, gram.fingerprint) + "\n")
-        # Python floats take 4x the array's memory: convert a block of rows at a time
-        for start in range(0, gram.size, _TEXT_BLOCK_ROWS):
-            for row in gram.values[start : start + _TEXT_BLOCK_ROWS].tolist():
-                fh.write(row_format % tuple(row))
+        np.savetxt(fh, gram.values, fmt="%.17g")
 
 
 def load_gram_text(path) -> GramMatrix:
@@ -299,6 +296,8 @@ def load_gram_text(path) -> GramMatrix:
                     raise ParseError(f"{path}: row {len(rows) + 1}: {exc}") from exc
                 if row.shape != (n,):
                     raise ParseError(f"{path}: row {len(rows) + 1} has {row.size} values, not {n}")
+                if not np.isfinite(row).all():
+                    raise ParseError(f"{path}: row {len(rows) + 1} holds a NaN or infinite value")
                 rows.append(row)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason}); a binary Gram?") from exc
@@ -323,13 +322,12 @@ def load_gram(path) -> GramMatrix:
 def load_gram_binary(path) -> GramMatrix:
     """Read a Gram written by :func:`save_gram_binary`; ParseError if malformed."""
     header, arrays = read_container(path, GRAM_MAGIC)
-    ids, fp, values = header.get("row_ids"), header.get("fingerprint"), arrays.get("values")
-    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-        raise ParseError(f"{path}: 'row_ids' must be a list of strings")
+    ids = record_ids(path, header, "row_ids")
+    fp, values = header.get("fingerprint"), arrays.get("values")
     if not isinstance(fp, dict):
         raise ParseError(f"{path}: 'fingerprint' must be a JSON object")
     if values is None or values.shape != (len(ids), len(ids)):
         raise ParseError(
             f"{path}: 'values' must be a {len(ids)}x{len(ids)} matrix, one row per id"
         )
-    return GramMatrix(values=values, row_ids=tuple(ids), fingerprint=fp)
+    return GramMatrix(values=values, row_ids=ids, fingerprint=fp)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import read_container, write_container
+from .binio import header_numbers, read_container, record_ids, write_container
 from .errors import (
     DegenerateDrawError,
     DimensionMismatchError,
@@ -319,11 +319,9 @@ def load_pq_store(directory) -> PqStore:
     """Read the store written by :func:`save_pq_store`; ParseError if malformed."""
     path = Path(directory) / PQ_STORE_NAME
     header, arrays = read_container(path, PQ_STORE_MAGIC)
-    ids, fps = header.get("ids"), header.get("fingerprints")
-    if not isinstance(ids, list) or not ids or not all(isinstance(i, str) for i in ids):
-        raise ParseError(f"{path}: 'ids' must be a non-empty list of strings")
-    if len(set(ids)) != len(ids):
-        raise ParseError(f"{path}: 'ids' repeats a record id")
+    ids, fps = record_ids(path, header, "ids"), header.get("fingerprints")
+    if not ids:
+        raise ParseError(f"{path}: 'ids' lists no record")
     if not isinstance(fps, list) or not fps:
         raise ParseError(f"{path}: 'fingerprints' must be a non-empty list")
     fingerprints = tuple(PqFingerprint.from_dict(fp) for fp in fps)
@@ -340,8 +338,8 @@ def load_pq_store(directory) -> PqStore:
             raise ParseError(
                 f"{path}: block of shape {block.shape}, expected {len(ids)} ids x P*Q={width}"
             )
-    targets = _header_numbers(path, header, "targets", (len(ids),))
-    scalars = _header_numbers(path, header, "scalars", (len(ids), None))
+    targets = header_numbers(path, header, "targets", (len(ids),), optional=True)
+    scalars = header_numbers(path, header, "scalars", (len(ids), None), optional=True)
     digest = header.get("source_sha256")
     if digest is not None and not (
         isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)
@@ -350,35 +348,10 @@ def load_pq_store(directory) -> PqStore:
     if digest is not None and scalars is None:
         raise ParseError(f"{path}: 'source_sha256' is set but the scalars are not recorded")
     return PqStore(
-        ids=tuple(ids),
+        ids=ids,
         blocks=tuple(arrays.values()),
         fingerprints=fingerprints,
         targets=targets,
         scalars=scalars,
         source_sha256=digest,
     )
-
-
-def _header_numbers(path, header, key, shape) -> np.ndarray | None:
-    """``header[key]``, a list (of equal-length lists) of finite JSON numbers,
-    as a float array of ``shape`` (None: any length); None when absent.
-    """
-    value = header.get(key)
-    if value is None:
-        return None
-    rows = value if len(shape) == 2 and isinstance(value, list) else [value]
-    numeric = all(
-        isinstance(row, list) and all(type(v) in (int, float) for v in row) for row in rows
-    )
-    try:
-        array = np.array(value, dtype=float) if numeric else None
-    except (OverflowError, ValueError):  # an integer beyond the double range, ragged rows
-        array = None
-    if array is None or array.ndim != len(shape) or any(
-        want is not None and got != want for got, want in zip(array.shape, shape)
-    ):
-        shape_text = " x ".join("m" if d is None else str(d) for d in shape)
-        raise ParseError(f"{path}: {key!r} must be a {shape_text} list of numbers")
-    if not np.all(np.isfinite(array)):
-        raise ParseError(f"{path}: {key!r} holds a NaN or infinite entry")
-    return array

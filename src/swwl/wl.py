@@ -39,10 +39,10 @@ class WlConfig:
         return len(self.iterations)
 
 
-def sqrt_skip_iterations(mean_node_count: float, blocks: int = 4) -> tuple[int, ...]:
-    """Iteration schedule 0, T, 2T, ... with T about sqrt(mean node count)."""
+def sqrt_skip_iterations(mean_node_count: float) -> tuple[int, ...]:
+    """Iteration schedule 0, T, 2T, 3T with T about sqrt(mean node count)."""
     step = max(1, round(float(mean_node_count) ** 0.5))
-    return tuple(step * k for k in range(blocks))
+    return tuple(step * k for k in range(4))
 
 
 def _neighbor_operator(graph: AttributedGraph):

@@ -1,13 +1,14 @@
 """Binary container: exact round trips and typed rejection of damaged files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from swwl.binio import read_container, write_container
+from swwl.binio import header_numbers, read_container, record_ids, write_container
 from swwl.errors import ParseError
 
 MAGIC = "TEST-1"
@@ -18,9 +19,14 @@ json_values = st.recursive(
     max_leaves=8,
 )
 headers = st.dictionaries(st.text().filter(lambda k: k != "arrays"), json_values, max_size=4)
+# finite payloads: a NaN or infinite entry is refused on reading
 arrays = st.dictionaries(
     st.text(max_size=5),
-    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
     max_size=3,
 )
 _settings = settings(
@@ -101,3 +107,50 @@ def test_header_must_be_a_json_object(tmp_path, blob):
     path.write_bytes(MAGIC.encode().ljust(8, b"\0") + np.uint64(len(blob)).tobytes() + blob)
     with pytest.raises(ParseError):
         read_container(path, MAGIC)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_is_parse_error_naming_the_array(tmp_path, bad):
+    path = tmp_path / "c.bin"
+    values = np.arange(6.0).reshape(2, 3)
+    values[1, 2] = bad
+    write_container(path, MAGIC, {}, {"ok": np.ones(2), "values": values})
+    with pytest.raises(ParseError, match=re.escape(f"{path}: array 'values' holds a NaN")):
+        read_container(path, MAGIC)
+
+
+@pytest.mark.parametrize(
+    "value, shape",
+    [(1, ()), (0.5, ()), ([1, 2.5], (2,)), ([], (None,)), ([[1], [2.0]], (2, None))],
+)
+def test_header_numbers_reads_finite_json_numbers(value, shape):
+    got = header_numbers("f", {"k": value}, "k", shape)
+    assert got.dtype == float and np.array_equal(got, np.array(value, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "value, shape",
+    [(True, ()), ("1", ()), ([1.0], ()), (float("nan"), ()), (10**400, ()),
+     (1.0, (1,)), ([1.0], (2,)), ([1.0, [2.0]], (2,)), ([[1.0], [1.0, 2.0]], (2, None)),
+     ([[1.0], [float("inf")]], (2, None))],
+)
+def test_header_numbers_refuses_anything_else(value, shape):
+    with pytest.raises(ParseError, match="f: 'k' must be a"):
+        header_numbers("f", {"k": value}, "k", shape)
+
+
+def test_absent_header_numbers_are_none_only_when_optional():
+    assert header_numbers("f", {}, "k", (None,), optional=True) is None
+    with pytest.raises(ParseError, match="'k' must be a finite number"):
+        header_numbers("f", {}, "k", ())
+
+
+def test_record_ids_are_distinct_strings():
+    assert record_ids("f", {"ids": ["a", "b"]}, "ids", 2) == ("a", "b")
+    assert record_ids("f", {"ids": []}, "ids") == ()
+    for header, n in (({}, None), ({"ids": "ab"}, None), ({"ids": ["a", 1]}, None),
+                      ({"ids": ["a"]}, 2)):
+        with pytest.raises(ParseError, match="'ids' must be a list of"):
+            record_ids("f", header, "ids", n)
+    with pytest.raises(ParseError, match="'ids' repeats a record id"):
+        record_ids("f", {"ids": ["a", "b", "a"]}, "ids")

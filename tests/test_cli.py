@@ -13,7 +13,14 @@ from swwl import AttributedGraph, Dataset, GraphRecord, errors, load_dataset, sa
 from swwl.binio import read_container, write_container
 from swwl.cli import build_parser, main
 from swwl.gp import MODEL_MAGIC, build_train_distances, load_model, marginal_posterior
-from swwl.kernels import GRAM_MAGIC, load_gram_binary, load_gram_text
+from swwl.kernels import (
+    GRAM_MAGIC,
+    GramMatrix,
+    load_gram_binary,
+    load_gram_text,
+    save_gram_binary,
+    save_gram_text,
+)
 from swwl.sliced import PQ_STORE_NAME, load_pq_store
 
 
@@ -434,12 +441,14 @@ def test_fit_with_malformed_recorded_targets_exits_2(workspace, tmp_path, capsys
 
 
 def test_fit_and_predict_refuse_non_finite_inputs_exit_2(workspace, tmp_path, capsys):
+    # the store reader refuses the NaN block before fit or predict sees it
     assert run(
         "fit", "--input", workspace / "train.jsonl", "--embeddings",
         _edited_store(workspace / "emb-train", tmp_path / "nan-train", _nan_feature),
         "--out", tmp_path / "nan.bin",
     ) == 2
-    assert "features must be finite" in capsys.readouterr().err
+    assert "array 'block0' holds a NaN or infinite entry" in capsys.readouterr().err
+    assert not (tmp_path / "nan.bin").exists()
     records = [json.loads(line) for line in (workspace / "train.jsonl").read_text().splitlines()]
     records[4]["target"] = float("nan")
     nan_targets = tmp_path / "nan-targets.jsonl"
@@ -460,7 +469,19 @@ def test_fit_and_predict_refuse_non_finite_inputs_exit_2(workspace, tmp_path, ca
         _edited_store(workspace / "emb-test", tmp_path / "nan-test", _nan_feature),
         "--out", tmp_path / "p.csv",
     ) == 2
-    assert "features must be finite" in capsys.readouterr().err
+    assert "array 'block0' holds a NaN or infinite entry" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("kernel", [("--gamma", 1.0), ("--distances-only",)],
+                         ids=["gamma", "distances-only"])
+def test_gram_of_a_store_with_a_nan_block_exits_2(workspace, tmp_path, capsys, kernel):
+    store = _edited_store(workspace / "emb-train", tmp_path / "nan", _nan_feature)
+    out, binary = tmp_path / "gram.txt", tmp_path / "gram.bin"
+    assert run("gram", "--embeddings", store, "--out", out, "--binary-out", binary,
+               *kernel) == 2
+    assert "array 'block0' holds a NaN or infinite entry" in capsys.readouterr().err
+    assert not out.exists() and not binary.exists()
 
 
 @pytest.mark.parametrize(
@@ -502,6 +523,31 @@ def test_check_psd_command(workspace, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 0 0 0 0\n1 2\n2 1\n")
     assert run("check-psd", "--gram", bad) == 4
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_check_psd_of_a_non_finite_gram_exits_2(tmp_path, capsys, fmt, value):
+    values = np.eye(3)
+    values[1, 1] = value
+    gram = GramMatrix(values, ("a", "b", "c"), {"seed": 0})
+    path = tmp_path / "gram"
+    (save_gram_text if fmt == "text" else save_gram_binary)(gram, path)
+    assert run("check-psd", "--gram", path) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not Path(f"{path}.psd.manifest.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_check_psd_refuses_a_tolerance_that_is_not_finite_and_nonnegative(
+    workspace, tmp_path, capsys, tol
+):
+    gram_path = tmp_path / "gram.txt"
+    assert run("gram", "--embeddings", workspace / "emb-train", "--out", gram_path,
+               "--gamma", 1.0) == 0
+    capsys.readouterr()
+    assert run("check-psd", "--gram", gram_path, "--tol", tol) == 2
+    assert "tol must be finite and nonnegative" in capsys.readouterr().err
 
 
 def test_check_psd_tells_a_binary_gram_from_a_text_one(workspace, tmp_path, capsys):

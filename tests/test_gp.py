@@ -377,13 +377,15 @@ def _first_records(header, arrays, k):
         lambda h, a: _first_records(h, a, 0),
         lambda h, a: _first_records(h, a, 1),
         lambda h, a: a.pop("train_features"),
+        lambda h, a: h["train_ids"].__setitem__(5, h["train_ids"][0]),
+        lambda h, a: _set(h, "nugget", 10**400),
     ],
     ids=["no-nugget", "nugget-str", "no-ids", "ids-vs-n", "n-str",
          "no-ranges", "ranges-count", "chol-shape", "targets-length",
          "scalar-rows", "features-1d", "no-inputs", "nugget-nan",
          "rinv-h-inf", "chol-nan", "features-inf", "ranges-nan",
          "chol-zero-diagonal", "chol-negative-diagonal", "constant-targets",
-         "ids-not-str", "n-0", "n-1", "no-features"],
+         "ids-not-str", "n-0", "n-1", "no-features", "ids-repeated", "nugget-huge-int"],
 )
 def test_malformed_model_is_parse_error(tmp_path, damage):
     rng = np.random.default_rng(10)
@@ -590,8 +592,8 @@ def test_settings_refuse_out_of_range_values(settings):
 @pytest.mark.parametrize(
     "ids, error",
     [(("a",), LengthMismatchError), (tuple(map(str, range(26))), LengthMismatchError),
-     (tuple(range(25)), ValidationError)],
-    ids=["one-id", "one-too-many", "not-strings"],
+     (tuple(range(25)), ValidationError), (("0",) + tuple(map(str, range(24))), ValidationError)],
+    ids=["one-id", "one-too-many", "not-strings", "repeated"],
 )
 def test_fit_refuses_ids_that_do_not_name_each_record(monkeypatch, ids, error):
     # refused before the search starts, rather than saved as a model load_model refuses

@@ -271,28 +271,31 @@ class TestAssembleGram:
 
 def test_assembly_time_tracks_embedding_width():
     # doubling the projection count doubles the feature width and should
-    # roughly double the pairwise-assembly cost (generous bounds, medians)
+    # roughly double the pairwise-assembly cost (generous bounds). The two
+    # widths are timed in turn and each keeps its fastest run, so a burst of
+    # other work on the machine slows both or is dropped, not one alone
     import time
 
     rng = np.random.default_rng(42)
     grid = QuantileGrid(200)
     supports = [rng.standard_normal((40, 3)) for _ in range(80)]
 
-    def assembly_time(n_proj):
+    def store(n_proj):
         ps = sample_projections(0, n_proj, 3)
-        embs = store_of([
+        return store_of([
             pq_embed(EmpiricalMeasure(s), ps, grid, graph_id=str(i))
             for i, s in enumerate(supports)
         ])
-        reps = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            assemble_gram(embs, None, KernelConfig(gamma=1.0))
-            reps.append(time.perf_counter() - t0)
-        return float(np.median(reps))
 
-    assembly_time(16)  # warmup
-    ratio = assembly_time(64) / assembly_time(32)
+    def assembly_time(embs):
+        t0 = time.perf_counter()
+        assemble_gram(embs, None, KernelConfig(gamma=1.0))
+        return time.perf_counter() - t0
+
+    assembly_time(store(16))  # warmup
+    narrow, wide = store(32), store(64)
+    times = [(assembly_time(narrow), assembly_time(wide)) for _ in range(7)]
+    ratio = min(t for _, t in times) / min(t for t, _ in times)
     assert 1.3 <= ratio <= 3.2
 
 
@@ -312,6 +315,11 @@ class TestCheckPsd:
         with pytest.raises(NonSymmetricError):
             check_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValidationError, match="tol must be finite and nonnegative"):
+            check_psd(np.eye(2), tol=tol)
+
 
 class TestGramFiles:
     def test_text_round_trip_17_digits(self, tmp_path):
@@ -329,7 +337,7 @@ class TestGramFiles:
         assert back.fingerprint["quantiles"] == gram.fingerprint["quantiles"]
         assert back.fingerprint["gamma"] == gram.fingerprint["gamma"]
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 300])  # 300 rows span two write blocks
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
     def test_text_matches_value_by_value_writer(self, tmp_path, n):
         rng = np.random.default_rng(n)
         values = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-320, 300, (n, n))
@@ -368,6 +376,13 @@ class TestGramFiles:
         with pytest.raises(ParseError):
             load_gram_text(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_text_value_is_parse_error_naming_the_row(self, tmp_path, value):
+        path = tmp_path / "gram.txt"
+        path.write_text(f"2 0 1 2 1.0\n1 0\n0 {value}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: row 2 holds a NaN")):
+            load_gram_text(path)
+
     @pytest.mark.parametrize("data", [b"\xb8SWWL-G1", b"2 0 1 2 1.0\n1 0\n0 \xff\n"],
                              ids=["header", "row"])
     def test_bytes_that_are_not_utf8_are_a_parse_error_naming_the_file(self, tmp_path, data):
@@ -397,9 +412,13 @@ class TestGramFiles:
             ({"row_ids": ["a", "b"]}, {"values": np.eye(2)}),
             ({"fingerprint": {}, "row_ids": ["a", "b"]}, {"values": np.eye(3)}),
             ({"fingerprint": {}, "row_ids": ["a", "b"]}, {"values": np.ones(4)}),
+            ({"fingerprint": {}, "row_ids": ["a", "a"]}, {"values": np.eye(2)}),
+            ({"fingerprint": {}, "row_ids": ["a", "b"]}, {"values": np.full((2, 2), np.nan)}),
+            ({"fingerprint": {}, "row_ids": ["a", "b"]}, {"values": np.diag([1.0, np.inf])}),
         ],
         ids=["no-row-ids", "no-values", "row-ids-int", "row-ids-not-str",
-             "no-fingerprint", "values-vs-ids", "values-1d"],
+             "no-fingerprint", "values-vs-ids", "values-1d", "row-ids-repeated",
+             "values-nan", "values-inf"],
     )
     def test_malformed_binary_is_parse_error(self, tmp_path, header, arrays):
         path = tmp_path / "gram.bin"
