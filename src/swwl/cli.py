@@ -541,8 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--nugget", type=float, default=DEFAULT_NUGGET)
     p.add_argument("--multistarts", type=int, default=1,
-                   help="Nelder-Mead runs: the first from the best of a 9-point "
-                   "log-range grid, the others from --opt-seed random starts")
+                   help="optimizer starts: the first from the best of a 9-point "
+                   "log-range grid, the others from --opt-seed random starts; each "
+                   "runs Brent's method with one range, Nelder-Mead with several")
     p.add_argument("--opt-seed", type=int, default=0)
     p.set_defaults(func=cmd_fit)
 

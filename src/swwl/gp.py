@@ -46,10 +46,14 @@ JR_PRIOR_A = 0.2
 DEFAULT_NUGGET = 1e-8
 
 # Range search: every log-range shifted by -4, -3, ..., 4 from the prior-scale
-# centre, then a Nelder-Mead simplex half a grid step wide around the best.
+# centre; then, with one range, Brent's method on the best grid point and its
+# neighbours, and with several, Nelder-Mead around the best grid point.
 GRID_SHIFTS = np.arange(-4.0, 5.0)
+# half a grid step: the width of the Nelder-Mead simplex, and the first step
+# of the downhill bracket search of a one-range start the grid does not bracket
 SIMPLEX_STEP = 0.5
-# objective calls each Nelder-Mead run may make (a one-range fit scores 25-40)
+# objective calls each start may make (a default one-range fit scores 18-22
+# points, grid included)
 MAX_EVALS = 400
 
 
@@ -234,6 +238,19 @@ def marginal_posterior(
 
 
 @dataclass(frozen=True)
+class StartDiagnostics:
+    """One optimizer start of a :func:`fit`.
+
+    log_posterior: the best log marginal posterior the start reached; None
+    when every point it called scored -inf.
+    posterior_evaluations: points the start scored that no earlier step had.
+    """
+
+    log_posterior: float | None
+    posterior_evaluations: int
+
+
+@dataclass(frozen=True)
 class FitDiagnostics:
     """Optimizer bookkeeping of one :func:`fit`.
 
@@ -241,20 +258,24 @@ class FitDiagnostics:
     repeated_points: objective calls answered from the score memo instead.
     failed_points: distinct points scored -inf (Cholesky failure or S^2 <= 0).
     log_posterior: log marginal posterior at the returned ranges.
+    starts: one record per optimizer start, in order; the grid's points are
+    counted in none of them.
     """
 
     posterior_evaluations: int
     repeated_points: int
     failed_points: int
     log_posterior: float
+    starts: tuple[StartDiagnostics, ...]
 
 
 class _Search:
     """The range search's objective, minus the log marginal posterior, and
     its record: each point is scored once (one N x N Cholesky), keyed by its
-    exact bytes, as Nelder-Mead revisits points; -inf costs ``PENALTY``, a
-    finite stand-in that keeps the simplex well defined; and the best point
-    keeps its :class:`PosteriorParts`, whose factor becomes the model's.
+    exact bytes, as the optimizers revisit points; -inf costs ``PENALTY``, a
+    finite stand-in that keeps the simplex and Brent's comparisons well
+    defined; and the best point keeps its :class:`PosteriorParts`, whose
+    factor becomes the model's.
     """
 
     PENALTY = 1e300
@@ -283,13 +304,69 @@ class _Search:
         if np.isfinite(parts.value) and (self.parts is None or parts.value > self.parts.value):
             self.log_ranges, self.parts = log_ranges, parts
 
-    def diagnostics(self) -> FitDiagnostics:
+    def diagnostics(self, starts: tuple[StartDiagnostics, ...]) -> FitDiagnostics:
         return FitDiagnostics(
             posterior_evaluations=len(self.scores),
             repeated_points=self.hits,
             failed_points=sum(v >= self.PENALTY for v in self.scores.values()),
             log_posterior=self.parts.value,
+            starts=starts,
         )
+
+
+class _BudgetSpent(Exception):
+    """A :func:`_brent` start made its ``maxfev`` objective calls."""
+
+
+def _brent(fun, x0, args=(), *, bracket, maxfev, **_):
+    """Brent's method on one log-range, as a ``scipy.optimize.minimize`` method.
+
+    ``bracket`` is either (a, b, c) with f(b) below f(a) and f(c), which
+    Brent narrows at once, or two points from which scipy's downhill search
+    looks for such a triple first.
+    The start ends when Brent's bracket is within 1e-5 (relative) of its
+    best point, when no bracket is found, or after ``maxfev`` calls of
+    ``fun``; it returns the best point called.
+
+    Each point the search proposes beyond the bracket is rounded to 20
+    significant bits, which moves it by less than a tenth of the smallest
+    step that tolerance lets Brent take. The proposals are computed from
+    posterior values, so without the rounding, targets that only shift or
+    rescale others, whose posteriors differ by rounding alone, would end at
+    ranges some 1e-10 apart.
+    """
+    best = scipy.optimize.OptimizeResult(x=x0, fun=np.inf, nfev=0)
+
+    def objective(t):
+        if best.nfev == maxfev:
+            raise _BudgetSpent
+        best.nfev += 1
+        if t not in bracket:
+            mantissa, exponent = math.frexp(t)
+            t = math.ldexp(round(mantissa * 2**20), exponent - 20)
+        x = np.array([t], dtype=float)
+        value = fun(x, *args)
+        if value < best.fun:
+            best.x, best.fun = x, value
+        return value
+
+    try:
+        scipy.optimize.minimize_scalar(
+            objective, bracket=bracket, method="brent", options={"xtol": 1e-5}
+        )
+    except _BudgetSpent:
+        pass
+    return best
+
+
+def _grid_bracket(grid: list[np.ndarray], scores: list[float]) -> tuple[float, ...]:
+    """:func:`_brent`'s bracket from the scored one-range grid: the best point
+    and its neighbours when both score worse; otherwise, at the grid's edge
+    or on a tie, a neighbour and the best point, to search downhill from."""
+    i = int(np.argmin(scores))
+    if 0 < i < len(grid) - 1 and scores[i - 1] > scores[i] < scores[i + 1]:
+        return grid[i - 1][0], grid[i][0], grid[i + 1][0]
+    return grid[i - 1 if i else 1][0], grid[i][0]
 
 
 @dataclass(frozen=True)
@@ -396,15 +473,21 @@ def fit(
     1 + m ranges.
 
     All log-ranges are shifted together over a 9-point grid, one log unit
-    apart, around the log of the mean pairwise distance of each coordinate;
-    one Nelder-Mead run then starts from the best grid point, with a simplex
-    half a grid step wide. Each further start (``settings.multistarts - 1``
-    of them) runs Nelder-Mead from the grid centre plus a U(-2, 2) offset per
-    coordinate drawn from ``Philox(settings.seed)``. ``MAX_EVALS`` bounds
-    each Nelder-Mead run; the grid is scored on top of it. The model
-    takes the best point scored, and the factor computed when scoring it.
-    Candidates whose correlation matrix cannot be factorized score -inf and
-    simply lose the comparison.
+    apart, around the log of the mean pairwise distance of each coordinate.
+    The first start begins at the best grid point. With one range it runs
+    Brent's method on the bracket that point and its two neighbours form,
+    scores the grid has already paid for; at the grid's edge, or when a
+    neighbour ties it, scipy's downhill bracket search runs first. With
+    several ranges it runs Nelder-Mead with a simplex half a grid step wide.
+    Each further start (``settings.multistarts - 1`` of them) begins at the
+    grid centre plus a U(-2, 2) offset per coordinate drawn from
+    ``Philox(settings.seed)``, and runs the same method, Brent after a
+    downhill bracket search from its start with one range. Every start goes
+    through ``scipy.optimize.minimize``, and ``MAX_EVALS`` bounds its
+    objective calls; the grid is scored on top of it. The model takes the
+    best point scored, and the factor computed when scoring it. Candidates
+    whose correlation matrix cannot be factorized score -inf and simply
+    lose the comparison.
     """
     y = np.asarray(targets, dtype=float).reshape(-1)
     n = len(y)
@@ -427,21 +510,31 @@ def fit(
     start_center = np.log(np.where(scales > 0, scales, 1.0))
     rng = np.random.Generator(np.random.Philox(key=int(settings.seed)))
     search = _Search(distances, y, settings.nugget)
-    grid_best = min((start_center + t for t in GRID_SHIFTS), key=search)
+    grid = [start_center + t for t in GRID_SHIFTS]
+    scores = [search(x) for x in grid]
+    starts = []
     for k in range(settings.multistarts):
         if k == 0:
-            x0 = grid_best
-            simplex = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(len(x0))])
+            x0 = grid[int(np.argmin(scores))]
         else:
             x0 = start_center + rng.uniform(-2.0, 2.0, len(scales))
-            simplex = None  # scipy's default simplex around x0
-        scipy.optimize.minimize(
-            search,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-4, "fatol": 1e-7, "maxfev": MAX_EVALS,
-                     "initial_simplex": simplex},
+        if distances.n_ranges == 1:
+            method = _brent
+            bracket = _grid_bracket(grid, scores) if k == 0 else (x0[0], x0[0] + SIMPLEX_STEP)
+            options = {"bracket": bracket}
+        else:
+            method = "Nelder-Mead"
+            # the first simplex is half a grid step wide, the others scipy's default
+            simplex = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(len(x0))]) if k == 0 else None
+            options = {"xatol": 1e-4, "fatol": 1e-7, "initial_simplex": simplex}
+        scored = len(search.scores)
+        result = scipy.optimize.minimize(
+            search, x0, method=method, options={**options, "maxfev": MAX_EVALS}
         )
+        starts.append(StartDiagnostics(
+            log_posterior=-float(result.fun) if result.fun < search.PENALTY else None,
+            posterior_evaluations=len(search.scores) - scored,
+        ))
     if search.parts is None:
         raise OptimizationError(
             "every optimizer start failed: the correlation matrix could not be "
@@ -457,7 +550,7 @@ def fit(
         train_scalars=scalars,
         train_ids=ids,
         fingerprint=fingerprint,
-        diagnostics=search.diagnostics(),
+        diagnostics=search.diagnostics(tuple(starts)),
     )
 
 
@@ -565,6 +658,8 @@ def load_model(path) -> GpModel:
         raise ParseError(f"{path}: 'n' must be an integer of at least 2, got {n!r}")
     ids = record_ids(path, header, "train_ids", n)
     nugget = float(header_numbers(path, header, "nugget", ()))
+    if nugget < 0:
+        raise ParseError(f"{path}: 'nugget' must be nonnegative, got {nugget!r}")
     if "train_features" not in arrays:
         raise ParseError(
             f"{path}: no 'train_features' (a scalar-only model from an earlier release?)"
@@ -577,6 +672,8 @@ def load_model(path) -> GpModel:
     for name, shape in {"ranges": (1 + scal.shape[1],), "chol": (n, n), "targets": (n,)}.items():
         if name not in arrays or arrays[name].shape != shape:
             raise ParseError(f"{path}: array {name!r} must have shape {shape}")
+    if not np.all(arrays["ranges"] > 0):
+        raise ParseError(f"{path}: 'ranges' must be positive")
     if not np.all(np.diag(arrays["chol"]) > 0):
         raise ParseError(f"{path}: 'chol' must have a positive diagonal")
     if np.ptp(arrays["targets"]) == 0.0:

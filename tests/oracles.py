@@ -6,7 +6,7 @@ double loop over directions and levels, the kernels are evaluated one
 pair of records at a time, as reference values for the Gram assembly, edge
 lists are parsed one entry at a time and Gram text is written one value at
 a time. Five-start Nelder-Mead on the log marginal posterior gives the
-reference optimum for ``gp.fit``'s grid-then-one-run range search; the same
+reference optimum for ``gp.fit``'s grid-then-local range search; the same
 search with its record kept in a closure, and prediction from scipy's
 ``cdist`` and a correlation built term by term, give the references that
 ``fit`` and ``predict`` must equal bit for bit.
@@ -422,43 +422,74 @@ def multistart_nelder_mead(distances, targets, nugget):
     return best_value, best_log_ranges
 
 
-def grid_then_nelder_mead(distances, targets, nugget, multistarts=1, seed=0):
+def grid_then_local_search(distances, targets, nugget, multistarts=1, seed=0):
     """``gp.fit``'s range search with its record kept in a closure.
 
-    The 9-point log-range grid, then Nelder-Mead (400 calls each) from the
-    best grid point with a simplex half a step wide, and from
-    ``multistarts - 1`` starts drawn from ``Philox(seed)``; each point is
-    scored once. Returns the best log-ranges, their ``PosteriorParts``, the
-    number of points scored and the number of repeated calls.
+    The 9-point log-range grid, then one local search from the best grid
+    point and one from each of ``multistarts - 1`` starts drawn from
+    ``Philox(seed)``. With several ranges each is Nelder-Mead (400 calls),
+    the first with a simplex half a step wide. With one, each is scipy's
+    Brent (xtol 1e-5): the first on the best grid point and its neighbours
+    when both score worse, else after a downhill bracket search from a
+    neighbour and the best point; the others after one from (x0, x0 + 0.5).
+    Brent's proposals beyond those points are rounded to 20 significant
+    bits. Each point is scored once. Returns the best log-ranges, their
+    ``PosteriorParts``, the number of points scored, the number of repeated
+    calls, and per start its best log posterior and the points it scored.
     """
     scales = distances.prior_scales
     center = np.log(np.where(scales > 0, scales, 1.0))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    scores, record = {}, {"best": None, "hits": 0}
+    scores, record = {}, {"best": None, "hits": 0, "start_best": np.inf}
 
     def objective(log_ranges):
         key = log_ranges.tobytes()
         if key in scores:
             record["hits"] += 1
-            return scores[key]
-        parts = posterior_parts(log_ranges, distances, targets, nugget)
-        best = record["best"]
-        if np.isfinite(parts.value) and (best is None or parts.value > best[1].value):
-            record["best"] = (log_ranges, parts)
-        scores[key] = -parts.value if np.isfinite(parts.value) else 1e300
+        else:
+            parts = posterior_parts(log_ranges, distances, targets, nugget)
+            best = record["best"]
+            if np.isfinite(parts.value) and (best is None or parts.value > best[1].value):
+                record["best"] = (log_ranges, parts)
+            scores[key] = -parts.value if np.isfinite(parts.value) else 1e300
+        record["start_best"] = min(record["start_best"], scores[key])
         return scores[key]
 
-    x0 = min((center + t for t in np.arange(-4.0, 5.0)), key=objective)
-    simplex = np.vstack([x0, x0 + 0.5 * np.eye(len(x0))])
+    grid = [center + t for t in np.arange(-4.0, 5.0)]
+    grid_scores = [objective(x) for x in grid]
+    i = grid_scores.index(min(grid_scores))
+    starts = []
     for k in range(multistarts):
-        if k:
-            x0, simplex = center + rng.uniform(-2.0, 2.0, len(scales)), None
-        scipy.optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"xatol": 1e-4, "fatol": 1e-7, "maxfev": 400, "initial_simplex": simplex},
-        )
+        x0 = grid[i] if k == 0 else center + rng.uniform(-2.0, 2.0, len(scales))
+        record["start_best"], scored = np.inf, len(scores)
+        if len(scales) > 1:
+            scipy.optimize.minimize(
+                objective, x0, method="Nelder-Mead",
+                options={"xatol": 1e-4, "fatol": 1e-7, "maxfev": 400,
+                         "initial_simplex": np.vstack([x0, x0 + 0.5 * np.eye(len(x0))])
+                         if k == 0 else None},
+            )
+        else:
+            if k > 0:
+                bracket = (x0[0], x0[0] + 0.5)
+            elif 0 < i < 8 and grid_scores[i - 1] > grid_scores[i] < grid_scores[i + 1]:
+                bracket = (grid[i - 1][0], grid[i][0], grid[i + 1][0])
+            else:
+                bracket = (grid[i + 1 if i == 0 else i - 1][0], grid[i][0])
+
+            def on_line(t, bracket=bracket):
+                if t not in bracket:
+                    mantissa, exponent = np.frexp(t)
+                    t = np.ldexp(np.round(mantissa * 2.0**20), exponent - 20)
+                return objective(np.array([t], dtype=float))
+
+            scipy.optimize.minimize_scalar(
+                on_line, bracket=bracket, method="brent", options={"xtol": 1e-5}
+            )
+        start_best = record["start_best"]
+        starts.append((-start_best if start_best < 1e300 else None, len(scores) - scored))
     log_ranges, parts = record["best"]
-    return log_ranges, parts, len(scores), record["hits"]
+    return log_ranges, parts, len(scores), record["hits"], starts
 
 
 def predict_mean_and_scale(model, features, scalars):

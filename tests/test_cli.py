@@ -312,8 +312,12 @@ def test_fit_then_predict_test_set_and_reruns(workspace, tmp_path):
     assert model.size == 12
     optimizer = json.loads(model_path.with_suffix(".bin.manifest.json").read_text())["optimizer"]
     assert set(optimizer) == {
-        "posterior_evaluations", "repeated_points", "failed_points", "log_posterior",
+        "posterior_evaluations", "repeated_points", "failed_points", "log_posterior", "starts",
     }
+    assert [set(s) for s in optimizer["starts"]] == [
+        {"log_posterior", "posterior_evaluations"}
+    ] * 2
+    assert max(s["log_posterior"] for s in optimizer["starts"]) == optimizer["log_posterior"]
     assert optimizer["posterior_evaluations"] > 0 and optimizer["repeated_points"] >= 0
     assert 0 <= optimizer["failed_points"] < optimizer["posterior_evaluations"]
     assert optimizer["log_posterior"] == pytest.approx(
@@ -574,7 +578,7 @@ def test_check_psd_tells_a_binary_gram_from_a_text_one(workspace, tmp_path, caps
     ids=["check-psd-binary", "fit-max-evals"],
 )
 def test_removed_flags_are_refused(argv):
-    # check-psd reads the format from the file; each Nelder-Mead run has a fixed budget
+    # check-psd reads the format from the file; each optimizer start has a fixed budget
     with pytest.raises(SystemExit) as info:
         run(*argv)
     assert info.value.code == 2
@@ -609,6 +613,32 @@ def test_predict_with_malformed_model_exits_2(workspace, tmp_path):
         "predict", "--model", model_path, "--input", workspace / "test.jsonl",
         "--embeddings", workspace / "emb-test", "--out", tmp_path / "p.csv",
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("nugget", -5.0), ("ranges", 0.0), ("ranges", -1.0)],
+    ids=["nugget-negative", "range-zero", "range-negative"],
+)
+def test_predict_with_a_model_no_fit_could_make_exits_2(workspace, tmp_path, capsys, name, value):
+    model_path = tmp_path / "model.bin"
+    assert run(
+        "fit", "--input", workspace / "train.jsonl", "--embeddings",
+        workspace / "emb-train", "--out", model_path, "--multistarts", 1,
+    ) == 0
+    header, arrays = read_container(model_path, MODEL_MAGIC)
+    if name == "nugget":
+        header[name] = value
+    else:
+        arrays[name] = np.full_like(arrays[name], value)
+    write_container(model_path, MODEL_MAGIC, header, arrays)
+    capsys.readouterr()
+    assert run(
+        "predict", "--model", model_path, "--input", workspace / "test.jsonl",
+        "--embeddings", workspace / "emb-test", "--out", tmp_path / "p.csv",
+    ) == 2
+    assert f"'{name}' must be" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_predict_with_features_of_another_width_exits_2(workspace, tmp_path, capsys):

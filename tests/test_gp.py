@@ -26,7 +26,7 @@ from swwl.errors import (
     ParseError,
     ValidationError,
 )
-from oracles import grid_then_nelder_mead, multistart_nelder_mead, predict_mean_and_scale
+from oracles import grid_then_local_search, multistart_nelder_mead, predict_mean_and_scale
 from swwl import build_train_distances, gp
 from swwl.binio import read_container, write_container
 from swwl.gp import MODEL_MAGIC, jr_prior_rate
@@ -379,13 +379,17 @@ def _first_records(header, arrays, k):
         lambda h, a: a.pop("train_features"),
         lambda h, a: h["train_ids"].__setitem__(5, h["train_ids"][0]),
         lambda h, a: _set(h, "nugget", 10**400),
+        lambda h, a: _set(h, "nugget", -5.0),
+        lambda h, a: a["ranges"].__setitem__(1, 0.0),
+        lambda h, a: a["ranges"].__setitem__(0, -a["ranges"][0]),
     ],
     ids=["no-nugget", "nugget-str", "no-ids", "ids-vs-n", "n-str",
          "no-ranges", "ranges-count", "chol-shape", "targets-length",
          "scalar-rows", "features-1d", "no-inputs", "nugget-nan",
          "rinv-h-inf", "chol-nan", "features-inf", "ranges-nan",
          "chol-zero-diagonal", "chol-negative-diagonal", "constant-targets",
-         "ids-not-str", "n-0", "n-1", "no-features", "ids-repeated", "nugget-huge-int"],
+         "ids-not-str", "n-0", "n-1", "no-features", "ids-repeated", "nugget-huge-int",
+         "nugget-negative", "range-zero", "range-negative"],
 )
 def test_malformed_model_is_parse_error(tmp_path, damage):
     rng = np.random.default_rng(10)
@@ -423,7 +427,7 @@ def _fit_inputs():
 
 
 def test_fit_scores_each_point_once(monkeypatch):
-    # one range: the one-dimensional simplex revisits points it has scored
+    # one range: Brent's first bracket is three grid points already scored
     features, _, y = _fit_inputs()
     settings = GpSettings(multistarts=3)
     calls = []
@@ -454,12 +458,14 @@ def test_fit_and_predict_equal_the_reference_formulas(n_scalars):
     settings = GpSettings(multistarts=2, seed=5)
     model = fit(features[:20], scalars[:20], y[:20], settings=settings)
     distances = build_train_distances(features[:20], scalars[:20])
-    log_ranges, parts, scored, repeats = grid_then_nelder_mead(
+    log_ranges, parts, scored, repeats, starts = grid_then_local_search(
         distances, y[:20], settings.nugget, settings.multistarts, settings.seed
     )
     assert np.array_equal(model.ranges, np.exp(log_ranges))
     assert np.array_equal(model.chol, parts.chol)
-    assert model.diagnostics == gp.FitDiagnostics(scored, repeats, 0, parts.value)
+    assert model.diagnostics == gp.FitDiagnostics(
+        scored, repeats, 0, parts.value, tuple(gp.StartDiagnostics(*s) for s in starts)
+    )
     # R + nugget * I with the nugget added as a scaled identity
     corr = np.exp(-(1.0 / (model.ranges[0] * model.ranges[0])) * distances.sw_sq)
     for dist, ls in zip(distances.scalar_abs, model.ranges[1:]):
@@ -496,7 +502,7 @@ def test_several_ranges_optimum_matches_five_start_reference(n_scalars, seed):
     assert model.diagnostics.log_posterior >= want - 1e-6 * abs(want)
 
 
-def test_default_one_range_fit_scores_at_most_40_points(monkeypatch):
+def test_default_one_range_fit_scores_at_most_20_points(monkeypatch):
     rng = np.random.default_rng(13)
     features = rng.standard_normal((60, 8))
     y = np.cos(features[:, :3].sum(axis=1))
@@ -509,7 +515,50 @@ def test_default_one_range_fit_scores_at_most_40_points(monkeypatch):
 
     monkeypatch.setattr(gp, "marginal_posterior", recording)
     model = fit(features, None, y)
-    assert len(calls) == model.diagnostics.posterior_evaluations <= 40
+    # 9 grid points and 10 from Brent on this data
+    assert len(calls) == model.diagnostics.posterior_evaluations <= 20
+
+
+@pytest.mark.parametrize("n", [18, 20, 22])
+def test_one_range_optimum_beyond_the_grid_matches_five_start_reference(n):
+    # inputs spaced geometrically, targets linear in their log: the many small
+    # gaps set the mean distance, the targets vary on the scale of the widest
+    x = 1.5 ** np.arange(float(n))[:, None]
+    y = np.log(x[:, 0])
+    distances = build_train_distances(x, None)
+    model = fit(x, None, y)
+    last = np.log(distances.prior_scales[0]) + gp.GRID_SHIFTS[-1]
+    assert np.log(model.ranges[0]) > last
+    want, _ = multistart_nelder_mead(distances, y, model.nugget)
+    assert model.diagnostics.log_posterior >= want - 1e-6
+
+
+def test_diagnostics_record_each_start():
+    features, _, y = _fit_inputs()
+    model = fit(features, None, y, settings=GpSettings(multistarts=3, seed=2))
+    diag = model.diagnostics
+    assert len(diag.starts) == 3
+    # the grid's 9 points are counted in no start
+    assert sum(s.posterior_evaluations for s in diag.starts) + 9 == diag.posterior_evaluations
+    assert max(s.log_posterior for s in diag.starts) == diag.log_posterior
+    assert all(0 < s.posterior_evaluations <= gp.MAX_EVALS for s in diag.starts)
+
+
+@pytest.mark.parametrize("nugget", [0.0, 1e-8])
+def test_unbracketed_and_cut_short_one_range_starts_finish(monkeypatch, nugget):
+    # the extra starts search downhill for a bracket first; with zero nugget the
+    # widest ranges make R singular and score -inf; two calls cut every start short
+    rng = np.random.default_rng(3)
+    features = rng.standard_normal((30, 2))
+    y = np.cos(features.sum(axis=1)) + 2.0
+    settings = GpSettings(nugget=nugget, multistarts=4, seed=1)
+    full = fit(features, None, y, settings=settings)
+    assert (full.diagnostics.failed_points > 0) == (nugget == 0.0)
+    assert [s.log_posterior is not None for s in full.diagnostics.starts] == [True] * 4
+    monkeypatch.setattr(gp, "MAX_EVALS", 2)
+    short = fit(features, None, y, settings=settings)
+    assert all(s.posterior_evaluations <= 2 for s in short.diagnostics.starts)
+    assert short.diagnostics.log_posterior <= full.diagnostics.log_posterior
 
 
 def test_extra_starts_follow_the_seed(monkeypatch):
