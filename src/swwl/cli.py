@@ -42,7 +42,6 @@ from .gp import (
 )
 from .graphs import (
     Dataset,
-    GraphRecord,
     StandardizationStats,
     compute_standardization,
     load_dataset,
@@ -61,7 +60,7 @@ from .kernels import (
 )
 from .pipeline import embed_dataset
 from .sliced import PqStore, load_pq_store, save_pq_store
-from .synthetic import generate_regression_dataset, generate_timing_graph
+from .synthetic import generate_regression_dataset
 from .wl import WlConfig, sqrt_skip_iterations
 
 
@@ -372,80 +371,58 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _bench_cells(args, dataset, seed):
-    """Embed ``dataset`` at every (P, Q) cell of the sweep.
-
-    Yields P, Q, the embedding store and the ``perf_counter`` time the cell
-    started.
-    """
-    config = WlConfig(iterations=tuple(_ints(args.iterations)))
-    for p in _ints(args.projections):
-        for q in _ints(args.quantiles):
-            start = time.perf_counter()
-            store = embed_dataset(dataset, config, seed=seed, n_projections=p, n_quantiles=q)
-            yield p, q, store, start
-
-
 def _ms_since(start: float) -> str:
     return f"{1000.0 * (time.perf_counter() - start):.3f}"
 
 
-def _bench_timing_rows(args):
-    rows = []
-    for n in _ints(args.nodes):
-        dataset = Dataset(
-            records=tuple(
-                GraphRecord(
-                    graph=generate_timing_graph(args.seed + i, n),
-                    scalars=np.zeros(0),
-                    target=None,
-                    id=str(i),
-                )
-                for i in range(args.graphs)
-            )
-        )
-        for p, q, store, start in _bench_cells(args, dataset, args.seed):
-            rows.append([n, args.graphs, p, q, "embed", _ms_since(start), ""])
-            start = time.perf_counter()
-            assemble_gram(store, None, KernelConfig(gamma=1.0))
-            rows.append([n, args.graphs, p, q, "gram", _ms_since(start), ""])
-    return rows
+def _bench_rows(args):
+    """Sweep (node count, repeat, P, Q) on regression datasets of ``--graphs``
+    training graphs, seeded ``--seed`` + repeat.
 
-
-def _bench_rmse_rows(args):
-    rows = []
+    Timing mode writes an embed and a gram row per cell. Rmse mode adds a
+    third as many test graphs and writes one row per cell, timing embed, fit
+    and predict, with the test RMSE.
+    """
     n_train = args.graphs
-    n_test = max(1, args.graphs // 3)
+    n_test = max(1, n_train // 3) if args.mode == "rmse" else 0
+    rows = []
     for n in _ints(args.nodes):
         for rep in range(args.repeats):
             seed = args.seed + rep
             dataset = generate_regression_dataset(
                 seed=seed, n_graphs=n_train + n_test, mean_nodes=n
             )
-            targets = dataset.targets()
-            for p, q, store, start in _bench_cells(args, dataset, seed):
-                features = store.blocks[0]
-                model = gp_fit(
-                    features[:n_train],
-                    None,
-                    targets[:n_train],
-                    settings=GpSettings(seed=seed),
-                )
-                dist = gp_predict(model, features[n_train:], None)
-                cell_rmse = rmse_metric(dist.mean, targets[n_train:])
-                rows.append(
-                    [n, n_train, p, q, "rmse", _ms_since(start), f"{cell_rmse:.10g}"]
-                )
+            config = WlConfig(iterations=_parse_iterations(args.iterations, dataset))
+            for p in _ints(args.projections):
+                for q in _ints(args.quantiles):
+                    start = time.perf_counter()
+                    store = embed_dataset(
+                        dataset, config, seed=seed, n_projections=p, n_quantiles=q
+                    )
+                    if args.mode == "timing":
+                        rows.append([n, n_train, p, q, "embed", _ms_since(start), ""])
+                        start = time.perf_counter()
+                        assemble_gram(store, None, KernelConfig(gamma=1.0))
+                        stage, cell_rmse = "gram", ""
+                    else:
+                        features, targets = store.blocks[0], store.targets
+                        model = gp_fit(
+                            features[:n_train],
+                            None,
+                            targets[:n_train],
+                            settings=GpSettings(seed=seed),
+                        )
+                        dist = gp_predict(model, features[n_train:], None)
+                        stage = "rmse"
+                        cell_rmse = f"{rmse_metric(dist.mean, targets[n_train:]):.10g}"
+                    rows.append([n, n_train, p, q, stage, _ms_since(start), cell_rmse])
     return rows
 
 
 def cmd_bench(args) -> int:
     stages = _Stages()
     with stages.time("bench"):
-        if args.mode == "timing":
-            rows = _bench_timing_rows(args)
-        else:
-            rows = _bench_rmse_rows(args)
+        rows = _bench_rows(args)
     with stages.time("write"):
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -139,12 +139,10 @@ class PosteriorParts:
     """
 
     value: float
-    log_likelihood: float
-    log_prior: float
-    s2: float
-    log_det: float
-    h_rinv_h: float
-    theta_hat: float
+    s2: float = np.nan
+    log_det: float = np.nan
+    h_rinv_h: float = np.nan
+    theta_hat: float = np.nan
     flag: str | None = None
     chol: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -192,17 +190,10 @@ def posterior_parts(
     try:
         chol = np.linalg.cholesky(_correlation(distances, ranges, nugget))
     except np.linalg.LinAlgError:
-        return PosteriorParts(
-            value=-np.inf, log_likelihood=-np.inf, log_prior=0.0, s2=np.nan,
-            log_det=np.nan, h_rinv_h=np.nan, theta_hat=np.nan, flag="CholeskyFailure",
-        )
+        return PosteriorParts(value=-np.inf, flag="CholeskyFailure")
     s2, log_det, h_rinv_h, theta_hat, _, _ = _profile_parts(chol, y)
     if not np.isfinite(s2) or s2 <= 0:
-        return PosteriorParts(
-            value=-np.inf, log_likelihood=-np.inf, log_prior=0.0, s2=s2,
-            log_det=log_det, h_rinv_h=h_rinv_h, theta_hat=theta_hat,
-            flag="ConstantTarget", chol=chol,
-        )
+        return PosteriorParts(value=-np.inf, flag="ConstantTarget", chol=chol)
     log_lik = -0.5 * log_det - 0.5 * np.log(h_rinv_h) - 0.5 * (n - 1) * np.log(s2)
     scales = distances.prior_scales
     rate_sum = float(np.sum(scales / ranges))
@@ -213,8 +204,6 @@ def posterior_parts(
         log_prior = 0.0  # degenerate geometry: all distances vanish
     return PosteriorParts(
         value=float(log_lik + log_prior),
-        log_likelihood=float(log_lik),
-        log_prior=float(log_prior),
         s2=float(s2),
         log_det=float(log_det),
         h_rinv_h=float(h_rinv_h),

@@ -117,6 +117,8 @@ class GraphRecord:
     id: str
 
     def __post_init__(self):
+        if type(self.id) is not str:
+            raise ValidationError(f"record id {self.id!r} is not a string")
         scalars = np.asarray(self.scalars, dtype=float).reshape(-1)
         if not np.all(np.isfinite(scalars)):
             raise ValidationError(f"record {self.id!r}: non-finite scalar covariate")
@@ -246,7 +248,12 @@ def _record_from_obj(obj: dict, line: int) -> GraphRecord:
     except KeyError as exc:
         raise ParseError(f"missing field {exc}", line=line) from exc
     edges_raw = obj.get("edges", [])
-    rec_id = str(obj.get("id", f"record-{line}"))
+    rec_id = obj.get("id", f"record-{line}")
+    if type(rec_id) is not str:
+        if type(rec_id) not in (int, float):  # null, a boolean, an array or an object
+            raise ParseError(f"record id {json.dumps(rec_id)[:40]} is not a string "
+                             "or a number", line=line)
+        rec_id = str(rec_id)
     try:
         attrs = np.asarray(nodes, dtype=float)
     except ValueError as exc:

@@ -20,7 +20,7 @@ exact transport distance by an O(1/n) bias.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,16 +113,9 @@ def _unit_rows(draw, n_rows: int, dim: int) -> np.ndarray:
 
 
 def sample_projections(seed: int, n_projections: int, dim: int) -> ProjectionSet:
-    """Directions i.i.d. uniform on the unit sphere, reproducible from the seed.
-
-    The underlying stream is a Philox counter-based generator, so the same
-    (seed, n_projections, dim) triple yields bit-identical directions.
-    """
-    if n_projections < 1 or dim < 1:
-        raise ValidationError("need n_projections >= 1 and dim >= 1")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    dirs = _unit_rows(lambda k: rng.standard_normal((k, dim)), n_projections, dim)
-    return ProjectionSet(directions=dirs, seed=int(seed))
+    """Directions i.i.d. uniform on the unit sphere, reproducible from the seed:
+    block 0 of :func:`sample_projection_blocks`, without a block label."""
+    return replace(sample_projection_blocks(seed, n_projections, dim, 1)[0], block=None)
 
 
 def sample_projection_blocks(
@@ -130,9 +123,12 @@ def sample_projection_blocks(
 ) -> list[ProjectionSet]:
     """Independent direction sets for per-iteration measures, one seed stream.
 
-    Block h is reproducible from (seed, n_projections, dim, h): the stream is
-    consumed block by block in order.
+    The stream is a Philox counter-based generator consumed block by block in
+    order, so block h is bit-identical for the same (seed, n_projections,
+    dim, h).
     """
+    if n_projections < 1 or dim < 1:
+        raise ValidationError("need n_projections >= 1 and dim >= 1")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     blocks = []
     for h in range(n_blocks):

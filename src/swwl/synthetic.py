@@ -100,10 +100,3 @@ def generate_regression_dataset(
         for i, (g, s, t) in enumerate(zip(graphs, scalars, targets))
     )
     return Dataset(records=records)
-
-
-def generate_timing_graph(seed: int, n_nodes: int) -> AttributedGraph:
-    """One random geometric graph with smooth 2-d attributes, for benchmarks."""
-    rng = np.random.default_rng(seed)
-    positions, pairs = geometric_graph(rng, n_nodes)
-    return AttributedGraph(_attribute_cloud(rng, positions), pairs)

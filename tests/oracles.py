@@ -17,6 +17,8 @@ only the tests use them. So are the graph validation that deduplicated
 edges with ``np.unique`` and counted degrees with ``np.add.at``, the
 standardization that rebuilt every record, the dataset embedding that ran
 WL on one graph at a time, and the stacking of embedding rows into a store.
+So is the one-graph generator whose sizes the complexity acceptance test
+sweeps.
 """
 
 import itertools
@@ -52,6 +54,7 @@ from swwl.errors import (
 from swwl.gp import _floor_psd
 from swwl.kernels import _fingerprint_line, correlation_from_distances, scalar_abs_distances
 from swwl.sliced import _step_indices, pq_fingerprint
+from swwl.synthetic import _attribute_cloud, geometric_graph
 from swwl.wl import _iterate, _neighbor_operator, _warn_nonpositive_weights, embed as wl_embed
 
 
@@ -509,3 +512,10 @@ def predict_mean_and_scale(model, features, scalars):
     trend_gap = 1.0 - cross @ model.rinv_h
     cbar = cbar + np.outer(trend_gap, trend_gap) / model.h_rinv_h
     return mean, model.sigma2_hat * _floor_psd(cbar)
+
+
+def generate_timing_graph(seed: int, n_nodes: int) -> AttributedGraph:
+    """One random geometric graph with smooth 2-d attributes, for benchmarks."""
+    rng = np.random.default_rng(seed)
+    positions, pairs = geometric_graph(rng, n_nodes)
+    return AttributedGraph(_attribute_cloud(rng, positions), pairs)

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdicts live.
 """
 
 import csv
-import json
 import time
 
 import numpy as np
@@ -34,10 +33,17 @@ from swwl import (
     sample_projections,
 )
 from swwl.cli import main as cli_main
-from swwl.synthetic import generate_regression_dataset, generate_timing_graph
+from swwl.synthetic import generate_regression_dataset
 from swwl.wl import embed as wl_embed
 
-from oracles import naive_sw, store_of, sw_estimate, sw_exact_1d, w_exact_tiny
+from oracles import (
+    generate_timing_graph,
+    naive_sw,
+    store_of,
+    sw_estimate,
+    sw_exact_1d,
+    w_exact_tiny,
+)
 
 
 def verdict(number, name, ok, detail):

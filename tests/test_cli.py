@@ -132,6 +132,20 @@ def test_embed_refuses_a_repeated_record_id_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "raw", ["null", "true", '["x"]', '{"x": 1}'], ids=["null", "boolean", "array", "object"]
+)
+def test_embed_refuses_a_record_id_that_is_not_a_string_or_a_number_exit_2(
+    tmp_path, capsys, raw
+):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id":"a","nodes":[[0.0]]}\n' f'{{"id":{raw},"nodes":[[1.0]]}}\n')
+    out = tmp_path / "emb"
+    assert run("embed", "--input", bad, "--out", out, "--projections", 2, "--quantiles", 4) == 2
+    assert "line 2: record id" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gram_identical_caches_all_ones(tmp_path):
     rng = np.random.default_rng(1)
     g = AttributedGraph(rng.standard_normal((6, 2)), np.array([[0, 1], [2, 3]]))
@@ -755,6 +769,34 @@ def test_bench_timing_and_rmse_modes(tmp_path):
     # one row per node count: a 1x1 (P, Q) grid and one repeat
     assert [r["n"] for r in rows] == ["25", "30"]
     assert all(r["stage"] == "rmse" and float(r["rmse"]) >= 0 for r in rows)
+
+
+def test_bench_timing_writes_every_repeat(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert run(
+        "bench", "--out", out, "--mode", "timing", "--nodes", "10,12", "--graphs", 3,
+        "--projections", "2,3", "--quantiles", "3", "--repeats", 2,
+    ) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    # nodes x repeats x P x Q cells, an embed and a gram row each
+    assert len(rows) == 2 * 2 * 2 * 1 * 2
+    assert [(r["n"], r["P"], r["stage"]) for r in rows[:8]] == [
+        ("10", p, stage) for _ in range(2) for p in ("2", "3") for stage in ("embed", "gram")
+    ]
+    assert all(r["N"] == "3" and r["rmse"] == "" and float(r["ms"]) >= 0 for r in rows)
+
+
+@pytest.mark.parametrize("mode", ["timing", "rmse"])
+def test_bench_takes_the_iterations_embed_takes(tmp_path, capsys, mode):
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--out", out, "--mode", mode, "--nodes", 16, "--graphs", 6,
+            "--projections", 2, "--quantiles", 3]
+    assert run(*argv, "--iterations", "sqrt-skip") == 0
+    manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
+    assert manifest["parameters"]["iterations"] == "sqrt-skip"
+    assert run(*argv, "--iterations", "0,x") == 2
+    assert "cannot parse iteration list '0,x'" in capsys.readouterr().err
 
 
 def test_jobs_flag_gives_identical_artifacts(workspace, tmp_path):

@@ -86,6 +86,25 @@ def test_repeated_record_id_is_a_parse_error_naming_both_lines(
     assert info.value.line == repeat
 
 
+@pytest.mark.parametrize(
+    "raw", ["null", "true", '["x"]', '{"x": 1}'], ids=["null", "boolean", "array", "object"]
+)
+def test_record_id_that_is_not_a_string_or_a_number_is_a_parse_error(tmp_path, raw):
+    path = tmp_path / "ds.jsonl"
+    write_lines(path, ['{"id":"a","nodes":[[0.0]]}', f'{{"id":{raw},"nodes":[[1.0]]}}'])
+    message = "line 2: record id .* is not a string or a number"
+    with pytest.raises(ParseError, match=message) as info:
+        load_dataset(path)
+    assert info.value.line == 2
+
+
+def test_numeric_and_absent_record_ids_keep_their_string_form(tmp_path):
+    path = tmp_path / "ds.jsonl"
+    write_lines(path, ['{"id":5,"nodes":[[0.0]]}', '{"id":1.5,"nodes":[[1.0]]}',
+                       '{"nodes":[[2.0]]}'])
+    assert load_dataset(path).ids == ["5", "1.5", "record-3"]
+
+
 @pytest.mark.parametrize("as_bytes", [False, True])
 def test_bytes_that_are_not_utf8_are_a_parse_error_naming_the_line(tmp_path, as_bytes):
     good = '{"nodes":[[0.0]],"edges":[]}'  # ids default to record-<line>, so differ
@@ -321,6 +340,13 @@ def test_scalar_dim_mismatch_rejected():
     b = GraphRecord(graph=g, scalars=np.array([1.0, 2.0]), target=None, id="b")
     with pytest.raises(SchemaError):
         Dataset(records=(a, b))
+
+
+@pytest.mark.parametrize("rec_id", [7, None, ("a",)], ids=["int", "none", "tuple"])
+def test_record_id_that_is_not_a_string_is_refused(rec_id):
+    g = AttributedGraph(np.zeros((2, 1)), np.zeros((0, 2)))
+    with pytest.raises(ValidationError, match="is not a string"):
+        GraphRecord(graph=g, scalars=np.zeros(0), target=None, id=rec_id)
 
 
 def test_repeated_record_id_is_a_schema_error_naming_it():

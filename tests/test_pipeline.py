@@ -8,6 +8,7 @@ from swwl import pipeline
 from swwl.errors import ValidationError
 from swwl.graphs import disjoint_union
 from swwl.pipeline import _batches, embed_dataset
+from swwl.sliced import load_pq_store, save_pq_store
 
 from oracles import embed_dataset_per_graph
 from test_sliced import _assert_same_store
@@ -132,3 +133,9 @@ def test_nonpositive_weight_warning_is_emitted():
               AttributedGraph(np.zeros((2, 1)), [[0, 1]], [-1.0])]
     with pytest.warns(UserWarning, match="non-positive"):
         embed_dataset(_dataset(graphs), CONFIG, **KWARGS)
+
+
+def test_library_dataset_ids_round_trip_through_a_saved_store(tmp_path):
+    dataset = _random_dataset(2, [3, 5, 4])
+    save_pq_store(tmp_path, embed_dataset(dataset, CONFIG, **KWARGS))
+    assert list(load_pq_store(tmp_path).ids) == dataset.ids == ["g0", "g1", "g2"]

@@ -79,6 +79,18 @@ class TestProjections:
     def test_invalid_sizes(self):
         with pytest.raises(ValidationError):
             sample_projections(0, 0, 3)
+        # the block sampler shares the check: no empty direction sets, and no
+        # redraws of zero-length directions until DegenerateDrawError
+        for n_projections, dim, n_blocks in [(0, 3, 2), (2, 0, 1)]:
+            with pytest.raises(ValidationError, match="n_projections >= 1 and dim >= 1"):
+                sample_projection_blocks(0, n_projections, dim, n_blocks)
+
+    def test_single_set_is_the_first_block_of_the_philox_stream(self):
+        ps = sample_projections(42, 20, 5)
+        assert ps.block is None and ps.seed == 42
+        assert np.array_equal(ps.directions, sample_projection_blocks(42, 20, 5, 3)[0].directions)
+        draw = np.random.Generator(np.random.Philox(key=42)).standard_normal((20, 5))
+        assert np.array_equal(ps.directions, draw / np.linalg.norm(draw, axis=1)[:, None])
 
 
 class TestQuantiles:
