@@ -57,6 +57,7 @@ from .kernels import (
     save_gram_binary,
     save_gram_text,
     sq_distances,
+    usable_cpus,
 )
 from .pipeline import embed_dataset
 from .sliced import PqStore, load_pq_store, save_pq_store
@@ -116,23 +117,28 @@ def _write_manifest(path, args, stages, extra=None, **resolved):
         # peak resident set of this process so far (ru_maxrss is in KiB on Linux)
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "blas": _blas_setup(),
+        # the most threads kernels.run_calls gives the distance layer
+        "distance_threads": usable_cpus(),
     }
     if extra:
         manifest.update(extra)
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",")]
+def _comma_list(text: str, flag: str, kind=int) -> list:
+    """The comma list ``text`` given to ``flag`` as ``kind`` values;
+    ValidationError naming the flag and the list if a token is not one."""
+    try:
+        return [kind(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        noun = flag.strip("-").rstrip("s")
+        raise ValidationError(f"cannot parse {noun} list {text!r} given to {flag}") from exc
 
 
 def _parse_iterations(text: str, dataset: Dataset):
     if text == "sqrt-skip":
         return sqrt_skip_iterations(float(dataset.node_counts().mean()))
-    try:
-        return tuple(_ints(text))
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse iteration list {text!r}") from exc
+    return tuple(_comma_list(text, "--iterations"))
 
 
 def _load_records(input_path, directory) -> tuple[PqStore, str]:
@@ -263,7 +269,7 @@ def cmd_gram(args) -> int:
     elif args.gammas is not None:
         if len(store.blocks) == 1:
             raise ValidationError(f"{args.embeddings} has no per-iteration blocks (embed --aniso)")
-        gammas = np.array([float(t) for t in args.gammas.split(",")])
+        gammas = np.array(_comma_list(args.gammas, "--gammas", float))
         with stages.time("assemble"):
             gram = assemble_gram_aniso(store, gammas, **kernel)
     else:
@@ -383,18 +389,23 @@ def _bench_rows(args):
     third as many test graphs and writes one row per cell, timing embed, fit
     and predict, with the test RMSE.
     """
+    if args.repeats < 1:
+        raise ValidationError(f"--repeats must be at least 1, got {args.repeats}")
+    nodes = _comma_list(args.nodes, "--nodes")
+    projections = _comma_list(args.projections, "--projections")
+    quantiles = _comma_list(args.quantiles, "--quantiles")
     n_train = args.graphs
     n_test = max(1, n_train // 3) if args.mode == "rmse" else 0
     rows = []
-    for n in _ints(args.nodes):
+    for n in nodes:
         for rep in range(args.repeats):
             seed = args.seed + rep
             dataset = generate_regression_dataset(
                 seed=seed, n_graphs=n_train + n_test, mean_nodes=n
             )
             config = WlConfig(iterations=_parse_iterations(args.iterations, dataset))
-            for p in _ints(args.projections):
-                for q in _ints(args.quantiles):
+            for p in projections:
+                for q in quantiles:
                     start = time.perf_counter()
                     store = embed_dataset(
                         dataset, config, seed=seed, n_projections=p, n_quantiles=q

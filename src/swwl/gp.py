@@ -37,7 +37,13 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .kernels import correlation_from_distances, scalar_abs_distances, scalar_matrix, sq_distances
+from .kernels import (
+    correlation_from_distances,
+    run_calls,
+    scalar_abs_distances,
+    scalar_matrix,
+    sq_distances,
+)
 from .sliced import PqFingerprint
 
 MODEL_MAGIC = "SWWL-M1"
@@ -575,18 +581,19 @@ def predict(
             f"scalar covariates: {scalars.shape[1]} given, "
             f"the model was trained with {model.train_scalars.shape[1]}"
         )
-    cross_d = TrainDistances(
-        sq_distances(features, model.train_features),
-        scalar_abs_distances(scalars, model.train_scalars),
-    )
+    # features twice rather than y=None: perfbench/spans.py labels a cdist of
+    # one matrix with itself gp.test_dist
+    cross_sq, test_sq = run_calls([
+        functools.partial(sq_distances, features, model.train_features),
+        functools.partial(sq_distances, features, features),
+    ])
+    cross_d = TrainDistances(cross_sq, scalar_abs_distances(scalars, model.train_scalars))
     cross = _correlation(cross_d, model.ranges)  # (N*, N)
     mean = model.theta_hat + cross @ model.rinv_centered_y
     # (N, N*); the factor is finite (fit and load_model check it), and its
     # transposed view is the Fortran-ordered upper factor LAPACK reads as is
     rinv_cross_t = scipy.linalg.cho_solve((model.chol.T, False), cross.T, check_finite=False)
-    # features twice rather than y=None: perfbench/spans.py labels a cdist of
-    # one matrix with itself gp.test_dist
-    test_d = TrainDistances(sq_distances(features, features), scalar_abs_distances(scalars))
+    test_d = TrainDistances(test_sq, scalar_abs_distances(scalars))
     cbar = _correlation(test_d, model.ranges) - cross @ rinv_cross_t
     trend_gap = 1.0 - cross @ model.rinv_h  # h* - R* R^-1 h
     cbar = cbar + np.outer(trend_gap, trend_gap) / model.h_rinv_h
@@ -665,6 +672,8 @@ def load_model(path) -> GpModel:
         raise ParseError(f"{path}: 'ranges' must be positive")
     if not np.all(np.diag(arrays["chol"]) > 0):
         raise ParseError(f"{path}: 'chol' must have a positive diagonal")
+    if np.triu(arrays["chol"], 1).any():
+        raise ParseError(f"{path}: 'chol' must be lower triangular")
     if np.ptp(arrays["targets"]) == 0.0:
         raise ParseError(f"{path}: all training targets are identical")
     fp = header.get("fingerprint")

@@ -11,15 +11,17 @@ counts.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.spatial.distance
-# perfbench/spans.py wraps ``swwl.kernels.pdist`` and ``swwl.kernels.cdist``.
-# sq_distances calls cdist through scipy's module, where perfbench labels the
-# call by its caller; the name cdist is imported here only as a probe target
-from scipy.spatial.distance import cdist, pdist, squareform  # noqa: F401
+# the tiles of sq_distances(x) call these module names; sq_distances(x, y)
+# calls cdist through scipy's module instead
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .binio import read_container, record_ids, write_container
 from .errors import LengthMismatchError, NonSymmetricError, ParseError, ValidationError
@@ -93,12 +95,60 @@ def matern52(distance, lengthscale: float):
     return float(out) if out.ndim == 0 else out
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, the machine's CPU count elsewhere."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def run_calls(calls: list) -> list:
+    """The results of the argument-free ``calls``, in order, computed on
+    min(len(calls), usable_cpus()) threads; inline when that is one."""
+    threads = min(len(calls), usable_cpus())
+    if threads <= 1:
+        return [call() for call in calls]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda call: call(), calls))
+
+
 def sq_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Squared distances between the rows of x and those of y; without y, of
-    x with itself, each pair once, mirrored (symmetric, zero diagonal)."""
-    if y is None:
-        return squareform(pdist(x, "sqeuclidean"))
-    return scipy.spatial.distance.cdist(x, y, "sqeuclidean")
+    x with itself, each pair once, mirrored (symmetric, zero diagonal).
+
+    Without y the n rows are cut into min(usable_cpus(), n) contiguous
+    blocks (one if n is 0), and each upper-triangle tile is one
+    ``run_calls`` call: ``pdist`` on a diagonal block, ``cdist`` on an
+    off-diagonal pair. Each pair is computed by scipy's own kernel, so the
+    matrix equals squareform(pdist(x)) bit for bit whatever the thread count.
+    """
+    if y is not None:
+        return scipy.spatial.distance.cdist(x, y, "sqeuclidean")
+    x = np.asarray(x)
+    n = len(x)
+    k = max(1, min(usable_cpus(), n))
+    bounds = [n * i // k for i in range(k + 1)]
+    out = np.zeros((n, n))
+
+    def diagonal(i):
+        rows = slice(bounds[i], bounds[i + 1])
+        out[rows, rows] = squareform(pdist(x[rows], "sqeuclidean"))
+
+    def off_diagonal(i, j):
+        rows, cols = slice(bounds[i], bounds[i + 1]), slice(bounds[j], bounds[j + 1])
+        tile = cdist(x[rows], x[cols], "sqeuclidean")
+        out[rows, cols] = tile
+        out[cols, rows] = tile.T
+
+    # the off-diagonal tiles hold twice the pairs of a diagonal one; handing
+    # them out first evens the threads' loads
+    run_calls(
+        [functools.partial(off_diagonal, i, j) for i in range(k) for j in range(i + 1, k)]
+        + [functools.partial(diagonal, i) for i in range(k)]
+    )
+    return out
 
 
 def scalar_matrix(scalars: np.ndarray | None, n: int) -> np.ndarray:
@@ -161,8 +211,8 @@ def assemble_gram(
     """Tensorized kernel matrix over all record pairs of ``store.blocks[0]``,
     plus ``cfg.nugget`` * I.
 
-    The upper triangle is computed once per unordered pair (condensed
-    distances) and mirrored, so the result is symmetric by construction.
+    The distances are computed once per unordered pair (``sq_distances``)
+    and mirrored, so the result is symmetric by construction.
     """
     scalars = scalar_matrix(scalars, len(store.ids))
     if scalars.shape[1] != len(cfg.matern_lengthscales):

@@ -20,6 +20,7 @@ from swwl.kernels import (
     load_gram_text,
     save_gram_binary,
     save_gram_text,
+    usable_cpus,
 )
 from swwl.sliced import PQ_STORE_NAME, load_pq_store
 
@@ -631,8 +632,8 @@ def test_predict_with_malformed_model_exits_2(workspace, tmp_path):
 
 @pytest.mark.parametrize(
     "name, value",
-    [("nugget", -5.0), ("ranges", 0.0), ("ranges", -1.0)],
-    ids=["nugget-negative", "range-zero", "range-negative"],
+    [("nugget", -5.0), ("ranges", 0.0), ("ranges", -1.0), ("chol", 0.5)],
+    ids=["nugget-negative", "range-zero", "range-negative", "chol-not-lower"],
 )
 def test_predict_with_a_model_no_fit_could_make_exits_2(workspace, tmp_path, capsys, name, value):
     model_path = tmp_path / "model.bin"
@@ -799,6 +800,43 @@ def test_bench_takes_the_iterations_embed_takes(tmp_path, capsys, mode):
     assert "cannot parse iteration list '0,x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["timing", "rmse"])
+@pytest.mark.parametrize("repeats", [0, -2])
+def test_bench_refuses_fewer_than_one_repeat_exits_2(tmp_path, capsys, mode, repeats):
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--out", out, "--mode", mode, "--nodes", 10, "--graphs", 3,
+               "--projections", 2, "--quantiles", 3, "--repeats", repeats) == 2
+    assert f"--repeats must be at least 1, got {repeats}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--nodes", "--projections", "--quantiles"])
+def test_bench_names_a_list_flag_with_a_bad_token_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "bench.csv"
+    # argparse keeps the last value of a repeated flag
+    assert run("bench", "--out", out, "--graphs", 3, "--nodes", 10, "--projections", 2,
+               "--quantiles", 3, flag, "10,x") == 2
+    noun = flag.strip("-").rstrip("s")
+    assert f"cannot parse {noun} list '10,x' given to {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gram_names_a_bad_gammas_token_exits_2(aniso_store, tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert run("gram", "--embeddings", aniso_store, "--out", out, "--gammas", "1,x") == 2
+    assert "cannot parse gamma list '1,x' given to --gammas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifests_record_the_threads_of_the_affinity_mask(workspace, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    gram = tmp_path / "gram.txt"
+    assert run("gram", "--embeddings", workspace / "emb-train", "--out", gram,
+               "--distances-only") == 0
+    manifest = json.loads((tmp_path / "gram.txt.manifest.json").read_text())
+    assert manifest["distance_threads"] == 3
+
+
 def test_jobs_flag_gives_identical_artifacts(workspace, tmp_path):
     out = tmp_path / "parallel"
     assert run(
@@ -878,6 +916,7 @@ def test_manifests_record_every_flag(workspace, tmp_path, monkeypatch):
         assert manifest["command"] == command
         assert set(manifest["parameters"]) == flags[command], command
         assert manifest["peak_rss_mb"] > 0
+        assert manifest["distance_threads"] == usable_cpus()
         assert manifest["blas"] == {
             "name": blas["name"],
             "version": blas["version"],

@@ -27,6 +27,7 @@ from swwl.errors import (
     ValidationError,
 )
 from oracles import grid_then_local_search, multistart_nelder_mead, predict_mean_and_scale
+import swwl.kernels
 from swwl import build_train_distances, gp
 from swwl.binio import read_container, write_container
 from swwl.gp import MODEL_MAGIC, jr_prior_rate
@@ -382,6 +383,7 @@ def _first_records(header, arrays, k):
         lambda h, a: _set(h, "nugget", -5.0),
         lambda h, a: a["ranges"].__setitem__(1, 0.0),
         lambda h, a: a["ranges"].__setitem__(0, -a["ranges"][0]),
+        lambda h, a: a["chol"].__setitem__((3, 7), 1e-3),
     ],
     ids=["no-nugget", "nugget-str", "no-ids", "ids-vs-n", "n-str",
          "no-ranges", "ranges-count", "chol-shape", "targets-length",
@@ -389,7 +391,7 @@ def _first_records(header, arrays, k):
          "rinv-h-inf", "chol-nan", "features-inf", "ranges-nan",
          "chol-zero-diagonal", "chol-negative-diagonal", "constant-targets",
          "ids-not-str", "n-0", "n-1", "no-features", "ids-repeated", "nugget-huge-int",
-         "nugget-negative", "range-zero", "range-negative"],
+         "nugget-negative", "range-zero", "range-negative", "chol-not-lower"],
 )
 def test_malformed_model_is_parse_error(tmp_path, damage):
     rng = np.random.default_rng(10)
@@ -714,3 +716,19 @@ def test_fit_keeps_the_factor_of_the_best_point_scored(monkeypatch):
     parts = posterior_parts(np.log(model.ranges), distances, y, model.nugget)
     assert np.array_equal(model.chol, parts.chol)
     assert model.diagnostics.log_posterior == parts.value
+
+
+@pytest.mark.parametrize("n_scalars", [0, 2])
+def test_predictions_equal_at_one_and_two_threads(monkeypatch, n_scalars):
+    rng = np.random.default_rng(12)
+    feats = rng.standard_normal((40, 300)) + 3.0
+    scalars = rng.standard_normal((40, n_scalars)) if n_scalars else None
+    y = np.sin(feats[:, :5].sum(axis=1))
+    model = fit(feats[:30], None if scalars is None else scalars[:30], y[:30],
+                settings=GpSettings(multistarts=1))
+    runs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: threads)
+        runs.append(predict(model, feats[30:], None if scalars is None else scalars[30:]))
+    assert np.array_equal(runs[0].mean, runs[1].mean)
+    assert np.array_equal(runs[0].scale, runs[1].scale)

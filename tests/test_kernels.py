@@ -1,12 +1,18 @@
 """Kernel values, Gram assembly, positive definiteness, export formats."""
 
 import math
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist, pdist, squareform
 
+import swwl.kernels
 from swwl import (
     Dataset,
     EmpiricalMeasure,
@@ -30,9 +36,11 @@ from swwl.kernels import (
     load_gram,
     load_gram_binary,
     load_gram_text,
+    run_calls,
     save_gram_binary,
     save_gram_text,
     sq_distances,
+    usable_cpus,
 )
 from swwl.synthetic import generate_regression_dataset
 
@@ -483,3 +491,83 @@ def test_gram_nugget_equals_adding_a_scaled_identity(acceptance_7_stores):
         weighted += g * squareform(pdist(block, "sqeuclidean"))
     want = 2.0 * np.exp(-1.0 * weighted) + 0.1 * np.eye(120)
     assert np.array_equal(assemble_gram_aniso(store, gammas, 2.0, 0.1).values, want)
+
+
+@st.composite
+def row_matrices(draw):
+    n, width = draw(st.integers(1, 70)), draw(st.integers(1, 40))
+    elements = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    return draw(hnp.arrays(np.float64, (n, width), elements=elements))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=row_matrices(), threads=st.integers(1, 5))
+def test_tiled_distances_equal_one_pdist_and_cover_each_pair_once(x, threads):
+    pairs = []
+
+    def counting_pdist(rows, metric):
+        pairs.append(len(rows) * (len(rows) - 1) // 2)
+        return pdist(rows, metric)
+
+    def counting_cdist(rows, cols, metric):
+        pairs.append(len(rows) * len(cols))
+        return cdist(rows, cols, metric)
+
+    # up to 5 threads on fewer cores, switching often, write disjoint tiles
+    # of one output
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(swwl.kernels, "usable_cpus", lambda: threads)
+            mp.setattr(swwl.kernels, "pdist", counting_pdist)
+            mp.setattr(swwl.kernels, "cdist", counting_cdist)
+            got = sq_distances(x)
+    finally:
+        sys.setswitchinterval(interval)
+    n = len(x)
+    assert np.array_equal(got, squareform(pdist(x, "sqeuclidean")))
+    assert sum(pairs) == n * (n - 1) // 2
+    # one tile per block pair, the blocks min(threads, n)
+    k = min(threads, n)
+    assert len(pairs) == k * (k + 1) // 2
+
+
+def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_run_calls_returns_results_in_order_inline_on_one_cpu(monkeypatch, cpus):
+    monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: cpus)
+    ran_on = []
+
+    def call(i):
+        ran_on.append(threading.current_thread())
+        return i * i
+
+    assert run_calls([lambda i=i: call(i) for i in range(7)]) == [i * i for i in range(7)]
+    inline = all(t is threading.main_thread() for t in ran_on)
+    assert inline == (cpus == 1)
+    assert run_calls([]) == []
+
+
+def test_grams_equal_at_one_and_two_threads(monkeypatch, acceptance_7_stores):
+    store = acceptance_7_stores[0]
+    gammas = np.array([0.5, 0.1, 0.05, 0.02])
+    grams = []
+    for threads in (1, 2):
+        monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: threads)
+        grams.append((
+            assemble_gram(store, None, KernelConfig(gamma=0.02)).values,
+            assemble_gram_aniso(store, gammas, 2.0, 0.1).values,
+        ))
+    (iso_1, aniso_1), (iso_2, aniso_2) = grams
+    assert np.array_equal(iso_1, iso_2)
+    assert np.array_equal(aniso_1, aniso_2)
