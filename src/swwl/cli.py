@@ -48,7 +48,6 @@ from .graphs import (
     save_dataset,
 )
 from .kernels import (
-    GramMatrix,
     KernelConfig,
     assemble_gram,
     assemble_gram_aniso,
@@ -57,6 +56,7 @@ from .kernels import (
     save_gram_binary,
     save_gram_text,
     sq_distances,
+    store_gram,
     usable_cpus,
 )
 from .pipeline import embed_dataset
@@ -263,9 +263,7 @@ def cmd_gram(args) -> int:
     if args.distances_only:
         with stages.time("assemble"):
             values = sq_distances(store.blocks[0])
-        fp = store.fingerprints[0].to_dict()
-        fp.update({"kind": "sw-squared-distances", "gamma": 0.0})
-        gram = GramMatrix(values=values, row_ids=store.ids, fingerprint=fp)
+        gram = store_gram(store, 0, values, kind="sw-squared-distances", gamma=0.0)
     elif args.gammas is not None:
         if len(store.blocks) == 1:
             raise ValidationError(f"{args.embeddings} has no per-iteration blocks (embed --aniso)")

@@ -38,6 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .kernels import (
+    check_parameters,
     correlation_from_distances,
     run_calls,
     scalar_abs_distances,
@@ -118,15 +119,11 @@ def build_train_distances(features: np.ndarray, scalars: np.ndarray | None) -> T
     )
 
 
-def _correlation(distances: TrainDistances, ranges: np.ndarray, nugget: float = 0.0) -> np.ndarray:
-    """R at the given ranges; a nugget is added in place to the diagonal of
-    the fresh (square) matrix."""
-    ranges = np.asarray(ranges, dtype=float)
+def _correlation(sw_sq, scalar_abs, ranges: np.ndarray, nugget: float = 0.0) -> np.ndarray:
+    """R + nugget * I at the given ranges: the graph factor's precision is
+    gamma = 1 / range_0^2, the other ranges are the Matern lengthscales."""
     gamma = 1.0 / (ranges[0] * ranges[0])
-    corr = correlation_from_distances(distances.sw_sq, distances.scalar_abs, gamma, ranges[1:])
-    if nugget:
-        corr.flat[:: len(corr) + 1] += nugget
-    return corr
+    return correlation_from_distances(sw_sq, scalar_abs, gamma, ranges[1:], nugget=nugget)
 
 
 def _require_finite(**values) -> None:
@@ -187,14 +184,16 @@ def posterior_parts(
     n = len(y)
     if n < 2:
         raise ValidationError(f"need at least 2 targets, got {n}")
-    _require_finite(targets=y, nugget=nugget)
+    _require_finite(targets=y)
+    check_parameters(nugget=nugget)
     ranges = np.exp(np.asarray(log_ranges, dtype=float).reshape(-1))
     if len(ranges) != distances.n_ranges:
         raise LengthMismatchError(
             f"{len(ranges)} ranges for {distances.n_ranges} coordinates"
         )
+    corr = _correlation(distances.sw_sq, distances.scalar_abs, ranges, nugget)
     try:
-        chol = np.linalg.cholesky(_correlation(distances, ranges, nugget))
+        chol = np.linalg.cholesky(corr)
     except np.linalg.LinAlgError:
         return PosteriorParts(value=-np.inf, flag="CholeskyFailure")
     s2, log_det, h_rinv_h, theta_hat, _, _ = _profile_parts(chol, y)
@@ -416,8 +415,7 @@ class GpSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.nugget) and self.nugget >= 0):
-            raise ValidationError(f"nugget must be finite and nonnegative, got {self.nugget}")
+        check_parameters(nugget=self.nugget)
         if self.multistarts < 1:
             raise ValidationError(f"multistarts must be at least 1, got {self.multistarts}")
 
@@ -587,14 +585,12 @@ def predict(
         functools.partial(sq_distances, features, model.train_features),
         functools.partial(sq_distances, features, features),
     ])
-    cross_d = TrainDistances(cross_sq, scalar_abs_distances(scalars, model.train_scalars))
-    cross = _correlation(cross_d, model.ranges)  # (N*, N)
+    cross = _correlation(cross_sq, scalar_abs_distances(scalars, model.train_scalars), model.ranges)
     mean = model.theta_hat + cross @ model.rinv_centered_y
     # (N, N*); the factor is finite (fit and load_model check it), and its
     # transposed view is the Fortran-ordered upper factor LAPACK reads as is
     rinv_cross_t = scipy.linalg.cho_solve((model.chol.T, False), cross.T, check_finite=False)
-    test_d = TrainDistances(test_sq, scalar_abs_distances(scalars))
-    cbar = _correlation(test_d, model.ranges) - cross @ rinv_cross_t
+    cbar = _correlation(test_sq, scalar_abs_distances(scalars), model.ranges) - cross @ rinv_cross_t
     trend_gap = 1.0 - cross @ model.rinv_h  # h* - R* R^-1 h
     cbar = cbar + np.outer(trend_gap, trend_gap) / model.h_rinv_h
     scale = model.sigma2_hat * _floor_psd(cbar)
@@ -654,8 +650,6 @@ def load_model(path) -> GpModel:
         raise ParseError(f"{path}: 'n' must be an integer of at least 2, got {n!r}")
     ids = record_ids(path, header, "train_ids", n)
     nugget = float(header_numbers(path, header, "nugget", ()))
-    if nugget < 0:
-        raise ParseError(f"{path}: 'nugget' must be nonnegative, got {nugget!r}")
     if "train_features" not in arrays:
         raise ParseError(
             f"{path}: no 'train_features' (a scalar-only model from an earlier release?)"
@@ -668,19 +662,31 @@ def load_model(path) -> GpModel:
     for name, shape in {"ranges": (1 + scal.shape[1],), "chol": (n, n), "targets": (n,)}.items():
         if name not in arrays or arrays[name].shape != shape:
             raise ParseError(f"{path}: array {name!r} must have shape {shape}")
-    if not np.all(arrays["ranges"] > 0):
-        raise ParseError(f"{path}: 'ranges' must be positive")
-    if not np.all(np.diag(arrays["chol"]) > 0):
+    ranges, chol = arrays["ranges"], arrays["chol"]
+    try:
+        check_parameters(ranges=ranges, nugget=nugget)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not np.all(np.diag(chol) > 0):
         raise ParseError(f"{path}: 'chol' must have a positive diagonal")
-    if np.triu(arrays["chol"], 1).any():
+    if np.triu(chol, 1).any():
         raise ParseError(f"{path}: 'chol' must be lower triangular")
+    # 8 evenly spaced rows of chol chol^T against R + nugget * I rebuilt from
+    # the inputs, columns reordered to put the rows' nugget on the diagonal
+    rows = np.linspace(0, n - 1, min(n, 8)).round().astype(int)
+    cols = np.r_[rows, np.delete(np.arange(n), rows)]
+    stored = (chol[rows] @ chol.T)[:, cols]
+    rebuilt = _correlation(sq_distances(feats[rows], feats)[:, cols],
+                           scalar_abs_distances(scal[rows], scal)[:, :, cols], ranges, nugget)
+    if np.max(np.abs(stored - rebuilt)) > 1e-8 * np.max(np.abs(stored)):
+        raise ParseError(f"{path}: 'chol' does not factor R + nugget * I at the stored 'ranges'")
     if np.ptp(arrays["targets"]) == 0.0:
         raise ParseError(f"{path}: all training targets are identical")
     fp = header.get("fingerprint")
     return GpModel(
-        ranges=arrays["ranges"],
+        ranges=ranges,
         nugget=nugget,
-        chol=arrays["chol"],
+        chol=chol,
         targets=arrays["targets"],
         train_features=feats,
         train_scalars=scal,

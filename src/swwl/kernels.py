@@ -12,7 +12,6 @@ counts.
 from __future__ import annotations
 
 import functools
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -30,16 +29,17 @@ from .sliced import PqStore
 GRAM_MAGIC = "SWWL-G1"
 
 
-def _check_hyperparameters(gammas, variance: float, nugget: float) -> None:
-    """ValidationError unless every precision and the variance are finite and
-    positive and the nugget is finite and nonnegative."""
-    for gamma in gammas:
-        if not (math.isfinite(gamma) and gamma > 0):
-            raise ValidationError(f"gamma must be finite and positive, got {gamma}")
-    if not (math.isfinite(variance) and variance > 0):
-        raise ValidationError(f"variance must be finite and positive, got {variance}")
-    if not (math.isfinite(nugget) and nugget >= 0):
-        raise ValidationError(f"nugget must be finite and nonnegative, got {nugget}")
+def check_parameters(**values) -> None:
+    """ValidationError naming the first parameter that breaks the kernel's
+    rules: ``nugget`` and ``tol`` must be finite and nonnegative, every other
+    one (a precision, range or lengthscale, the variance) finite and
+    positive. A value is one number or a sequence of them."""
+    for name, value in values.items():
+        array = np.asarray(value, dtype=float)
+        nonnegative = name in ("nugget", "tol")
+        if not (np.isfinite(array) & (array >= 0 if nonnegative else array > 0)).all():
+            rule = "nonnegative" if nonnegative else "positive"
+            raise ValidationError(f"{name} must be finite and {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,9 @@ class KernelConfig:
     nugget: float = 0.0
 
     def __post_init__(self):
-        _check_hyperparameters((self.gamma,), self.variance, self.nugget)
         ls = tuple(float(v) for v in self.matern_lengthscales)
-        if not all(math.isfinite(v) and v > 0 for v in ls):
-            raise ValidationError(f"Matern lengthscales must be finite and positive, got {ls}")
+        check_parameters(gamma=self.gamma, matern_lengthscales=ls,
+                         variance=self.variance, nugget=self.nugget)
         object.__setattr__(self, "matern_lengthscales", ls)
 
 
@@ -87,8 +86,7 @@ class GramMatrix:
 
 def matern52(distance, lengthscale: float):
     """Matern-5/2 correlation (1 + sqrt5 h + 5 h^2 / 3) exp(-sqrt5 h)."""
-    if lengthscale <= 0:
-        raise ValidationError(f"lengthscale must be positive, got {lengthscale}")
+    check_parameters(lengthscale=lengthscale)
     h = np.asarray(distance, dtype=float) / lengthscale
     root5h = np.sqrt(5.0) * h
     out = (1.0 + root5h + root5h * root5h / 3.0) * np.exp(-root5h)
@@ -173,33 +171,30 @@ def correlation_from_distances(
     scalar_abs: np.ndarray,
     gamma: float,
     lengthscales: np.ndarray,
+    variance: float = 1.0,
+    nugget: float = 0.0,
 ) -> np.ndarray:
-    """Correlation matrix: exp(-gamma * d^2) times one Matern-5/2 factor per
-    (N, N') slice of the (m, N, N') ``scalar_abs``, m >= 0."""
+    """``variance`` times exp(-gamma * d^2) times one Matern-5/2 factor per
+    (N, N') slice of the (m, N, N') ``scalar_abs``, m >= 0, then ``nugget``
+    added to the entries (i, i): every Gram and GP correlation matrix.
+    The caller checks the variance and the nugget."""
+    if len(scalar_abs) != len(lengthscales):
+        raise LengthMismatchError(f"{len(scalar_abs)} scalars but {len(lengthscales)} lengthscales")
     corr = np.exp(-gamma * sw_sq)
     for dist, ls in zip(scalar_abs, np.asarray(lengthscales, dtype=float)):
         corr = corr * matern52(dist, ls)
+    if variance != 1.0:
+        corr *= variance
+    if nugget:
+        corr.flat[:: corr.shape[1] + 1] += nugget
     return corr
 
 
-def _gram(
-    store: PqStore,
-    block: int,
-    sw_sq: np.ndarray,
-    scalar_abs: np.ndarray,
-    gamma: float,
-    lengthscales,
-    variance: float,
-    nugget: float,
-    labels: dict,
-) -> GramMatrix:
-    """variance * correlation + nugget * I, labelled by the store's ids and
-    fingerprinted by its ``block``-th fingerprint."""
-    values = variance * correlation_from_distances(sw_sq, scalar_abs, gamma, lengthscales)
-    if nugget:
-        values.flat[:: len(values) + 1] += nugget
+def store_gram(store: PqStore, block: int, values: np.ndarray, **labels) -> GramMatrix:
+    """``values`` as a Gram over the store's ids, fingerprinted by its
+    ``block``-th fingerprint updated with ``labels``."""
     fp = store.fingerprints[block].to_dict()
-    fp.update(labels, variance=variance, nugget=nugget)
+    fp.update(labels)
     return GramMatrix(values=values, row_ids=store.ids, fingerprint=fp)
 
 
@@ -214,16 +209,13 @@ def assemble_gram(
     The distances are computed once per unordered pair (``sq_distances``)
     and mirrored, so the result is symmetric by construction.
     """
-    scalars = scalar_matrix(scalars, len(store.ids))
-    if scalars.shape[1] != len(cfg.matern_lengthscales):
-        raise LengthMismatchError(
-            f"{scalars.shape[1]} scalars but {len(cfg.matern_lengthscales)} lengthscales"
-        )
-    return _gram(
-        store, 0, sq_distances(store.blocks[0]), scalar_abs_distances(scalars),
+    values = correlation_from_distances(
+        sq_distances(store.blocks[0]), scalar_abs_distances(scalar_matrix(scalars, len(store.ids))),
         cfg.gamma, cfg.matern_lengthscales, cfg.variance, cfg.nugget,
-        {"kind": "swwl", "gamma": cfg.gamma,
-         "matern_lengthscales": list(cfg.matern_lengthscales)},
+    )
+    return store_gram(
+        store, 0, values, kind="swwl", gamma=cfg.gamma,
+        matern_lengthscales=list(cfg.matern_lengthscales), variance=cfg.variance, nugget=cfg.nugget,
     )
 
 
@@ -241,7 +233,7 @@ def assemble_gram_aniso(
     The Gram carries the fingerprint of ``blocks[1]``.
     """
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
-    _check_hyperparameters(gammas, variance, nugget)
+    check_parameters(gamma=gammas, variance=variance, nugget=nugget)
     iteration_blocks = store.blocks[1:]
     if not iteration_blocks:
         raise ValidationError("the store has no per-iteration blocks")
@@ -253,9 +245,9 @@ def assemble_gram_aniso(
     weighted_sq = np.zeros((n, n))
     for features, g in zip(iteration_blocks, gammas):
         weighted_sq += g * sq_distances(features)
-    return _gram(
-        store, 1, weighted_sq, np.zeros((0, n, n)), 1.0, (), variance, nugget,
-        {"kind": "aswwl", "gammas": gammas.tolist()},
+    values = correlation_from_distances(weighted_sq, (), 1.0, (), variance, nugget)
+    return store_gram(
+        store, 1, values, kind="aswwl", gammas=gammas.tolist(), variance=variance, nugget=nugget
     )
 
 
@@ -269,8 +261,7 @@ class PsdReport:
 
 def check_psd(gram: GramMatrix | np.ndarray, tol: float = 1e-8) -> PsdReport:
     """Smallest eigenvalue check: PSD iff min_eig >= -tol * max(1, trace)."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
+    check_parameters(tol=tol)
     values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, float)
     if values.size == 0:
         raise ValidationError("cannot check an empty matrix")

@@ -5,20 +5,22 @@ training and test alike. Consecutive records are embedded in batches of at
 most ``_BATCH_NODES`` nodes (a larger graph is a batch of its own): the WL
 iterations run once on the disjoint union of a batch's graphs, which they
 never cross, and each graph's rows of the result are then projected and
-sorted on their own. Batches are independent and can run on a thread pool;
-the embeddings do not depend on the batching or on the pool. Attribute
-standardization is applied to each batch's union before its WL run.
+sorted on their own. Batches are independent and can run on several
+threads; the embeddings do not depend on the batching or on the threads.
+Attribute standardization is applied to each batch's union before its WL
+run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import replace
 
 import numpy as np
 
 from .errors import ValidationError
 from .graphs import Dataset, StandardizationStats, disjoint_union
+from .kernels import run_calls
 from .sliced import (
     EmpiricalMeasure,
     PqStore,
@@ -62,8 +64,8 @@ def embed_dataset(
     embedding; with ``per_iteration``, ``blocks[1 + h]`` embeds kept
     iteration h alone under its own directions. The store also carries the
     records' targets (when every record has one) and scalar covariates.
-    With ``jobs > 1`` that many threads share the batches; the store is the
-    same for every ``jobs``.
+    ``kernels.run_calls`` embeds the batches on at most min(jobs, usable
+    CPUs) threads; the store is the same for every ``jobs``.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
@@ -83,27 +85,24 @@ def embed_dataset(
         np.empty((len(dataset), n_projections * n_quantiles)) for _ in projection_sets
     )
 
-    def embed_batch(batch):
-        start, stop = batch
-        union, offsets = disjoint_union(rec.graph for rec in dataset.records[start:stop])
-        if standardization is not None:
-            scaled = (union.attributes - standardization.mean) / standardization.std
-            union = replace(union, attributes=scaled)
-        wl = wl_embed(union, wl_config)
-        # the full embedding, then kept iteration h's columns for blocks[1 + h]
-        supports = [wl] + [wl[:, h * d : (h + 1) * d] for h in range(len(blocks) - 1)]
-        for i, lo, hi in zip(range(start, stop), offsets, offsets[1:]):
-            for block, projections, support in zip(blocks, projection_sets, supports):
-                measure = EmpiricalMeasure(support[lo:hi])
-                block[i] = pq_embed(measure, projections, grid).values
+    def embed_batches(batches):
+        for start, stop in batches:
+            union, offsets = disjoint_union(rec.graph for rec in dataset.records[start:stop])
+            if standardization is not None:
+                scaled = (union.attributes - standardization.mean) / standardization.std
+                union = replace(union, attributes=scaled)
+            wl = wl_embed(union, wl_config)
+            # the full embedding, then kept iteration h's columns for blocks[1 + h]
+            supports = [wl] + [wl[:, h * d : (h + 1) * d] for h in range(len(blocks) - 1)]
+            for i, lo, hi in zip(range(start, stop), offsets, offsets[1:]):
+                for block, projections, support in zip(blocks, projection_sets, supports):
+                    measure = EmpiricalMeasure(support[lo:hi])
+                    block[i] = pq_embed(measure, projections, grid).values
 
+    # call j of k embeds every k-th batch from the j-th on
     batches = _batches(dataset.node_counts())
-    if jobs > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(embed_batch, batches))
-    else:
-        for batch in batches:
-            embed_batch(batch)
+    k = min(jobs, len(batches))
+    run_calls([functools.partial(embed_batches, batches[j::k]) for j in range(k)])
 
     fingerprints = tuple(
         pq_fingerprint(

@@ -356,6 +356,19 @@ def tensorized_kernel(rec_a, rec_b, cfg):
     return float(value)
 
 
+def two_step_kernel_matrix(sw_sq, scalar_abs, gamma, lengthscales, variance, nugget):
+    """The kernel matrix in two steps, the reference for
+    ``kernels.correlation_from_distances``: the correlation times the
+    variance, then the nugget added in place to the diagonal."""
+    corr = np.exp(-gamma * sw_sq)
+    for dist, ls in zip(scalar_abs, lengthscales):
+        corr = corr * matern52(dist, ls)
+    values = variance * corr
+    if nugget:
+        values.flat[:: len(values) + 1] += nugget
+    return values
+
+
 def _is_number(x):
     return isinstance(x, (int, float))
 

@@ -12,7 +12,15 @@ import pytest
 from swwl import AttributedGraph, Dataset, GraphRecord, errors, load_dataset, save_dataset
 from swwl.binio import read_container, write_container
 from swwl.cli import build_parser, main
-from swwl.gp import MODEL_MAGIC, build_train_distances, load_model, marginal_posterior
+from swwl.gp import (
+    MODEL_MAGIC,
+    GpSettings,
+    build_train_distances,
+    fit,
+    load_model,
+    marginal_posterior,
+    save_model,
+)
 from swwl.kernels import (
     GRAM_MAGIC,
     GramMatrix,
@@ -631,11 +639,19 @@ def test_predict_with_malformed_model_exits_2(workspace, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, value",
-    [("nugget", -5.0), ("ranges", 0.0), ("ranges", -1.0), ("chol", 0.5)],
-    ids=["nugget-negative", "range-zero", "range-negative", "chol-not-lower"],
+    "name, value, message",
+    [
+        ("nugget", -5.0, "nugget must be finite and nonnegative"),
+        ("ranges", 0.0, "ranges must be finite and positive"),
+        ("ranges", -1.0, "ranges must be finite and positive"),
+        ("chol", 0.5, "'chol' must be lower triangular"),
+        ("ranges", 50.0, "'chol' does not factor R + nugget * I at the stored 'ranges'"),
+    ],
+    ids=["nugget-negative", "range-zero", "range-negative", "chol-not-lower", "chol-not-of-ranges"],
 )
-def test_predict_with_a_model_no_fit_could_make_exits_2(workspace, tmp_path, capsys, name, value):
+def test_predict_with_a_model_no_fit_could_make_exits_2(
+    workspace, tmp_path, capsys, name, value, message
+):
     model_path = tmp_path / "model.bin"
     assert run(
         "fit", "--input", workspace / "train.jsonl", "--embeddings",
@@ -652,7 +668,7 @@ def test_predict_with_a_model_no_fit_could_make_exits_2(workspace, tmp_path, cap
         "predict", "--model", model_path, "--input", workspace / "test.jsonl",
         "--embeddings", workspace / "emb-test", "--out", tmp_path / "p.csv",
     ) == 2
-    assert f"'{name}' must be" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -662,12 +678,12 @@ def test_predict_with_features_of_another_width_exits_2(workspace, tmp_path, cap
         "fit", "--input", workspace / "train.jsonl", "--embeddings",
         workspace / "emb-train", "--out", model_path, "--multistarts", 1,
     ) == 0
-    # a model without a fingerprint (as the library writes by default) whose
-    # training features are 5 wide, given the test store's 72-wide features
+    # a model without a fingerprint (as the library writes by default) trained
+    # on 5-wide features, given the test store's 72-wide features
     header, arrays = read_container(model_path, MODEL_MAGIC)
-    header["fingerprint"] = None
-    arrays["train_features"] = np.ascontiguousarray(arrays["train_features"][:, :5])
-    write_container(model_path, MODEL_MAGIC, header, arrays)
+    narrow = fit(arrays["train_features"][:, :5], None, arrays["targets"],
+                 settings=GpSettings(multistarts=1))
+    save_model(narrow, model_path)
     out = tmp_path / "p.csv"
     assert run(
         "predict", "--model", model_path, "--input", workspace / "test.jsonl",

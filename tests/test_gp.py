@@ -26,11 +26,16 @@ from swwl.errors import (
     ParseError,
     ValidationError,
 )
-from oracles import grid_then_local_search, multistart_nelder_mead, predict_mean_and_scale
+from oracles import (
+    grid_then_local_search,
+    multistart_nelder_mead,
+    predict_mean_and_scale,
+    two_step_kernel_matrix,
+)
 import swwl.kernels
 from swwl import build_train_distances, gp
 from swwl.binio import read_container, write_container
-from swwl.gp import MODEL_MAGIC, jr_prior_rate
+from swwl.gp import DEFAULT_NUGGET, MODEL_MAGIC, jr_prior_rate
 from swwl.sliced import PqFingerprint
 
 
@@ -343,6 +348,11 @@ def _set(mapping, key, value):
     mapping[key] = value
 
 
+def _other_nugget_factor(chol, extra):
+    """The factor of chol chol^T + extra * I."""
+    return np.linalg.cholesky(chol @ chol.T + extra * np.eye(len(chol)))
+
+
 def _first_records(header, arrays, k):
     """Keep the first k training records, a model consistent in every shape."""
     header["n"], header["train_ids"] = k, header["train_ids"][:k]
@@ -384,6 +394,9 @@ def _first_records(header, arrays, k):
         lambda h, a: a["ranges"].__setitem__(1, 0.0),
         lambda h, a: a["ranges"].__setitem__(0, -a["ranges"][0]),
         lambda h, a: a["chol"].__setitem__((3, 7), 1e-3),
+        # a factor of R at other ranges, and of R + 1e-3 * I
+        lambda h, a: a["ranges"].__imul__(10.0),
+        lambda h, a: _set(a, "chol", _other_nugget_factor(a["chol"], 1e-3)),
     ],
     ids=["no-nugget", "nugget-str", "no-ids", "ids-vs-n", "n-str",
          "no-ranges", "ranges-count", "chol-shape", "targets-length",
@@ -391,7 +404,8 @@ def _first_records(header, arrays, k):
          "rinv-h-inf", "chol-nan", "features-inf", "ranges-nan",
          "chol-zero-diagonal", "chol-negative-diagonal", "constant-targets",
          "ids-not-str", "n-0", "n-1", "no-features", "ids-repeated", "nugget-huge-int",
-         "nugget-negative", "range-zero", "range-negative", "chol-not-lower"],
+         "nugget-negative", "range-zero", "range-negative", "chol-not-lower",
+         "ranges-times-10", "chol-other-nugget"],
 )
 def test_malformed_model_is_parse_error(tmp_path, damage):
     rng = np.random.default_rng(10)
@@ -426,6 +440,44 @@ def test_prior_scales_computed_once_per_fit(monkeypatch):
 def _fit_inputs():
     rng = np.random.default_rng(12)
     return rng.standard_normal((25, 4)), rng.standard_normal((25, 1)), rng.standard_normal(25)
+
+
+@pytest.mark.parametrize("nugget", [-1e-3, np.nan, np.inf])
+def test_posterior_parts_refuses_the_nuggets_gp_settings_refuses(nugget):
+    with pytest.raises(ValidationError, match="nugget must be finite and nonnegative"):
+        GpSettings(nugget=nugget)
+    with pytest.raises(ValidationError, match="nugget must be finite and nonnegative"):
+        posterior_parts(np.zeros(1), identity_distances(5), np.arange(5.0), nugget)
+
+
+@pytest.mark.parametrize("with_scalars", [False, True])
+def test_fit_factors_the_two_step_correlation_matrix(with_scalars):
+    # the model's factor is the Cholesky factor of R + nugget * I at the
+    # optimum, R computed bit for bit as the reference arithmetic does it
+    features, scalars, y = _fit_inputs()
+    scalars = scalars if with_scalars else None
+    model = fit(features, scalars, y, settings=GpSettings(multistarts=1))
+    distances = build_train_distances(features, scalars)
+    r = model.ranges
+    want = two_step_kernel_matrix(
+        distances.sw_sq, distances.scalar_abs, 1.0 / (r[0] * r[0]), r[1:], 1.0, DEFAULT_NUGGET
+    )
+    got = gp._correlation(distances.sw_sq, distances.scalar_abs, r, DEFAULT_NUGGET)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.linalg.cholesky(want), model.chol)
+
+
+def test_model_with_ranges_times_10_is_refused(tmp_path):
+    # the stored factor no longer factors R at the stored ranges; loading it
+    # would predict far from the training targets at the training inputs
+    features, scalars, y = _fit_inputs()
+    path = tmp_path / "model.bin"
+    save_model(fit(features, scalars, y, settings=GpSettings(multistarts=1)), path)
+    header, arrays = read_container(path, MODEL_MAGIC)
+    arrays["ranges"] = 10.0 * arrays["ranges"]
+    write_container(path, MODEL_MAGIC, header, arrays)
+    with pytest.raises(ParseError, match="'chol' does not factor R \\+ nugget \\* I"):
+        load_model(path)
 
 
 def test_fit_scores_each_point_once(monkeypatch):

@@ -50,6 +50,7 @@ from oracles import (
     sw_estimate,
     swwl_kernel,
     tensorized_kernel,
+    two_step_kernel_matrix,
     value_by_value_gram_text,
 )
 
@@ -137,6 +138,11 @@ class TestMatern52:
         assert vals[-1] < 1e-10
         assert np.all(np.diff(vals) < 0)
         assert np.all((vals > 0) & (vals <= 1.0))
+
+    @pytest.mark.parametrize("lengthscale", [np.nan, np.inf, 0.0, -1.0])
+    def test_lengthscale_must_be_finite_and_positive(self, lengthscale):
+        with pytest.raises(ValidationError, match="lengthscale must be finite and positive"):
+            matern52(np.array([0.0, 1.0]), lengthscale)
 
 
 class TestTensorized:
@@ -491,6 +497,34 @@ def test_gram_nugget_equals_adding_a_scaled_identity(acceptance_7_stores):
         weighted += g * squareform(pdist(block, "sqeuclidean"))
     want = 2.0 * np.exp(-1.0 * weighted) + 0.1 * np.eye(120)
     assert np.array_equal(assemble_gram_aniso(store, gammas, 2.0, 0.1).values, want)
+
+
+def test_one_builder_equals_the_two_step_kernel_matrix(acceptance_7_stores):
+    # isotropic with a variance and a nugget, tensorized with two scalar
+    # covariates, and anisotropic: bit for bit the reference arithmetic
+    store = acceptance_7_stores[0]
+    d2 = squareform(pdist(store.blocks[0], "sqeuclidean"))
+    no_scalars = np.zeros((0, 120, 120))
+    cfg = KernelConfig(gamma=0.02, variance=2.0, nugget=0.1)
+    assert np.array_equal(
+        assemble_gram(store, None, cfg).values,
+        two_step_kernel_matrix(d2, no_scalars, 0.02, (), 2.0, 0.1),
+    )
+    scalars = np.random.default_rng(4).standard_normal((120, 2))
+    cfg = KernelConfig(gamma=0.02, matern_lengthscales=(0.7, 1.3), variance=1.5, nugget=0.01)
+    scalar_abs = np.abs(scalars.T[:, :, None] - scalars.T[:, None, :])
+    assert np.array_equal(
+        assemble_gram(store, scalars, cfg).values,
+        two_step_kernel_matrix(d2, scalar_abs, 0.02, (0.7, 1.3), 1.5, 0.01),
+    )
+    gammas = np.array([0.5, 0.1, 0.05, 0.02])
+    weighted = np.zeros((120, 120))
+    for block, g in zip(store.blocks[1:], gammas):
+        weighted += g * squareform(pdist(block, "sqeuclidean"))
+    assert np.array_equal(
+        assemble_gram_aniso(store, gammas, 2.0, 0.1).values,
+        two_step_kernel_matrix(weighted, no_scalars, 1.0, (), 2.0, 0.1),
+    )
 
 
 @st.composite

@@ -1,7 +1,11 @@
 """Batched dataset embedding against the per-graph reference."""
 
+import threading
+
 import numpy as np
 import pytest
+
+import swwl.kernels
 
 from swwl import AttributedGraph, Dataset, GraphRecord, WlConfig, compute_standardization
 from swwl import pipeline
@@ -120,6 +124,31 @@ def test_every_jobs_count_gives_the_same_store(monkeypatch, jobs):
     dataset = _random_dataset(6, np.random.default_rng(6).integers(1, 20, 30))
     assert len(_batches(dataset.node_counts())) > 8
     _assert_matches_per_graph(dataset, jobs=jobs, per_iteration=True)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 8])
+def test_jobs_share_the_usable_cpus_threads(monkeypatch, jobs):
+    # on 2 usable CPUs no jobs count starts more than 2 threads, and one job
+    # runs inline
+    monkeypatch.setattr(pipeline, "_BATCH_NODES", 25)
+    dataset = _random_dataset(6, np.random.default_rng(6).integers(1, 20, 30))
+    want = embed_dataset(dataset, CONFIG, per_iteration=True, **KWARGS)
+    monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: 2)
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    got = embed_dataset(dataset, CONFIG, per_iteration=True, jobs=jobs, **KWARGS)
+    monkeypatch.undo()
+    assert len(started) <= 2
+    assert (len(started) == 0) == (jobs == 1)
+    assert len(got.blocks) == len(want.blocks) == 4
+    for a, b in zip(got.blocks, want.blocks):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
