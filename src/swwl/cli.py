@@ -169,6 +169,9 @@ def _load_records(input_path, directory) -> tuple[PqStore, str]:
 
 
 def cmd_generate(args) -> int:
+    for flag, count in (("--n-train", args.n_train), ("--n-test", args.n_test)):
+        if count < 1:
+            raise ValidationError(f"{flag} must be at least 1, got {count}")
     stages = _Stages()
     with stages.time("generate"):
         total = args.n_train + args.n_test
@@ -227,7 +230,7 @@ def cmd_embed(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     with stages.time("write"):
         save_pq_store(out_dir, store)
-        if args.standardize and not args.standardize_stats:
+        if args.standardize:
             (out_dir / "standardization.json").write_text(
                 json.dumps(standardization.to_dict()) + "\n"
             )
@@ -265,8 +268,6 @@ def cmd_gram(args) -> int:
             values = sq_distances(store.blocks[0])
         gram = store_gram(store, 0, values, kind="sw-squared-distances", gamma=0.0)
     elif args.gammas is not None:
-        if len(store.blocks) == 1:
-            raise ValidationError(f"{args.embeddings} has no per-iteration blocks (embed --aniso)")
         gammas = np.array(_comma_list(args.gammas, "--gammas", float))
         with stages.time("assemble"):
             gram = assemble_gram_aniso(store, gammas, **kernel)
@@ -500,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--projections", type=int, default=50)
     p.add_argument("--quantiles", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--standardize", action="store_true")
-    p.add_argument("--standardize-stats", help="reuse training statistics from file")
+    standardize = p.add_mutually_exclusive_group()
+    standardize.add_argument("--standardize", action="store_true")
+    standardize.add_argument("--standardize-stats", help="reuse training statistics from file")
     p.add_argument("--aniso", action="store_true", help="also store one block per kept iteration")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_embed)

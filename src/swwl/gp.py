@@ -35,6 +35,7 @@ from .errors import (
     LengthMismatchError,
     OptimizationError,
     ParseError,
+    SwwlError,
     ValidationError,
 )
 from .kernels import (
@@ -450,6 +451,27 @@ def _floor_psd(matrix: np.ndarray) -> np.ndarray:
     return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
 
 
+def _training_set(features, scalars, targets, ids):
+    """(features, scalars, targets, ids) checked as :func:`fit` needs them; SwwlError if not."""
+    y = np.asarray(targets, dtype=float).reshape(-1)
+    n = len(y)
+    if n < 3:
+        raise ValidationError(f"need at least 3 training records, got {n}")
+    features = _feature_matrix(features)
+    if len(features) != n:
+        raise LengthMismatchError(f"{len(features)} inputs for {n} targets")
+    scalars = scalar_matrix(scalars, n)
+    _require_finite(targets=y, features=features, scalars=scalars)
+    if np.ptp(y) == 0.0:
+        raise ConstantTargetError("all training targets are identical")
+    ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
+    if len(ids) != n:
+        raise LengthMismatchError(f"{len(ids)} ids for {n} training records")
+    if not all(isinstance(i, str) for i in ids) or len(set(ids)) != n:
+        raise ValidationError("training record ids must be distinct strings")
+    return features, scalars, y, ids
+
+
 def fit(
     features: np.ndarray,
     scalars: np.ndarray | None,
@@ -482,22 +504,7 @@ def fit(
     whose correlation matrix cannot be factorized score -inf and simply
     lose the comparison.
     """
-    y = np.asarray(targets, dtype=float).reshape(-1)
-    n = len(y)
-    if n < 3:
-        raise ValidationError(f"need at least 3 training records, got {n}")
-    features = _feature_matrix(features)
-    if len(features) != n:
-        raise LengthMismatchError(f"{len(features)} inputs for {n} targets")
-    scalars = scalar_matrix(scalars, n)
-    _require_finite(targets=y, features=features, scalars=scalars)
-    if np.ptp(y) == 0.0:
-        raise ConstantTargetError("all training targets are identical")
-    ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
-    if len(ids) != n:
-        raise LengthMismatchError(f"{len(ids)} ids for {n} training records")
-    if not all(isinstance(i, str) for i in ids) or len(set(ids)) != n:
-        raise ValidationError("training record ids must be distinct strings")
+    features, scalars, y, ids = _training_set(features, scalars, targets, ids)
     distances = build_train_distances(features, scalars)
     scales = distances.prior_scales
     start_center = np.log(np.where(scales > 0, scales, 1.0))
@@ -646,26 +653,23 @@ def load_model(path) -> GpModel:
     """
     header, arrays = read_container(path, MODEL_MAGIC)
     n = header.get("n")
-    if type(n) is not int or n < 2:
-        raise ParseError(f"{path}: 'n' must be an integer of at least 2, got {n!r}")
+    if type(n) is not int:
+        raise ParseError(f"{path}: 'n' must be an integer, got {n!r}")
     ids = record_ids(path, header, "train_ids", n)
     nugget = float(header_numbers(path, header, "nugget", ()))
     if "train_features" not in arrays:
         raise ParseError(
             f"{path}: no 'train_features' (a scalar-only model from an earlier release?)"
         )
-    feats = arrays["train_features"]
-    scal = arrays.get("train_scalars", np.zeros((n, 0)))
-    for name, a in (("train_features", feats), ("train_scalars", scal)):
-        if a.ndim != 2 or a.shape[0] != n:
-            raise ParseError(f"{path}: {name!r} must hold one row per training record")
-    for name, shape in {"ranges": (1 + scal.shape[1],), "chol": (n, n), "targets": (n,)}.items():
-        if name not in arrays or arrays[name].shape != shape:
-            raise ParseError(f"{path}: array {name!r} must have shape {shape}")
-    ranges, chol = arrays["ranges"], arrays["chol"]
     try:
+        feats, scal, targets, _ = _training_set(
+            arrays["train_features"], arrays.get("train_scalars"), arrays.get("targets", ()), ids)
+        for name, shape in {"ranges": (1 + scal.shape[1],), "chol": (n, n)}.items():
+            if name not in arrays or arrays[name].shape != shape:
+                raise ParseError(f"array {name!r} must have shape {shape}")
+        ranges, chol = arrays["ranges"], arrays["chol"]
         check_parameters(ranges=ranges, nugget=nugget)
-    except ValidationError as exc:
+    except SwwlError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not np.all(np.diag(chol) > 0):
         raise ParseError(f"{path}: 'chol' must have a positive diagonal")
@@ -680,14 +684,12 @@ def load_model(path) -> GpModel:
                            scalar_abs_distances(scal[rows], scal)[:, :, cols], ranges, nugget)
     if np.max(np.abs(stored - rebuilt)) > 1e-8 * np.max(np.abs(stored)):
         raise ParseError(f"{path}: 'chol' does not factor R + nugget * I at the stored 'ranges'")
-    if np.ptp(arrays["targets"]) == 0.0:
-        raise ParseError(f"{path}: all training targets are identical")
     fp = header.get("fingerprint")
     return GpModel(
         ranges=ranges,
         nugget=nugget,
         chol=chol,
-        targets=arrays["targets"],
+        targets=targets,
         train_features=feats,
         train_scalars=scal,
         train_ids=ids,

@@ -9,6 +9,7 @@ rows back to inputs downstream.
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import json
 from dataclasses import dataclass, field
@@ -33,6 +34,9 @@ class AttributedGraph:
     attributes: (n, d) float array, one row per node.
     edges: (E, 2) int array of unordered pairs, each stored once.
     weights: (E,) float array, defaults to all ones.
+
+    The graph keeps read-only copies of the arrays it is given, so a later
+    write to the caller's arrays cannot bypass the checks below.
     """
 
     attributes: np.ndarray
@@ -40,16 +44,16 @@ class AttributedGraph:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        attrs = np.asarray(self.attributes, dtype=float)
+        attrs = np.array(self.attributes, dtype=float)
         if attrs.ndim != 2 or attrs.shape[0] < 1 or attrs.shape[1] < 1:
             raise ValidationError(f"attributes must be (n, d) with n, d >= 1, got {attrs.shape}")
         if not np.all(np.isfinite(attrs)):
             raise ValidationError("attributes contain non-finite values")
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         weights = self.weights
         if weights is None:
             weights = np.ones(len(edges))
-        weights = np.asarray(weights, dtype=float).reshape(-1)
+        weights = np.array(weights, dtype=float).reshape(-1)
         if len(weights) != len(edges):
             raise ValidationError("edge and weight counts differ")
         if not np.all(np.isfinite(weights)):
@@ -119,7 +123,7 @@ class GraphRecord:
     def __post_init__(self):
         if type(self.id) is not str:
             raise ValidationError(f"record id {self.id!r} is not a string")
-        scalars = np.asarray(self.scalars, dtype=float).reshape(-1)
+        scalars = np.array(self.scalars, dtype=float).reshape(-1)
         if not np.all(np.isfinite(scalars)):
             raise ValidationError(f"record {self.id!r}: non-finite scalar covariate")
         if self.target is not None and not np.isfinite(self.target):
@@ -378,6 +382,10 @@ class StandardizationStats:
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
+
+    def sha256(self) -> str:
+        """Hex sha256 of :meth:`to_dict` as JSON with sorted keys."""
+        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
 
     @classmethod
     def from_dict(cls, obj: dict) -> "StandardizationStats":

@@ -236,7 +236,7 @@ def assemble_gram_aniso(
     check_parameters(gamma=gammas, variance=variance, nugget=nugget)
     iteration_blocks = store.blocks[1:]
     if not iteration_blocks:
-        raise ValidationError("the store has no per-iteration blocks")
+        raise ValidationError("the store has no per-iteration blocks (embed --aniso)")
     if len(iteration_blocks) != len(gammas):
         raise LengthMismatchError(
             f"{len(gammas)} precisions for {len(iteration_blocks)} iterations"

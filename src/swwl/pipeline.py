@@ -108,7 +108,7 @@ def embed_dataset(
         pq_fingerprint(
             projections, grid, 2.0,
             iterations=wl_config.iterations,
-            standardized=standardization is not None,
+            standardization=standardization,
         )
         for projections in projection_sets
     )

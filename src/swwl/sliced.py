@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
+from .graphs import StandardizationStats
 
 GENERATOR_NAME = "philox-normal-v1"
 PQ_STORE_MAGIC = "SWWL-S1"
@@ -145,7 +146,12 @@ def _step_indices(n: int, levels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PqFingerprint:
-    """Everything two embeddings must share before they may be compared."""
+    """Everything two embeddings must share before they may be compared.
+
+    ``standardization_sha256`` is the sha256 of the sorted JSON of the
+    attribute standardization statistics, None without standardization and
+    in stores written before it was recorded.
+    """
 
     seed: int
     n_projections: int
@@ -155,9 +161,12 @@ class PqFingerprint:
     block: int | None = None
     iterations: tuple[int, ...] | None = None
     standardized: bool = False
+    standardization_sha256: str | None = None
     generator: str = GENERATOR_NAME
 
     def to_dict(self) -> dict:
+        # no key without a digest, so unstandardized stores keep their bytes
+        digest = self.standardization_sha256
         return {
             "seed": self.seed,
             "projections": self.n_projections,
@@ -168,6 +177,7 @@ class PqFingerprint:
             "iterations": None if self.iterations is None else list(self.iterations),
             "standardized": self.standardized,
             "generator": self.generator,
+            **({} if digest is None else {"standardization_sha256": digest}),
         }
 
     @classmethod
@@ -175,6 +185,7 @@ class PqFingerprint:
         """Inverse of :meth:`to_dict`; a missing or ill-typed key is a ParseError."""
         try:
             block, iterations = obj.get("block"), obj.get("iterations")
+            digest = obj.get("standardization_sha256")
             fp = cls(
                 seed=int(obj["seed"]),
                 n_projections=int(obj["projections"]),
@@ -184,6 +195,7 @@ class PqFingerprint:
                 block=None if block is None else int(block),
                 iterations=None if iterations is None else tuple(int(h) for h in iterations),
                 standardized=bool(obj.get("standardized", False)),
+                standardization_sha256=None if digest is None else str(digest),
                 generator=str(obj.get("generator", GENERATOR_NAME)),
             )
             # conversion must be lossless: "5", 1.5 or [0, "a"] are refused
@@ -213,9 +225,10 @@ def pq_fingerprint(
     grid: QuantileGrid,
     r: float,
     iterations: tuple[int, ...] | None = None,
-    standardized: bool = False,
+    standardization: StandardizationStats | None = None,
 ) -> PqFingerprint:
-    """The fingerprint of every embedding made with these directions and levels."""
+    """The fingerprint of every embedding made with these directions and
+    levels, from attributes standardized by ``standardization`` if given."""
     return PqFingerprint(
         seed=projections.seed,
         n_projections=projections.count,
@@ -224,7 +237,8 @@ def pq_fingerprint(
         dim=projections.dim,
         block=projections.block,
         iterations=iterations,
-        standardized=standardized,
+        standardized=standardization is not None,
+        standardization_sha256=None if standardization is None else standardization.sha256(),
     )
 
 

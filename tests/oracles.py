@@ -277,7 +277,7 @@ def embed_dataset_per_graph(
         pq_fingerprint(
             projections, grid, 2.0,
             iterations=wl_config.iterations,
-            standardized=standardization is not None,
+            standardization=standardization,
         )
         for projections in projection_sets
     )

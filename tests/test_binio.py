@@ -58,6 +58,15 @@ def test_truncation_anywhere_is_parse_error(tmp_path, header, payload, cut):
         read_container(path, MAGIC)
 
 
+@pytest.mark.parametrize("cut", [8, 12, 15])
+def test_truncated_header_length_is_parse_error(tmp_path, cut):
+    path = tmp_path / "c.bin"
+    write_container(path, MAGIC, {}, {})
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ParseError, match="truncated header length"):
+        read_container(path, MAGIC)
+
+
 @_settings
 @given(header=headers, payload=arrays, tail=st.binary(min_size=1, max_size=16))
 def test_trailing_bytes_are_parse_error(tmp_path, header, payload, tail):

@@ -30,7 +30,10 @@ from swwl.kernels import (
     save_gram_text,
     usable_cpus,
 )
-from swwl.sliced import PQ_STORE_NAME, load_pq_store
+from swwl.sliced import PQ_STORE_MAGIC, PQ_STORE_NAME, load_pq_store
+from swwl.synthetic import generate_regression_dataset
+
+from test_graphs import BAD_JSONL_LINES
 
 
 def run(*argv):
@@ -66,6 +69,37 @@ def test_generate_outputs_and_manifest(workspace):
     assert manifest["command"] == "generate"
     assert manifest["counts"] == {"train": 12, "test": 5}
     assert manifest["total_ms"] >= 0.95 * sum(manifest["timings_ms"].values())
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--n-train", -1), "--n-train must be at least 1, got -1"),
+        (("--n-test", 0), "--n-test must be at least 1, got 0"),
+        (("--nodes", -5), "mean_nodes must be at least 2, got -5"),
+        (("--nodes", 1), "mean_nodes must be at least 2, got 1"),
+        (("--noise", -0.1), "noise_fraction must be finite and nonnegative, got -0.1"),
+        (("--noise", "nan"), "noise_fraction must be finite and nonnegative, got nan"),
+        (("--node-spread", -1), "node_spread must be finite and nonnegative, got -1.0"),
+        (("--node-spread", "inf"), "node_spread must be finite and nonnegative, got inf"),
+        (("--scalars", -1), "scalar_dim must be at least 0, got -1"),
+    ],
+    ids=["n-train-negative", "n-test-0", "nodes-negative", "nodes-1", "noise-negative",
+         "noise-nan", "node-spread-negative", "node-spread-inf", "scalars-negative"],
+)
+def test_generate_refuses_values_it_cannot_honour_exit_2(tmp_path, capsys, flags, message):
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    assert run("generate", "--out-train", train, "--out-test", test, "--n-train", 3,
+               "--n-test", 5, "--nodes", 6, *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not train.exists() and not test.exists()
+
+
+@pytest.mark.parametrize("n_graphs", [0, -1])
+def test_generator_refuses_fewer_than_one_graph(n_graphs):
+    message = f"n_graphs must be at least 1, got {n_graphs}"
+    with pytest.raises(errors.ValidationError, match=message):
+        generate_regression_dataset(seed=0, n_graphs=n_graphs)
 
 
 def test_embed_writes_one_store(workspace):
@@ -118,6 +152,24 @@ def test_embed_bad_dataset_exits_2(tmp_path):
         "embed", "--input", bad, "--out", tmp_path / "emb", "--projections", 2,
         "--quantiles", 4,
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "line, flags, message",
+    [(line, (), message) for line, _, message in BAD_JSONL_LINES.values()]
+    + [('{"id": "b", "nodes": [[1.0]], "scalars": [2.0]}', ("--iterations=-1,0",),
+        "iterations must be nonnegative")],
+    ids=[*BAD_JSONL_LINES, "negative-iteration"],
+)
+def test_embed_refuses_a_malformed_record_or_iteration_exit_2(tmp_path, capsys, line, flags,
+                                                              message):
+    path = tmp_path / "ds.jsonl"
+    path.write_text('{"id": "a", "nodes": [[0.0]], "scalars": [1.0]}\n' + line + "\n")
+    out = tmp_path / "emb"
+    assert run("embed", "--input", path, "--out", out, "--projections", 2, "--quantiles", 4,
+               *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_embed_leaves_no_output_directory(tmp_path):
@@ -266,6 +318,21 @@ def test_gram_gammas_without_iteration_blocks_exits_2(workspace, tmp_path, capsy
     assert run("gram", "--embeddings", workspace / "emb-train", "--out", tmp_path / "g.txt",
                "--gammas", "0.5,1") == 2
     assert "no per-iteration blocks (embed --aniso)" in capsys.readouterr().err
+
+
+def test_truncated_gram_and_a_store_of_no_record_exit_2(workspace, tmp_path, capsys):
+    gram = tmp_path / "gram.bin"
+    gram.write_bytes(GRAM_MAGIC.encode() + b"\x00" + b"\x05\x00\x00")
+    assert run("check-psd", "--gram", gram) == 2
+    assert "truncated header length" in capsys.readouterr().err
+    store = tmp_path / "emb"
+    store.mkdir()
+    header, arrays = read_container(workspace / "emb-train" / PQ_STORE_NAME, PQ_STORE_MAGIC)
+    header.update(ids=[], targets=[], scalars=[])
+    write_container(store / PQ_STORE_NAME, PQ_STORE_MAGIC, header, {"block0": arrays["block0"][:0]})
+    assert run("gram", "--embeddings", store, "--out", tmp_path / "g.txt", "--gamma", 1) == 2
+    assert "'ids' lists no record" in capsys.readouterr().err
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_gram_missing_caches_exits_2(tmp_path):
@@ -638,19 +705,30 @@ def test_predict_with_malformed_model_exits_2(workspace, tmp_path):
     ) == 2
 
 
+def _first_two_records(header, arrays):
+    """Keep the first 2 training records: every shape and the factor agree."""
+    header["n"], header["train_ids"] = 2, header["train_ids"][:2]
+    for name in ("targets", "train_features"):
+        arrays[name] = arrays[name][:2]
+    arrays["chol"] = arrays["chol"][:2, :2]
+
+
 @pytest.mark.parametrize(
-    "name, value, message",
+    "damage, message",
     [
-        ("nugget", -5.0, "nugget must be finite and nonnegative"),
-        ("ranges", 0.0, "ranges must be finite and positive"),
-        ("ranges", -1.0, "ranges must be finite and positive"),
-        ("chol", 0.5, "'chol' must be lower triangular"),
-        ("ranges", 50.0, "'chol' does not factor R + nugget * I at the stored 'ranges'"),
+        (lambda h, a: h.update(nugget=-5.0), "nugget must be finite and nonnegative"),
+        (lambda h, a: a["ranges"].fill(0.0), "ranges must be finite and positive"),
+        (lambda h, a: a["ranges"].fill(-1.0), "ranges must be finite and positive"),
+        (lambda h, a: a["chol"].fill(0.5), "'chol' must be lower triangular"),
+        (lambda h, a: a["ranges"].fill(50.0),
+         "'chol' does not factor R + nugget * I at the stored 'ranges'"),
+        (_first_two_records, "need at least 3 training records, got 2"),
     ],
-    ids=["nugget-negative", "range-zero", "range-negative", "chol-not-lower", "chol-not-of-ranges"],
+    ids=["nugget-negative", "range-zero", "range-negative", "chol-not-lower", "chol-not-of-ranges",
+         "n-2"],
 )
 def test_predict_with_a_model_no_fit_could_make_exits_2(
-    workspace, tmp_path, capsys, name, value, message
+    workspace, tmp_path, capsys, damage, message
 ):
     model_path = tmp_path / "model.bin"
     assert run(
@@ -658,10 +736,7 @@ def test_predict_with_a_model_no_fit_could_make_exits_2(
         workspace / "emb-train", "--out", model_path, "--multistarts", 1,
     ) == 0
     header, arrays = read_container(model_path, MODEL_MAGIC)
-    if name == "nugget":
-        header[name] = value
-    else:
-        arrays[name] = np.full_like(arrays[name], value)
+    damage(header, arrays)
     write_container(model_path, MODEL_MAGIC, header, arrays)
     capsys.readouterr()
     assert run(
@@ -751,6 +826,40 @@ def test_standardize_roundtrip(workspace, tmp_path):
     ) == 0
     manifest = json.loads((out_test / "manifest.json").read_text())
     assert manifest["parameters"]["standardize"] is True
+
+
+def test_predict_on_attributes_standardized_by_other_statistics_exits_3(workspace, tmp_path,
+                                                                        capsys):
+    common = ["--iterations", "0,1", "--projections", 4, "--quantiles", 6, "--seed", 2]
+    train, test = workspace / "train.jsonl", workspace / "test.jsonl"
+    assert run("embed", "--input", train, "--out", tmp_path / "std", "--standardize",
+               *common) == 0
+    assert run("embed", "--input", test, "--out", tmp_path / "std-test", "--standardize-stats",
+               tmp_path / "std" / "standardization.json", *common) == 0
+    # the test records' own statistics, not the training ones
+    assert run("embed", "--input", test, "--out", tmp_path / "own-test", "--standardize",
+               *common) == 0
+    model = tmp_path / "model.bin"
+    assert run("fit", "--input", train, "--embeddings", tmp_path / "std", "--out", model,
+               "--multistarts", 1) == 0
+    assert run("predict", "--model", model, "--input", test, "--embeddings",
+               tmp_path / "std-test", "--out", tmp_path / "p.csv") == 0
+    capsys.readouterr()
+    assert run("predict", "--model", model, "--input", test, "--embeddings",
+               tmp_path / "own-test", "--out", tmp_path / "own.csv") == 3
+    assert "different configuration" in capsys.readouterr().err
+    assert not (tmp_path / "own.csv").exists()
+
+
+def test_embed_takes_one_source_of_standardization_exits_2(workspace, tmp_path, capsys):
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps({"mean": [0.0, 0.0], "std": [1.0, 1.0]}))
+    with pytest.raises(SystemExit) as exit_info:
+        run("embed", "--input", workspace / "train.jsonl", "--out", tmp_path / "emb",
+            "--standardize", "--standardize-stats", stats)
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "emb").exists()
 
 
 @pytest.mark.parametrize(

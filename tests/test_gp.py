@@ -1,8 +1,11 @@
 """Robust GP: profile statistics, fitting, prediction, equivariances."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.spatial.distance
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from swwl import (
     GpSettings,
@@ -24,6 +27,7 @@ from swwl.errors import (
     LengthMismatchError,
     OptimizationError,
     ParseError,
+    SwwlError,
     ValidationError,
 )
 from oracles import (
@@ -256,6 +260,9 @@ class TestMetricsAndIO:
         assert q2(truth, truth) == 1.0
         assert q2(np.full(3, truth.mean()), truth) == pytest.approx(0.0)
         assert rmse([0.0, 2.0], [0.0, 0.0]) == pytest.approx(np.sqrt(2.0))
+        # constant truth has no spread to explain: only an exact match scores
+        assert q2([2.0, 2.0], [2.0, 2.0]) == 1.0
+        assert q2([2.0, 2.5], [2.0, 2.0]) == -np.inf
 
     def test_metric_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -387,6 +394,7 @@ def _first_records(header, arrays, k):
         lambda h, a: _set(h, "train_ids", [1, {"a": 2}, None, [3]] + h["train_ids"][4:]),
         lambda h, a: _first_records(h, a, 0),
         lambda h, a: _first_records(h, a, 1),
+        lambda h, a: _first_records(h, a, 2),
         lambda h, a: a.pop("train_features"),
         lambda h, a: h["train_ids"].__setitem__(5, h["train_ids"][0]),
         lambda h, a: _set(h, "nugget", 10**400),
@@ -403,7 +411,7 @@ def _first_records(header, arrays, k):
          "scalar-rows", "features-1d", "no-inputs", "nugget-nan",
          "rinv-h-inf", "chol-nan", "features-inf", "ranges-nan",
          "chol-zero-diagonal", "chol-negative-diagonal", "constant-targets",
-         "ids-not-str", "n-0", "n-1", "no-features", "ids-repeated", "nugget-huge-int",
+         "ids-not-str", "n-0", "n-1", "n-2", "no-features", "ids-repeated", "nugget-huge-int",
          "nugget-negative", "range-zero", "range-negative", "chol-not-lower",
          "ranges-times-10", "chol-other-nugget"],
 )
@@ -420,6 +428,70 @@ def test_malformed_model_is_parse_error(tmp_path, damage):
     write_container(path, MODEL_MAGIC, header, arrays)
     with pytest.raises(ParseError):
         load_model(path)
+
+
+@st.composite
+def _training_sets(draw):
+    """1-6 records of 1-3 wide features, 0-2 scalars, small integer targets
+    (often all equal), ids None or drawn from a few strings and integers,
+    and at times one NaN in the features, scalars or targets."""
+    n, width, m = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    cells = st.integers(-2, 2).map(float)
+    features = np.array(draw(st.lists(cells, min_size=n * width, max_size=n * width)))
+    scalars = np.array(draw(st.lists(cells, min_size=n * m, max_size=n * m)))
+    targets = np.array(draw(st.lists(st.integers(0, 2).map(float), min_size=n, max_size=n)))
+    arrays = {"features": features.reshape(n, width), "scalars": scalars.reshape(n, m),
+              "targets": targets}
+    nan_in = draw(st.sampled_from([None, "features", "scalars", "targets"]))
+    if nan_in is not None and arrays[nan_in].size:
+        arrays[nan_in].flat[draw(st.integers(0, arrays[nan_in].size - 1))] = np.nan
+    ids = draw(st.none() | st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", 0, 1]),
+                                    min_size=n, max_size=n))
+    return arrays["features"], arrays["scalars"] if m else None, arrays["targets"], ids
+
+
+class _Scored(Exception):
+    """fit reached its first posterior evaluation."""
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_training_sets())
+# the smallest set each side of the 3-record rule
+@example((np.array([[0.0], [1.0]]), None, np.array([0.0, 1.0]), None))
+@example((np.array([[0.0], [1.0], [2.0]]), None, np.array([0.0, 1.0, 0.0]), None))
+def test_load_model_refuses_exactly_the_sets_fit_refuses(tmp_path, drawn):
+    features, scalars, targets, ids = drawn
+    nugget = 0.1  # a factor exists even for repeated rows
+    try:
+        with mock.patch.object(gp._Search, "score", side_effect=_Scored):
+            fit(features, scalars, targets, ids=ids, settings=GpSettings(nugget=nugget))
+    except _Scored:
+        fit_refused = False
+    except SwwlError:
+        fit_refused = True
+    # the same set as save_model writes it, with the factor of R + nugget * I
+    # at unit ranges (built from finite stand-ins where the set holds a NaN)
+    m = 0 if scalars is None else scalars.shape[1]
+    finite_scalars = np.zeros((len(targets), 0)) if scalars is None else np.nan_to_num(scalars)
+    corr = swwl.kernels.correlation_from_distances(
+        scipy.spatial.distance.cdist(*[np.nan_to_num(features)] * 2, "sqeuclidean"),
+        swwl.kernels.scalar_abs_distances(finite_scalars), 1.0, np.ones(m), nugget=nugget,
+    )
+    header = {"n": len(targets), "nugget": nugget, "fingerprint": None,
+              "train_ids": [str(i) for i in range(len(targets))] if ids is None else ids}
+    arrays = {"ranges": np.ones(1 + m), "chol": np.linalg.cholesky(corr), "targets": targets,
+              "train_features": features}
+    if m:
+        arrays["train_scalars"] = scalars
+    path = tmp_path / "drawn.bin"
+    write_container(path, MODEL_MAGIC, header, arrays)
+    try:
+        load_model(path)
+        load_refused = False
+    except ParseError:
+        load_refused = True
+    assert fit_refused == load_refused
 
 
 def test_prior_scales_computed_once_per_fit(monkeypatch):
@@ -448,6 +520,13 @@ def test_posterior_parts_refuses_the_nuggets_gp_settings_refuses(nugget):
         GpSettings(nugget=nugget)
     with pytest.raises(ValidationError, match="nugget must be finite and nonnegative"):
         posterior_parts(np.zeros(1), identity_distances(5), np.arange(5.0), nugget)
+
+
+def test_posterior_parts_refuses_one_target_and_a_wrong_range_count():
+    with pytest.raises(ValidationError, match="need at least 2 targets, got 1"):
+        posterior_parts(np.zeros(1), identity_distances(1), np.ones(1))
+    with pytest.raises(LengthMismatchError, match="2 ranges for 1 coordinates"):
+        posterior_parts(np.zeros(2), identity_distances(3), np.arange(3.0))
 
 
 @pytest.mark.parametrize("with_scalars", [False, True])

@@ -150,6 +150,55 @@ def test_missing_weight_defaults_to_one(tmp_path):
     assert ds.records[0].graph.weights.tolist() == [1.0]
 
 
+# one bad line after a good one, and the typed error that refuses it
+BAD_JSONL_LINES = {
+    "not-an-object": ("[1, 2]", ParseError, "expected a JSON object, got list"),
+    "no-nodes": ('{"id": "b", "edges": []}', ParseError, "missing field 'nodes'"),
+    "ragged-nodes": ('{"id": "b", "nodes": [[0.0], [1.0, 2.0]]}', ParseError,
+                     "malformed node attributes"),
+    "text-nodes": ('{"id": "b", "nodes": "abc"}', ParseError, "malformed node attributes"),
+    "nan-scalar": ('{"id": "b", "nodes": [[0.0]], "scalars": [NaN]}', ValidationError,
+                   "record 'b': non-finite scalar covariate"),
+}
+
+
+@pytest.mark.parametrize("line, error, message", BAD_JSONL_LINES.values(), ids=BAD_JSONL_LINES)
+def test_malformed_jsonl_record_is_refused(tmp_path, line, error, message):
+    path = tmp_path / "ds.jsonl"
+    write_lines(path, ['{"id": "a", "nodes": [[0.0]], "scalars": [1.0]}', line])
+    with pytest.raises(error, match=message):
+        load_dataset(path)
+
+
+def test_one_dimensional_nodes_carry_one_attribute_each(tmp_path):
+    path = tmp_path / "ds.jsonl"
+    write_lines(path, ['{"id": "a", "nodes": [0.5, 1.5, 2.5], "edges": [[0, 2]]}'])
+    graph = load_dataset(path).records[0].graph
+    assert graph.attributes.tolist() == [[0.5], [1.5], [2.5]]
+
+
+def test_graph_and_record_keep_copies_of_the_callers_arrays():
+    attributes = np.array([[0.0], [1.0], [2.0]])
+    edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+    weights = np.array([1.0, 2.0])
+    scalars = np.array([0.5])
+    graph = AttributedGraph(attributes, edges, weights)
+    record = GraphRecord(graph=graph, scalars=scalars, target=1.0, id="a")
+    for array in (attributes, edges, weights, scalars):
+        assert array.flags.writeable
+    # writes the checks would refuse: a NaN, a self-loop, an endpoint out of range
+    attributes[0, 0] = np.nan
+    edges[0] = [2, 2]
+    edges[1] = [0, 7]
+    weights[1] = np.inf
+    scalars[0] = np.nan
+    assert graph.attributes.tolist() == [[0.0], [1.0], [2.0]]
+    assert graph.edges.tolist() == [[0, 1], [1, 2]]
+    assert graph.weights.tolist() == [1.0, 2.0]
+    assert graph.degrees.tolist() == [1, 2, 1]
+    assert record.scalars.tolist() == [0.5]
+
+
 def test_self_loop_rejected():
     with pytest.raises(ValidationError, match="self-loop"):
         AttributedGraph(np.zeros((2, 1)), np.array([[1, 1]]))

@@ -17,7 +17,7 @@ from swwl import (
     sample_projection_blocks,
     sample_projections,
 )
-from swwl import pipeline
+from swwl import compute_standardization, pipeline
 from swwl.errors import (
     ConfigMismatchError,
     DegenerateDrawError,
@@ -26,6 +26,7 @@ from swwl.errors import (
     ParseError,
     ValidationError,
 )
+from swwl.graphs import StandardizationStats
 from swwl.sliced import PQ_STORE_NAME, _unit_rows, load_pq_store, save_pq_store
 from swwl.synthetic import generate_regression_dataset
 from swwl.wl import embed as wl_embed
@@ -193,6 +194,17 @@ class TestPqEmbedding:
         with pytest.raises(DimensionMismatchError):
             pq_embed(
                 EmpiricalMeasure(np.zeros((2, 3))), sample_projections(0, 2, 4), QuantileGrid(2)
+            )
+
+    def test_empty_or_non_finite_measure_and_order_below_one_are_refused(self):
+        with pytest.raises(EmptyInputError, match="n >= 1"):
+            EmpiricalMeasure(np.zeros((0, 2)))
+        with pytest.raises(ValidationError, match="non-finite"):
+            EmpiricalMeasure(np.array([[0.0, np.inf]]))
+        with pytest.raises(ValidationError, match="r must be >= 1, got 0.5"):
+            pq_embed(
+                EmpiricalMeasure(np.zeros((2, 2))), sample_projections(0, 2, 2), QuantileGrid(2),
+                r=0.5,
             )
 
 
@@ -528,6 +540,8 @@ def _rewrite_header(path, edit):
         lambda h: h.update(source_sha256=7),
         lambda h: h.pop("scalars"),  # a hash vouches for recorded scalars
         lambda h: h["fingerprints"][0].update(r=1.0),  # distances are squared Euclidean
+        lambda h: h.update(ids=[]),  # a store of no record
+        lambda h: h["fingerprints"][0].update(standardization_sha256=7),
     ],
 )
 def test_malformed_store_header_is_parse_error(tmp_path, edit):
@@ -539,6 +553,29 @@ def test_malformed_store_header_is_parse_error(tmp_path, edit):
     _rewrite_header(tmp_path / PQ_STORE_NAME, edit)
     with pytest.raises(ParseError):
         load_pq_store(tmp_path)
+
+
+def test_fingerprint_records_which_statistics_standardized_the_attributes(tmp_path):
+    dataset = generate_regression_dataset(seed=4, n_graphs=3, mean_nodes=10)
+    stats = compute_standardization(dataset)
+    # the statistics as embed writes them and --standardize-stats reads them back
+    reread = StandardizationStats.from_dict(json.loads(json.dumps(stats.to_dict())))
+    other = StandardizationStats(mean=stats.mean + 1.0, std=stats.std)
+    plain, own, same, shifted = (
+        embed_dataset(dataset, WlConfig(iterations=(0, 1)), seed=1, n_projections=2,
+                      n_quantiles=3, standardization=s)
+        for s in (None, stats, reread, other)
+    )
+    assert "standardization_sha256" not in plain.fingerprints[0].to_dict()
+    assert own.fingerprints[0].standardization_sha256 == stats.sha256()
+    assert own.fingerprints == same.fingerprints
+    assert own.fingerprints[0] != shifted.fingerprints[0]
+    # a standardized store written before the digest was recorded still loads
+    save_pq_store(tmp_path, own)
+    _rewrite_header(tmp_path / PQ_STORE_NAME,
+                    lambda h: h["fingerprints"][0].pop("standardization_sha256"))
+    fp = load_pq_store(tmp_path).fingerprints[0]
+    assert fp.standardized and fp.standardization_sha256 is None
 
 
 def test_store_with_a_repeated_id_is_parse_error(tmp_path):

@@ -166,6 +166,8 @@ def test_config_validation():
         WlConfig(iterations=(0, 0))
     with pytest.raises(ValidationError):
         WlConfig(iterations=(2, 1))
+    with pytest.raises(ValidationError, match="iterations must be nonnegative"):
+        WlConfig(iterations=(-1, 2))
     # first kept iteration may exceed zero
     cfg = WlConfig(iterations=(2, 5))
     assert cfg.block_count == 2
