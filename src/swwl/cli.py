@@ -1,13 +1,15 @@
 """Command-line pipeline with persistent, cacheable intermediate artifacts.
 
 Subcommands: generate, embed, gram, fit, predict, bench, check-psd. Every
-command writes a JSON manifest with its parsed flags, per-stage wall-clock
-timings, the peak resident set size and the BLAS set-up next to its primary
-output. Numeric artifacts are pure functions of (inputs, flags, seed);
-manifests additionally carry timings and memory.
+command times its stages with one ``_Stages``, which writes the JSON manifest
+next to its primary output: the parsed flags, per-stage wall-clock timings,
+the peak resident set size and the BLAS set-up. Numeric artifacts are pure
+functions of (inputs, flags, seed); manifests additionally carry timings and
+memory.
 
-Exit codes: 0 success, 2 input validation, 3 configuration/fingerprint
-mismatch, 4 numerical failure; each error class in ``errors`` declares its code.
+Exit codes: 0 success, 2 input validation (also any ``OSError``: a path that
+cannot be opened, read or written), 3 configuration/fingerprint mismatch,
+4 numerical failure; each error class in ``errors`` declares its code.
 """
 
 from __future__ import annotations
@@ -66,9 +68,11 @@ from .wl import WlConfig, sqrt_skip_iterations
 
 
 class _Stages:
-    """Wall-clock stage timer; milliseconds, written into the manifest."""
+    """Wall-clock stage timer of one command run, given its parsed flags;
+    :meth:`manifest` writes the run's record."""
 
-    def __init__(self):
+    def __init__(self, args):
+        self.args = args
         self.timings = {}
         self._t0 = time.perf_counter()
 
@@ -82,8 +86,27 @@ class _Stages:
             elapsed = 1000.0 * (time.perf_counter() - start)
             self.timings[name] = self.timings.get(name, 0.0) + elapsed
 
-    def total_ms(self) -> float:
-        return 1000.0 * (time.perf_counter() - self._t0)
+    def manifest(self, path, extra=None, **resolved):
+        """Write to ``path`` every parsed flag, overridden by ``resolved``
+        values, the timings in milliseconds, the peak resident set size and
+        the BLAS set-up, then the ``extra`` entries."""
+        parameters = {k: v for k, v in vars(self.args).items() if k not in ("command", "func")}
+        parameters.update(resolved)
+        manifest = {
+            "command": self.args.command,
+            "version": __version__,
+            "parameters": parameters,
+            "timings_ms": {k: round(v, 3) for k, v in self.timings.items()},
+            "total_ms": round(1000.0 * (time.perf_counter() - self._t0), 3),
+            # peak resident set of this process so far (ru_maxrss is in KiB on Linux)
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+            "blas": _blas_setup(),
+            # the most threads kernels.run_calls gives the distance layer
+            "distance_threads": usable_cpus(),
+        }
+        if extra:
+            manifest.update(extra)
+        Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -101,28 +124,6 @@ def _blas_setup() -> dict:
         "version": blas.get("version"),
         "threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
     }
-
-
-def _write_manifest(path, args, stages, extra=None, **resolved):
-    """Record every parsed flag, overridden by ``resolved`` values, the timings,
-    the peak resident set size and the BLAS set-up."""
-    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    parameters.update(resolved)
-    manifest = {
-        "command": args.command,
-        "version": __version__,
-        "parameters": parameters,
-        "timings_ms": {k: round(v, 3) for k, v in stages.timings.items()},
-        "total_ms": round(stages.total_ms(), 3),
-        # peak resident set of this process so far (ru_maxrss is in KiB on Linux)
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
-        "blas": _blas_setup(),
-        # the most threads kernels.run_calls gives the distance layer
-        "distance_threads": usable_cpus(),
-    }
-    if extra:
-        manifest.update(extra)
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _comma_list(text: str, flag: str, kind=int) -> list:
@@ -168,11 +169,26 @@ def _load_records(input_path, directory) -> tuple[PqStore, str]:
     return records, "input"
 
 
+_PSD_TOL = inspect.signature(check_psd).parameters["tol"].default
+
+
+def _psd_verdict(stages, gram, tol=_PSD_TOL) -> dict:
+    """Time ``check_psd`` on ``gram``, print its verdict and return the
+    report as the manifest's ``psd`` object."""
+    with stages.time("check_psd"):
+        report = check_psd(gram, tol=tol)
+    print(
+        f"min eigenvalue {report.min_eigenvalue:.6e} trace {report.trace:.6e} "
+        f"verdict {'PSD' if report.is_psd else 'NOT PSD'} (tol {report.tol:g})"
+    )
+    return asdict(report)
+
+
 def cmd_generate(args) -> int:
     for flag, count in (("--n-train", args.n_train), ("--n-test", args.n_test)):
         if count < 1:
             raise ValidationError(f"{flag} must be at least 1, got {count}")
-    stages = _Stages()
+    stages = _Stages(args)
     with stages.time("generate"):
         total = args.n_train + args.n_test
         dataset = generate_regression_dataset(
@@ -188,18 +204,14 @@ def cmd_generate(args) -> int:
     with stages.time("write"):
         save_dataset(train, args.out_train)
         save_dataset(test, args.out_test)
-    _write_manifest(
-        str(args.out_train) + ".manifest.json",
-        args,
-        stages,
-        extra={"counts": {"train": len(train), "test": len(test)}},
-    )
+    stages.manifest(str(args.out_train) + ".manifest.json",
+                    extra={"counts": {"train": len(train), "test": len(test)}})
     print(f"wrote {len(train)} train and {len(test)} test records")
     return 0
 
 
 def cmd_embed(args) -> int:
-    stages = _Stages()
+    stages = _Stages(args)
     with stages.time("load"):
         data = Path(args.input).read_bytes()
         dataset, digest = load_dataset(data), hashlib.sha256(data).hexdigest()
@@ -208,9 +220,7 @@ def cmd_embed(args) -> int:
     config = WlConfig(iterations=iterations)
     standardization = None
     if args.standardize_stats:
-        standardization = StandardizationStats.from_dict(
-            json.loads(Path(args.standardize_stats).read_text())
-        )
+        standardization = StandardizationStats.load(args.standardize_stats)
     elif args.standardize:
         standardization = compute_standardization(dataset)
     with stages.time("embed"):
@@ -234,10 +244,8 @@ def cmd_embed(args) -> int:
             (out_dir / "standardization.json").write_text(
                 json.dumps(standardization.to_dict()) + "\n"
             )
-    _write_manifest(
+    stages.manifest(
         out_dir / "manifest.json",
-        args,
-        stages,
         extra={
             "ids": dataset.ids,
             "counts": {
@@ -260,7 +268,7 @@ def cmd_gram(args) -> int:
         "variance": 1.0 if args.variance is None else args.variance,
         "nugget": 0.0 if args.nugget is None else args.nugget,
     }
-    stages = _Stages()
+    stages = _Stages(args)
     with stages.time("load"):
         store = load_pq_store(args.embeddings)
     if args.distances_only:
@@ -275,28 +283,14 @@ def cmd_gram(args) -> int:
         cfg = KernelConfig(gamma=args.gamma, **kernel)
         with stages.time("assemble"):
             gram = assemble_gram(store, None, cfg)
-    report = None
-    if args.check_psd:
-        with stages.time("check_psd"):
-            report = check_psd(gram)
-        print(
-            f"min eigenvalue {report.min_eigenvalue:.6e} "
-            f"({'PSD' if report.is_psd else 'NOT PSD'} at tol {report.tol:g})"
-        )
+    psd = _psd_verdict(stages, gram) if args.check_psd else None
     with stages.time("write"):
         save_gram_text(gram, args.out)
         if args.binary_out:
             save_gram_binary(gram, args.binary_out)
-    _write_manifest(
+    stages.manifest(
         str(args.out) + ".manifest.json",
-        args,
-        stages,
-        extra={
-            "counts": {"records": gram.size},
-            "psd": None
-            if report is None
-            else {"min_eigenvalue": report.min_eigenvalue, "is_psd": report.is_psd},
-        },
+        extra={"counts": {"records": gram.size}, "psd": psd},
         **kernel,
     )
     print(f"wrote {gram.size}x{gram.size} matrix to {args.out}")
@@ -304,7 +298,7 @@ def cmd_gram(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    stages = _Stages()
+    stages = _Stages(args)
     with stages.time("load"):
         store, records_from = _load_records(args.input, args.embeddings)
     if store.targets is None:
@@ -322,10 +316,8 @@ def cmd_fit(args) -> int:
         )
     with stages.time("write"):
         save_model(model, args.out)
-    _write_manifest(
+    stages.manifest(
         str(args.out) + ".manifest.json",
-        args,
-        stages,
         extra={
             "fitted": {
                 "ranges": model.ranges.tolist(),
@@ -345,7 +337,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    stages = _Stages()
+    stages = _Stages(args)
     with stages.time("load"):
         model = load_model(args.model)
         store, records_from = _load_records(args.input, args.embeddings)
@@ -362,10 +354,8 @@ def cmd_predict(args) -> int:
         print(f"rmse {metrics['rmse']:.6g}  q2 {metrics['q2']:.6g}")
     with stages.time("write"):
         write_predictions_csv(args.out, store.ids, dist)
-    _write_manifest(
+    stages.manifest(
         str(args.out) + ".manifest.json",
-        args,
-        stages,
         extra={
             "metrics": metrics,
             "counts": {"records": len(store.ids)},
@@ -430,7 +420,7 @@ def _bench_rows(args):
 
 
 def cmd_bench(args) -> int:
-    stages = _Stages()
+    stages = _Stages(args)
     with stages.time("bench"):
         rows = _bench_rows(args)
     with stages.time("write"):
@@ -438,39 +428,18 @@ def cmd_bench(args) -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["n", "N", "P", "Q", "stage", "ms", "rmse"])
             writer.writerows(rows)
-    _write_manifest(
-        str(args.out) + ".manifest.json",
-        args,
-        stages,
-        extra={"counts": {"rows": len(rows)}},
-    )
+    stages.manifest(str(args.out) + ".manifest.json", extra={"counts": {"rows": len(rows)}})
     print(f"wrote {len(rows)} benchmark rows to {args.out}")
     return 0
 
 
 def cmd_check_psd(args) -> int:
-    stages = _Stages()
+    stages = _Stages(args)
     with stages.time("load"):
         gram = load_gram(args.gram)
-    with stages.time("check_psd"):
-        report = check_psd(gram, tol=args.tol)
-    print(
-        f"min eigenvalue {report.min_eigenvalue:.6e} trace {report.trace:.6e} "
-        f"verdict {'PSD' if report.is_psd else 'NOT PSD'} (tol {report.tol:g})"
-    )
-    _write_manifest(
-        str(args.gram) + ".psd.manifest.json",
-        args,
-        stages,
-        extra={
-            "psd": {
-                "min_eigenvalue": report.min_eigenvalue,
-                "is_psd": report.is_psd,
-                "trace": report.trace,
-            }
-        },
-    )
-    return 0 if report.is_psd else 4
+    psd = _psd_verdict(stages, gram, args.tol)
+    stages.manifest(str(args.gram) + ".psd.manifest.json", extra={"psd": psd})
+    return 0 if psd["is_psd"] else 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -556,8 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-psd", help="report the smallest eigenvalue of a Gram file")
     p.add_argument("--gram", required=True, help="a text or binary (SWWL-G1) Gram")
-    p.add_argument("--tol", type=float,
-                   default=inspect.signature(check_psd).parameters["tol"].default)
+    p.add_argument("--tol", type=float, default=_PSD_TOL)
     p.set_defaults(func=cmd_check_psd)
 
     return parser
@@ -568,7 +536,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SwwlError, FileNotFoundError, ValueError) as exc:
+    except (SwwlError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # LinAlgError subclasses ValueError, so it is told apart first
         if isinstance(exc, np.linalg.LinAlgError):

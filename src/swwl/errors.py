@@ -4,7 +4,8 @@ Exit codes of ``swwl``, which each class declares as ``exit_code``:
 
 - 0: success.
 - 2: input validation: ``SwwlError`` and every subclass not named below;
-  also ``FileNotFoundError`` and any other ``ValueError``.
+  also any ``OSError`` (a path that cannot be opened, read or written) and
+  any other ``ValueError``.
 - 3: configuration or fingerprint mismatch: ``ConfigMismatchError``.
 - 4: numerical failure: ``OptimizationError``, ``ConstantTargetError``,
   ``NonSymmetricError``, ``DegenerateDrawError``;

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import header_numbers
+from .binio import _numbers, header_numbers
 from .errors import ParseError, SchemaError, ValidationError
 
 
@@ -259,9 +259,14 @@ def _record_from_obj(obj: dict, line: int) -> GraphRecord:
                              "or a number", line=line)
         rec_id = str(rec_id)
     try:
-        attrs = np.asarray(nodes, dtype=float)
-    except ValueError as exc:
-        raise ParseError(f"malformed node attributes: {exc}", line=line) from exc
+        attrs = np.array(nodes)
+    except ValueError:  # ragged rows
+        attrs = None
+    if attrs is not None and attrs.dtype.kind == "O" and _numbers(nodes, attrs.ndim):
+        attrs = np.array(nodes, dtype=float)  # an integer beyond the int64 range
+    if attrs is None or attrs.dtype.kind not in "iuf":  # text, booleans, null, objects
+        raise ParseError("malformed node attributes: 'nodes' must be a list of JSON "
+                         "numbers or of equal-length lists of them", line=line)
     if attrs.ndim == 1:
         attrs = attrs.reshape(-1, 1)
     edges, weights = _edge_arrays(edges_raw, line)
@@ -269,10 +274,14 @@ def _record_from_obj(obj: dict, line: int) -> GraphRecord:
         graph = AttributedGraph(attrs, edges, weights)
     except ValidationError as exc:
         raise ValidationError(f"record {rec_id!r} (line {line}): {exc}") from exc
-    target = obj.get("target")
+    scalars, target = obj.get("scalars", []), obj.get("target")
+    if not _numbers(scalars, 1):
+        raise ParseError("'scalars' must be a list of JSON numbers", line=line)
+    if target is not None and not _numbers(target, 0):
+        raise ParseError("'target' must be a JSON number or null", line=line)
     return GraphRecord(
         graph=graph,
-        scalars=np.asarray(obj.get("scalars", []), dtype=float),
+        scalars=np.array(scalars, dtype=float),
         target=None if target is None else float(target),
         id=rec_id,
     )
@@ -388,18 +397,31 @@ class StandardizationStats:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "StandardizationStats":
-        """Inverse of :meth:`to_dict`; ParseError unless ``mean`` and ``std``
-        are equal-length lists of finite numbers and every ``std`` is positive.
+    def from_dict(cls, obj: dict, source="standardization") -> "StandardizationStats":
+        """Inverse of :meth:`to_dict`; ParseError naming ``source`` unless
+        ``obj`` is a dict whose ``mean`` and ``std`` are equal-length lists of
+        finite numbers and every ``std`` is positive.
         """
         if not isinstance(obj, dict):
-            raise ParseError(f"standardization statistics must be a JSON object, got {obj!r}")
-        mean, std = (header_numbers("standardization", obj, k, (None,)) for k in ("mean", "std"))
+            raise ParseError(f"{source}: standardization statistics must be a JSON object, "
+                             f"got {type(obj).__name__}")
+        mean, std = (header_numbers(source, obj, k, (None,)) for k in ("mean", "std"))
         if mean.shape != std.shape:
-            raise ParseError(f"standardization has {mean.size} means but {std.size} scales")
+            raise ParseError(f"{source}: {mean.size} means but {std.size} scales")
         if not np.all(std > 0):
-            raise ParseError("standardization 'std' must be positive")
+            raise ParseError(f"{source}: 'std' must be positive")
         return cls(mean=mean, std=std)
+
+    @classmethod
+    def load(cls, path) -> "StandardizationStats":
+        """:meth:`from_dict` of the JSON file ``path`` (``standardization.json``
+        as ``embed --standardize`` writes it); ParseError naming ``path`` if
+        it is not UTF-8 JSON."""
+        try:
+            obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise ParseError(f"{path}: not UTF-8 JSON: {exc}") from exc
+        return cls.from_dict(obj, source=path)
 
 
 def compute_standardization(dataset: Dataset) -> StandardizationStats:

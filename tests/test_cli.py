@@ -619,6 +619,22 @@ def test_check_psd_command(workspace, tmp_path):
     assert run("check-psd", "--gram", bad) == 4
 
 
+def test_gram_check_psd_and_check_psd_give_one_verdict(workspace, tmp_path, capsys):
+    gram_path = tmp_path / "gram.txt"
+    assert run("gram", "--embeddings", workspace / "emb-train", "--out", gram_path,
+               "--gamma", 1.0, "--check-psd") == 0
+    gram_line = capsys.readouterr().out.splitlines()[0]
+    assert run("check-psd", "--gram", gram_path) == 0
+    assert capsys.readouterr().out.splitlines() == [gram_line]
+    assert gram_line.startswith("min eigenvalue ") and " verdict PSD (tol 1e-08)" in gram_line
+    gram_psd, check_psd_psd = (
+        json.loads(Path(f"{gram_path}{suffix}").read_text())["psd"]
+        for suffix in (".manifest.json", ".psd.manifest.json")
+    )
+    assert gram_psd == check_psd_psd
+    assert set(gram_psd) == {"min_eigenvalue", "is_psd", "tol", "trace"}
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("fmt", ["text", "binary"])
 def test_check_psd_of_a_non_finite_gram_exits_2(tmp_path, capsys, fmt, value):
@@ -875,6 +891,26 @@ def test_embed_refuses_bad_standardization_stats_exit_2(workspace, tmp_path, sta
     assert not (tmp_path / "emb").exists()
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [(b"mean: [0]", "not UTF-8 JSON"), (b'{"mean": ["\xe9"]}', "not UTF-8 JSON"),
+     (b"[0, 1]", "must be a JSON object, got list")],
+    ids=["not-json", "not-utf8", "not-an-object"],
+)
+def test_embed_names_the_standardization_stats_file_it_refuses_exit_2(
+    workspace, tmp_path, capsys, raw, message
+):
+    path = tmp_path / "stats.json"
+    path.write_bytes(raw)
+    assert run(
+        "embed", "--input", workspace / "test.jsonl", "--out", tmp_path / "emb",
+        "--projections", 2, "--quantiles", 4, "--standardize-stats", path,
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and message in err
+    assert not (tmp_path / "emb").exists()
+
+
 def test_bench_timing_and_rmse_modes(tmp_path):
     out = tmp_path / "bench.csv"
     assert run(
@@ -1084,6 +1120,8 @@ EXIT_CODES = {
     errors.ConstantTargetError: 4,
     np.linalg.LinAlgError: 4,
     FileNotFoundError: 2,
+    IsADirectoryError: 2,
+    PermissionError: 2,
     ValueError: 2,
 }
 
@@ -1102,3 +1140,27 @@ def test_exit_code_table(monkeypatch, tmp_path):
         monkeypatch.setattr("swwl.cli.cmd_check_psd", fail)
         codes[exc_type] = run("check-psd", "--gram", tmp_path / "g.txt")
     assert codes == EXIT_CODES
+
+
+@pytest.mark.parametrize(
+    "command", ["embed-input-dir", "embed-out-file", "check-psd-dir", "fit-out-dir"]
+)
+def test_a_path_that_cannot_be_opened_or_written_exits_2(workspace, tmp_path, capsys,
+                                                         command):
+    a_dir, a_file = tmp_path / "a-dir", tmp_path / "a-file"
+    a_dir.mkdir()
+    a_file.write_text("")
+    out, small = tmp_path / "emb", ("--projections", 2, "--quantiles", 4)
+    argv = {
+        "embed-input-dir": ("embed", "--input", a_dir, "--out", out, *small),
+        "embed-out-file": ("embed", "--input", workspace / "test.jsonl", "--out", a_file,
+                           *small),
+        "check-psd-dir": ("check-psd", "--gram", a_dir),
+        # after the whole fit has run
+        "fit-out-dir": ("fit", "--input", workspace / "train.jsonl", "--embeddings",
+                        workspace / "emb-train", "--out", a_dir),
+    }[command]
+    assert run(*argv) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(a_dir.iterdir()) and a_file.read_text() == ""

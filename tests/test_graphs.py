@@ -159,6 +159,30 @@ BAD_JSONL_LINES = {
     "text-nodes": ('{"id": "b", "nodes": "abc"}', ParseError, "malformed node attributes"),
     "nan-scalar": ('{"id": "b", "nodes": [[0.0]], "scalars": [NaN]}', ValidationError,
                    "record 'b': non-finite scalar covariate"),
+    # nodes, scalars and target take JSON numbers only, not booleans or text
+    "object-nodes": ('{"id": "b", "nodes": {"x": 1}}', ParseError,
+                     "line 2: malformed node attributes"),
+    "text-in-nodes": ('{"id": "b", "nodes": [["0.5"]]}', ParseError,
+                      "line 2: malformed node attributes"),
+    "boolean-nodes": ('{"id": "b", "nodes": [true, false]}', ParseError,
+                      "line 2: malformed node attributes"),
+    "object-scalars": ('{"id": "b", "nodes": [[0.0]], "scalars": {"x": 1}}', ParseError,
+                       "line 2: 'scalars' must be a list of JSON numbers"),
+    "ragged-scalars": ('{"id": "b", "nodes": [[0.0]], "scalars": [[1.0], [2.0, 3.0]]}',
+                       ParseError, "line 2: 'scalars' must be a list of JSON numbers"),
+    "text-scalar": ('{"id": "b", "nodes": [[0.0]], "scalars": ["3"]}', ParseError,
+                    "line 2: 'scalars' must be a list of JSON numbers"),
+    "list-target": ('{"id": "b", "nodes": [[0.0]], "scalars": [1.0], "target": [1.0]}',
+                    ParseError, "line 2: 'target' must be a JSON number"),
+    "object-target": ('{"id": "b", "nodes": [[0.0]], "scalars": [1.0], "target": {"x": 1}}',
+                      ParseError, "line 2: 'target' must be a JSON number"),
+    "text-target": ('{"id": "b", "nodes": [[0.0]], "scalars": [1.0], "target": "abc"}',
+                    ParseError, "line 2: 'target' must be a JSON number"),
+    "numeric-text-target": ('{"id": "b", "nodes": [[0.0]], "scalars": [1.0], '
+                            '"target": "2.5"}', ParseError,
+                            "line 2: 'target' must be a JSON number"),
+    "boolean-target": ('{"id": "b", "nodes": [[0.0]], "scalars": [1.0], "target": true}',
+                       ParseError, "line 2: 'target' must be a JSON number"),
 }
 
 
@@ -175,6 +199,16 @@ def test_one_dimensional_nodes_carry_one_attribute_each(tmp_path):
     write_lines(path, ['{"id": "a", "nodes": [0.5, 1.5, 2.5], "edges": [[0, 2]]}'])
     graph = load_dataset(path).records[0].graph
     assert graph.attributes.tolist() == [[0.5], [1.5], [2.5]]
+
+
+def test_node_attributes_take_integers_beyond_the_int64_range(tmp_path):
+    # numpy gives such a list an object dtype; it holds JSON numbers, so it loads
+    path = tmp_path / "ds.jsonl"
+    write_lines(path, [f'{{"id": "a", "nodes": [[{2**70}], [1.5]]}}'])
+    assert load_dataset(path).records[0].graph.attributes.tolist() == [[2.0**70], [1.5]]
+    write_lines(path, [f'{{"id": "a", "nodes": [[{10**400}], [1.5]]}}'])
+    with pytest.raises(ParseError, match="line 1: number out of range"):
+        load_dataset(path)
 
 
 def test_graph_and_record_keep_copies_of_the_callers_arrays():

@@ -283,13 +283,16 @@ class TestAssembleGram:
         np.testing.assert_allclose(np.exp(-gamma * d2), direct, rtol=1e-15)
 
 
-def test_assembly_time_tracks_embedding_width():
+def test_assembly_time_tracks_embedding_width(monkeypatch):
     # doubling the projection count doubles the feature width and should
     # roughly double the pairwise-assembly cost (generous bounds). The two
     # widths are timed in turn and each keeps its fastest run, so a burst of
-    # other work on the machine slows both or is dropped, not one alone
+    # other work on the machine slows both or is dropped, not one alone. The
+    # distance layer runs on one thread, so that thread start-up, which does
+    # not grow with the width, is not part of what is timed
     import time
 
+    monkeypatch.setattr("swwl.kernels.usable_cpus", lambda: 1)
     rng = np.random.default_rng(42)
     grid = QuantileGrid(200)
     supports = [rng.standard_normal((40, 3)) for _ in range(80)]
