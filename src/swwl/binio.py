@@ -39,7 +39,8 @@ def write_container(path, magic: str, header: dict, arrays: dict[str, np.ndarray
         fh.write(np.uint64(len(blob)).tobytes())
         fh.write(blob)
         for arr in arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            # the array's own buffer, not a bytes copy of it
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def _array_entries(path, header) -> list[tuple[str, tuple[int, ...]]]:

@@ -17,12 +17,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import inspect
 import json
 import os
 import resource
 import sys
+import threading
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -55,6 +57,7 @@ from .kernels import (
     assemble_gram_aniso,
     check_psd,
     load_gram,
+    run_calls,
     save_gram_binary,
     save_gram_text,
     sq_distances,
@@ -75,16 +78,19 @@ class _Stages:
         self.args = args
         self.timings = {}
         self._t0 = time.perf_counter()
+        self._lock = threading.Lock()
 
     @contextlib.contextmanager
     def time(self, name):
-        """Add the wall-clock time of the ``with`` body to stage ``name``."""
+        """Add the wall-clock time of the ``with`` body to stage ``name``;
+        stages timed on several threads at once may overlap."""
         start = time.perf_counter()
         try:
             yield
         finally:
             elapsed = 1000.0 * (time.perf_counter() - start)
-            self.timings[name] = self.timings.get(name, 0.0) + elapsed
+            with self._lock:
+                self.timings[name] = self.timings.get(name, 0.0) + elapsed
 
     def manifest(self, path, extra=None, **resolved):
         """Write to ``path`` every parsed flag, overridden by ``resolved``
@@ -283,11 +289,18 @@ def cmd_gram(args) -> int:
         cfg = KernelConfig(gamma=args.gamma, **kernel)
         with stages.time("assemble"):
             gram = assemble_gram(store, None, cfg)
-    psd = _psd_verdict(stages, gram) if args.check_psd else None
-    with stages.time("write"):
-        save_gram_text(gram, args.out)
-        if args.binary_out:
-            save_gram_binary(gram, args.binary_out)
+
+    def write():
+        with stages.time("write"):
+            save_gram_text(gram, args.out)
+            if args.binary_out:
+                save_gram_binary(gram, args.binary_out)
+
+    if args.check_psd:
+        # eigvalsh releases the GIL, so the check runs beside the export
+        psd, _ = run_calls([functools.partial(_psd_verdict, stages, gram), write])
+    else:
+        psd = write()
     stages.manifest(
         str(args.out) + ".manifest.json",
         extra={"counts": {"records": gram.size}, "psd": psd},

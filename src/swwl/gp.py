@@ -63,6 +63,9 @@ SIMPLEX_STEP = 0.5
 # objective calls each start may make (a default one-range fit scores 18-22
 # points, grid included)
 MAX_EVALS = 400
+# test rows per cross-distance call of predict; fixed, so the calls and what
+# they compute do not depend on the CPU count
+PREDICT_CHUNK_ROWS = 64
 
 
 def jr_prior_rate(n: int, n_ranges: int) -> float:
@@ -586,12 +589,23 @@ def predict(
             f"scalar covariates: {scalars.shape[1]} given, "
             f"the model was trained with {model.train_scalars.shape[1]}"
         )
+    n_test, n_train = len(features), model.size
+    cross_sq = np.empty((n_test, n_train))
+
+    def cross_rows(start):
+        rows = slice(start, start + PREDICT_CHUNK_ROWS)
+        cross_sq[rows] = sq_distances(features[rows], model.train_features)
+
     # features twice rather than y=None: perfbench/spans.py labels a cdist of
     # one matrix with itself gp.test_dist
-    cross_sq, test_sq = run_calls([
-        functools.partial(sq_distances, features, model.train_features),
-        functools.partial(sq_distances, features, features),
-    ])
+    test_call = functools.partial(sq_distances, features, features)
+    pairs = {test_call: n_test * n_test}
+    for start in range(0, n_test, PREDICT_CHUNK_ROWS):
+        rows = min(PREDICT_CHUNK_ROWS, n_test - start)
+        pairs[functools.partial(cross_rows, start)] = rows * n_train
+    # most pairs first, so the threads run out of work together
+    calls = sorted(pairs, key=pairs.get, reverse=True)
+    test_sq = run_calls(calls)[calls.index(test_call)]
     cross = _correlation(cross_sq, scalar_abs_distances(scalars, model.train_scalars), model.ranges)
     mean = model.theta_hat + cross @ model.rinv_centered_y
     # (N, N*); the factor is finite (fit and load_model check it), and its

@@ -367,10 +367,8 @@ def save_dataset(dataset: Dataset, path) -> None:
     with _GcPaused(), open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in dataset:
             g = rec.graph
-            edges = [
-                [int(u), int(v), float(w)]
-                for (u, v), w in zip(g.edges.tolist(), g.weights.tolist())
-            ]
+            # tolist() gives Python ints and floats already
+            edges = [[u, v, w] for (u, v), w in zip(g.edges.tolist(), g.weights.tolist())]
             obj = {
                 "id": rec.id,
                 "nodes": g.attributes.tolist(),

@@ -260,13 +260,23 @@ class PsdReport:
 
 
 def check_psd(gram: GramMatrix | np.ndarray, tol: float = 1e-8) -> PsdReport:
-    """Smallest eigenvalue check: PSD iff min_eig >= -tol * max(1, trace)."""
+    """Smallest eigenvalue check: PSD iff min_eig >= -tol * max(1, trace).
+    ValidationError on an empty or non-square matrix, NonSymmetricError on
+    an asymmetric one."""
     check_parameters(tol=tol)
     values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, float)
     if values.size == 0:
         raise ValidationError("cannot check an empty matrix")
-    asym = np.max(np.abs(values - values.T))
-    scale = max(1.0, float(np.max(np.abs(values))))
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValidationError(f"cannot check a matrix of shape {values.shape}: it is not square")
+    # the asymmetry 64 rows at a time: an N x N temporary would stay in the
+    # malloc arena of the thread that ran the check (cli gram runs it on a
+    # pool thread, beside the export)
+    asym = np.max([
+        np.max(np.abs(values[i:i + 64] - values[:, i:i + 64].T))
+        for i in range(0, len(values), 64)
+    ])
+    scale = max(1.0, float(np.max(values)), -float(np.min(values)))
     if asym > 1e-12 * scale:
         raise NonSymmetricError(f"matrix asymmetry {asym:g} exceeds tolerance")
     min_eig = float(np.linalg.eigvalsh(values)[0])

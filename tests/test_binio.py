@@ -47,6 +47,25 @@ def test_round_trip_is_exact(tmp_path, header, payload):
         assert back[name].tobytes() == arr.astype("<f8").tobytes()
 
 
+def test_any_layout_is_written_as_c_order_little_endian_doubles(tmp_path):
+    base = np.arange(12.0).reshape(3, 4) - 5.5
+    payload = {
+        "fortran": np.asfortranarray(base),
+        "strided": base[:, ::2],
+        "transposed": base.T,
+        "int": np.arange(6).reshape(2, 3),
+        "big-endian": base.astype(">f8"),
+    }
+    path = tmp_path / "c.bin"
+    write_container(path, MAGIC, {}, payload)
+    raw = path.read_bytes()
+    tail = b"".join(np.asarray(a, dtype="<f8").tobytes(order="C") for a in payload.values())
+    assert raw.endswith(tail)
+    _, back = read_container(path, MAGIC)
+    for name, arr in payload.items():
+        assert np.array_equal(back[name], arr)
+
+
 @_settings
 @given(header=headers, payload=arrays, cut=st.floats(0, 1, exclude_max=True))
 def test_truncation_anywhere_is_parse_error(tmp_path, header, payload, cut):

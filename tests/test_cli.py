@@ -4,11 +4,15 @@ import argparse
 import csv
 import json
 import os
+import sys
+import threading
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swwl.cli
 from swwl import AttributedGraph, Dataset, GraphRecord, errors, load_dataset, save_dataset
 from swwl.binio import read_container, write_container
 from swwl.cli import build_parser, main
@@ -633,6 +637,57 @@ def test_gram_check_psd_and_check_psd_give_one_verdict(workspace, tmp_path, caps
     )
     assert gram_psd == check_psd_psd
     assert set(gram_psd) == {"min_eigenvalue", "is_psd", "tol", "trace"}
+
+
+def test_stage_timer_loses_no_time_across_threads(monkeypatch):
+    # each thread's clock advances one second per reading, so every timed
+    # body lasts 1000 ms; 8 threads switching often add to one stage
+    local = threading.local()
+
+    def clock():
+        local.now = getattr(local, "now", 0.0) + 1.0
+        return local.now
+
+    monkeypatch.setattr(swwl.cli, "time", types.SimpleNamespace(perf_counter=clock))
+    stages = swwl.cli._Stages(argparse.Namespace(command="gram"))
+
+    def work():
+        for _ in range(500):
+            with stages.time("stage"):
+                pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert stages.timings == {"stage": 8 * 500 * 1000.0}
+
+
+def test_gram_check_psd_writes_the_same_at_one_and_two_cpus(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    # at two CPUs the check runs beside the export; the timings may overlap
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr("swwl.kernels.usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert run("gram", "--embeddings", workspace / "emb-train", "--out", f"{out}.txt",
+                   "--gamma", 1.0, "--check-psd", "--binary-out", f"{out}.bin") == 0
+        manifest = json.loads(Path(f"{out}.txt.manifest.json").read_text())
+        assert {"check_psd", "write"} <= set(manifest["timings_ms"])
+        lines = capsys.readouterr().out.replace(str(out), "OUT").splitlines()
+        runs.append((Path(f"{out}.txt").read_bytes(), Path(f"{out}.bin").read_bytes(),
+                     manifest["psd"], lines))
+    assert runs[0] == runs[1]
+    assert runs[0][3][0].startswith("min eigenvalue ")
+    assert runs[0][3][1].startswith("wrote ")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

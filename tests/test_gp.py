@@ -851,15 +851,44 @@ def test_fit_keeps_the_factor_of_the_best_point_scored(monkeypatch):
 
 @pytest.mark.parametrize("n_scalars", [0, 2])
 def test_predictions_equal_at_one_and_two_threads(monkeypatch, n_scalars):
+    """At 1, 2 and 4 usable CPUs, with one test row, one full cross-distance
+    chunk and one row more."""
+    chunk = gp.PREDICT_CHUNK_ROWS
     rng = np.random.default_rng(12)
-    feats = rng.standard_normal((40, 300)) + 3.0
-    scalars = rng.standard_normal((40, n_scalars)) if n_scalars else None
+    feats = rng.standard_normal((30 + chunk + 1, 300)) + 3.0
+    scalars = rng.standard_normal((len(feats), n_scalars)) if n_scalars else None
     y = np.sin(feats[:, :5].sum(axis=1))
     model = fit(feats[:30], None if scalars is None else scalars[:30], y[:30],
                 settings=GpSettings(multistarts=1))
-    runs = []
-    for threads in (1, 2):
-        monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: threads)
-        runs.append(predict(model, feats[30:], None if scalars is None else scalars[30:]))
-    assert np.array_equal(runs[0].mean, runs[1].mean)
-    assert np.array_equal(runs[0].scale, runs[1].scale)
+    for n_test in (1, chunk, chunk + 1):
+        test = slice(30, 30 + n_test)
+        runs = []
+        for threads in (1, 2, 4):
+            monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: threads)
+            runs.append(predict(model, feats[test], None if scalars is None else scalars[test]))
+        for run in runs[1:]:
+            assert np.array_equal(runs[0].mean, run.mean)
+            assert np.array_equal(runs[0].scale, run.scale)
+
+
+def test_predict_hands_out_its_distance_calls_most_pairs_first(monkeypatch):
+    """One test x test call, and the cross matrix in chunks of
+    PREDICT_CHUNK_ROWS test rows, ordered by pair count."""
+    chunk = gp.PREDICT_CHUNK_ROWS
+    rng = np.random.default_rng(13)
+    feats = rng.standard_normal((30 + 2 * chunk + 1, 20))
+    model = fit(feats[:30], None, np.sin(feats[:, 0])[:30], settings=GpSettings(multistarts=1))
+    test = feats[30:]
+    shapes = []
+
+    def recording(x, y=None):
+        shapes.append((len(x), len(y)))
+        return swwl.kernels.sq_distances(x, y)
+
+    monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: 1)  # inline, in order
+    monkeypatch.setattr(gp, "sq_distances", recording)
+    mean = predict(model, test).mean
+    n_test = len(test)
+    assert shapes == [(n_test, n_test), (chunk, 30), (chunk, 30), (1, 30)]
+    monkeypatch.undo()
+    assert np.array_equal(mean, predict(model, test).mean)

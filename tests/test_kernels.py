@@ -332,6 +332,20 @@ class TestCheckPsd:
         with pytest.raises(NonSymmetricError):
             check_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    def test_a_matrix_that_is_not_square_is_refused(self, shape):
+        with pytest.raises(ValidationError, match="not square"):
+            check_psd(np.ones(shape))
+
+    def test_asymmetry_is_found_in_any_row_block(self):
+        # 130 rows span three 64-row blocks; one pair off by 1e-9 in the last
+        values = np.eye(130)
+        values[129, 3] = 1e-9
+        with pytest.raises(NonSymmetricError):
+            check_psd(values)
+        values[3, 129] = 1e-9
+        assert check_psd(values).is_psd
+
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
         with pytest.raises(ValidationError, match="tol must be finite and nonnegative"):
