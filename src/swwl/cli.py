@@ -300,7 +300,8 @@ def cmd_gram(args) -> int:
         # eigvalsh releases the GIL, so the check runs beside the export
         psd, _ = run_calls([functools.partial(_psd_verdict, stages, gram), write])
     else:
-        psd = write()
+        psd = None
+        write()
     stages.manifest(
         str(args.out) + ".manifest.json",
         extra={"counts": {"records": gram.size}, "psd": psd},
