@@ -4,7 +4,10 @@ Layout: an 8-byte magic tag, a little-endian uint64 header length, a UTF-8
 JSON header, then the raw float64 payload arrays (little-endian, C order) in
 the order announced by the header's ``arrays`` entry. The payload ends the
 file: trailing bytes are an error. Every artifact reader takes header
-numbers through :func:`header_numbers` and id lists through :func:`record_ids`.
+numbers through :func:`header_numbers` and id lists through :func:`record_ids`,
+and its payload through :func:`check_payload`. Each artifact's saver runs the
+same functions, and its reader's rule, on what it is about to write, with no
+path: a refusal is then a ValidationError, and no file is opened.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import os
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, refusal
 
 _MAGIC_LEN = 8
 
@@ -103,9 +106,16 @@ def read_container(path, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
             data = bytearray(8 * math.prod(shape))
             fh.readinto(data)
             arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape)
-            if not np.isfinite(arrays[name]).all():
-                raise ParseError(f"{path}: array {name!r} holds a NaN or infinite entry")
+    check_payload(path, arrays)
     return header, arrays
+
+
+def check_payload(path, arrays: dict) -> None:
+    """The refusal of ``path`` (:func:`~swwl.errors.refusal`) naming the first
+    array that holds a NaN or infinite entry."""
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise refusal(path, f"array {name!r} holds a NaN or infinite entry")
 
 
 def _numbers(value, depth: int) -> bool:
@@ -119,7 +129,8 @@ def header_numbers(path, header: dict, key: str, shape: tuple, optional: bool = 
     """``header[key]`` as a float array of ``shape``: one finite JSON number
     for ``()``, a list of them for ``(k,)``, a list of equal-length lists for
     ``(k, m)``; a dimension given as None takes any length. An absent key is
-    None when ``optional`` and a ParseError otherwise, as is a value of any other form.
+    None when ``optional`` and refused otherwise, as is a value of any other
+    form: the refusal of ``path`` (:func:`~swwl.errors.refusal`).
     """
     value = header.get(key)
     if value is None and optional:
@@ -133,18 +144,18 @@ def header_numbers(path, header: dict, key: str, shape: tuple, optional: bool = 
     ) or not np.isfinite(array).all():
         dims = " x ".join("m" if d is None else str(d) for d in shape)
         what = f"a {dims} list of finite numbers" if shape else "a finite number"
-        raise ParseError(f"{path}: {key!r} must be {what}")
+        raise refusal(path, f"{key!r} must be {what}")
     return array
 
 
 def record_ids(path, header: dict, key: str, n: int | None = None) -> tuple[str, ...]:
     """``header[key]``: a list of distinct record ids, all strings, and ``n``
-    of them unless ``n`` is None; ParseError otherwise."""
+    of them unless ``n`` is None; the refusal of ``path`` otherwise."""
     ids = header.get(key)
     strings = isinstance(ids, list) and all(isinstance(i, str) for i in ids)
     if not strings or n not in (None, len(ids)):
         count = "" if n is None else f"{n} "
-        raise ParseError(f"{path}: {key!r} must be a list of {count}record ids as strings")
+        raise refusal(path, f"{key!r} must be a list of {count}record ids as strings")
     if len(set(ids)) != len(ids):
-        raise ParseError(f"{path}: {key!r} repeats a record id")
+        raise refusal(path, f"{key!r} repeats a record id")
     return tuple(ids)

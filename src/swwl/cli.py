@@ -241,10 +241,10 @@ def cmd_embed(args) -> int:
             jobs=args.jobs,
         )
     store = replace(store, source_sha256=digest)
-    # created only now, so a failed load or embed leaves no directory behind
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with stages.time("write"):
+        # creates the directory once the store passes its check, so a failed
+        # load, embed or check leaves no directory behind
         save_pq_store(out_dir, store)
         if args.standardize:
             (out_dir / "standardization.json").write_text(

@@ -79,3 +79,10 @@ class ConstantTargetError(SwwlError):
     """All training targets are identical; the variance estimate degenerates."""
 
     exit_code = 4
+
+
+def refusal(path, message: str) -> SwwlError:
+    """The error of a file rule that refuses what ``path`` holds: the
+    ParseError naming ``path``, or the ValidationError of ``message`` when
+    ``path`` is None, as a writer checks what it is about to write."""
+    return ValidationError(message) if path is None else ParseError(f"{path}: {message}")

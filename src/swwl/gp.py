@@ -27,16 +27,16 @@ import scipy.linalg
 import scipy.optimize
 import scipy.stats
 
-from .binio import header_numbers, read_container, record_ids, write_container
+from .binio import check_payload, header_numbers, read_container, record_ids, write_container
 from .errors import (
     ConfigMismatchError,
     ConstantTargetError,
     DimensionMismatchError,
     LengthMismatchError,
     OptimizationError,
-    ParseError,
     SwwlError,
     ValidationError,
+    refusal,
 )
 from .kernels import (
     check_parameters,
@@ -644,10 +644,13 @@ def q2(predicted: np.ndarray, truth: np.ndarray) -> float:
 
 
 def save_model(model: GpModel, path) -> None:
-    """Write what a model cannot derive; the solve caches are recomputed on load."""
+    """Write what a model cannot derive; the solve caches are recomputed on load.
+    ValidationError, and no file, if :func:`model_from_container` refuses
+    what would be written."""
     header = {
         "n": model.size,
-        "nugget": model.nugget,
+        # a Python float, so that a numpy nugget passes the JSON number rule
+        "nugget": float(model.nugget),
         "train_ids": list(model.train_ids),
         "fingerprint": None if model.fingerprint is None else model.fingerprint.to_dict(),
         "swwl_precision_mapping": "gamma = 1 / range[0]**2",
@@ -656,6 +659,8 @@ def save_model(model: GpModel, path) -> None:
               "train_features": model.train_features}
     if model.train_scalars.shape[1]:
         arrays["train_scalars"] = model.train_scalars
+    check_payload(None, arrays)
+    model_from_container(None, header, arrays)
     write_container(path, MODEL_MAGIC, header, arrays)
 
 
@@ -665,50 +670,55 @@ def load_model(path) -> GpModel:
     Header keys and arrays that :func:`save_model` does not write, such as
     stored solve caches, are ignored: the model derives them.
     """
-    header, arrays = read_container(path, MODEL_MAGIC)
+    return GpModel(**model_from_container(path, *read_container(path, MODEL_MAGIC)))
+
+
+def model_from_container(path, header: dict, arrays: dict) -> dict:
+    """The :class:`GpModel` fields a container's header and arrays hold, or
+    the refusal of ``path`` (:func:`~swwl.errors.refusal`): the rule of every
+    model file, run by :func:`load_model` on what it read and by
+    :func:`save_model` on what it would write.
+
+    The training set passes :func:`fit`'s own check; ``ranges`` holds one
+    positive range per coordinate and the nugget is nonnegative; ``chol`` is
+    N x N, lower triangular with a positive diagonal, and its rows at 8
+    evenly spaced records match R(ranges) + nugget * I rebuilt from the
+    training inputs.
+    """
     n = header.get("n")
     if type(n) is not int:
-        raise ParseError(f"{path}: 'n' must be an integer, got {n!r}")
+        raise refusal(path, f"'n' must be an integer, got {n!r}")
     ids = record_ids(path, header, "train_ids", n)
     nugget = float(header_numbers(path, header, "nugget", ()))
     if "train_features" not in arrays:
-        raise ParseError(
-            f"{path}: no 'train_features' (a scalar-only model from an earlier release?)"
-        )
+        raise refusal(path, "no 'train_features' (a scalar-only model from an earlier release?)")
     try:
         feats, scal, targets, _ = _training_set(
             arrays["train_features"], arrays.get("train_scalars"), arrays.get("targets", ()), ids)
         for name, shape in {"ranges": (1 + scal.shape[1],), "chol": (n, n)}.items():
             if name not in arrays or arrays[name].shape != shape:
-                raise ParseError(f"array {name!r} must have shape {shape}")
+                raise ValidationError(f"array {name!r} must have shape {shape}")
         ranges, chol = arrays["ranges"], arrays["chol"]
         check_parameters(ranges=ranges, nugget=nugget)
     except SwwlError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise refusal(path, str(exc)) from exc
     if not np.all(np.diag(chol) > 0):
-        raise ParseError(f"{path}: 'chol' must have a positive diagonal")
+        raise refusal(path, "'chol' must have a positive diagonal")
     if np.triu(chol, 1).any():
-        raise ParseError(f"{path}: 'chol' must be lower triangular")
-    # 8 evenly spaced rows of chol chol^T against R + nugget * I rebuilt from
-    # the inputs, columns reordered to put the rows' nugget on the diagonal
+        raise refusal(path, "'chol' must be lower triangular")
+    # 8 evenly spaced rows of chol chol^T against R rebuilt from the inputs,
+    # plus the nugget where row i meets its own record's column rows[i]
     rows = np.linspace(0, n - 1, min(n, 8)).round().astype(int)
-    cols = np.r_[rows, np.delete(np.arange(n), rows)]
-    stored = (chol[rows] @ chol.T)[:, cols]
-    rebuilt = _correlation(sq_distances(feats[rows], feats)[:, cols],
-                           scalar_abs_distances(scal[rows], scal)[:, :, cols], ranges, nugget)
+    stored = chol[rows] @ chol.T
+    rebuilt = _correlation(sq_distances(feats[rows], feats),
+                           scalar_abs_distances(scal[rows], scal), ranges)
+    rebuilt[np.arange(len(rows)), rows] += nugget
     if np.max(np.abs(stored - rebuilt)) > 1e-8 * np.max(np.abs(stored)):
-        raise ParseError(f"{path}: 'chol' does not factor R + nugget * I at the stored 'ranges'")
+        raise refusal(path, "'chol' does not factor R + nugget * I at the stored 'ranges'")
     fp = header.get("fingerprint")
-    return GpModel(
-        ranges=ranges,
-        nugget=nugget,
-        chol=chol,
-        targets=targets,
-        train_features=feats,
-        train_scalars=scal,
-        train_ids=ids,
-        fingerprint=None if fp is None else PqFingerprint.from_dict(fp),
-    )
+    return dict(ranges=ranges, nugget=nugget, chol=chol, targets=targets, train_features=feats,
+                train_scalars=scal, train_ids=ids,
+                fingerprint=None if fp is None else PqFingerprint.from_dict(fp))
 
 
 def write_predictions_csv(path, ids: list[str], dist: PredictiveDistribution) -> None:

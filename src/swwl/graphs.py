@@ -382,10 +382,23 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 @dataclass(frozen=True)
 class StandardizationStats:
-    """Per-dimension attribute mean/scale estimated on a training set."""
+    """Per-dimension attribute mean/scale estimated on a training set.
+
+    The constructor holds the rule of ``standardization.json``: ``mean`` and
+    ``std`` are equal-length vectors of finite numbers and every ``std`` is
+    positive; ValidationError otherwise.
+    """
 
     mean: np.ndarray
     std: np.ndarray
+
+    def __post_init__(self):
+        if self.mean.ndim != 1 or self.mean.shape != self.std.shape:
+            raise ValidationError(f"{self.mean.size} means but {self.std.size} scales")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise ValidationError("'mean' and 'std' must be finite")
+        if not np.all(self.std > 0):
+            raise ValidationError("'std' must be positive")
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
@@ -397,18 +410,17 @@ class StandardizationStats:
     @classmethod
     def from_dict(cls, obj: dict, source="standardization") -> "StandardizationStats":
         """Inverse of :meth:`to_dict`; ParseError naming ``source`` unless
-        ``obj`` is a dict whose ``mean`` and ``std`` are equal-length lists of
-        finite numbers and every ``std`` is positive.
+        ``obj`` is a dict whose ``mean`` and ``std`` are lists of JSON numbers
+        that the constructor accepts.
         """
         if not isinstance(obj, dict):
             raise ParseError(f"{source}: standardization statistics must be a JSON object, "
                              f"got {type(obj).__name__}")
         mean, std = (header_numbers(source, obj, k, (None,)) for k in ("mean", "std"))
-        if mean.shape != std.shape:
-            raise ParseError(f"{source}: {mean.size} means but {std.size} scales")
-        if not np.all(std > 0):
-            raise ParseError(f"{source}: 'std' must be positive")
-        return cls(mean=mean, std=std)
+        try:
+            return cls(mean=mean, std=std)
+        except ValidationError as exc:
+            raise ParseError(f"{source}: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "StandardizationStats":

@@ -22,8 +22,8 @@ import scipy.spatial.distance
 # calls cdist through scipy's module instead
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .binio import read_container, record_ids, write_container
-from .errors import LengthMismatchError, NonSymmetricError, ParseError, ValidationError
+from .binio import check_payload, read_container, record_ids, write_container
+from .errors import LengthMismatchError, NonSymmetricError, ParseError, ValidationError, refusal
 from .sliced import PqStore
 
 GRAM_MAGIC = "SWWL-G1"
@@ -289,27 +289,62 @@ def check_psd(gram: GramMatrix | np.ndarray, tol: float = 1e-8) -> PsdReport:
     )
 
 
+# the fields every text Gram's first line starts with, after the row count
+_LINE_HEAD = ("seed", "projections", "quantiles", "gamma")
+
+
 def _fingerprint_line(n: int, fp: dict) -> str:
-    seed = fp.get("seed", 0)
-    p = fp.get("projections", 0)
-    q = fp.get("quantiles", 0)
-    gamma = fp.get("gamma", 0.0)
-    extras = []
-    for key in sorted(fp):
-        if key in ("seed", "projections", "quantiles", "gamma"):
-            continue
-        val = fp[key]
-        if isinstance(val, (list, tuple)):
-            val = ",".join(str(v) for v in val)
-        extras.append(f"{key}={val}")
-    head = f"{n} {seed} {p} {q} {gamma:.17g}"
-    return " ".join([head] + extras)
+    """A text Gram's first line: ``n``, the seed, P, Q and gamma, then one
+    ``key=value`` token per other entry of ``fp``, a list's items joined by
+    commas. ValidationError unless :func:`_read_fingerprint_line` reads back
+    each entry as written: the seed, P and Q must be integers and gamma a
+    number, and no token may hold whitespace, an ``=`` in its key or a key
+    that repeats another."""
+    try:
+        head, extras = [fp.get(k, 0) for k in _LINE_HEAD], {}
+        for key in sorted(fp):
+            val = fp[key]
+            if isinstance(val, (list, tuple)):
+                val = ",".join(str(v) for v in val)
+            if key not in _LINE_HEAD:
+                extras[str(key)] = str(val)
+        line = " ".join([f"{n} {head[0]} {head[1]} {head[2]} {head[3]:.17g}",
+                         *(f"{key}={val}" for key, val in extras.items())])
+        if _read_fingerprint_line(None, line) != (n, {**dict(zip(_LINE_HEAD, head)), **extras}):
+            raise ValueError("the line reads back otherwise")
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"the fingerprint line cannot carry {fp!r}: {exc}") from exc
+    return line
+
+
+def _read_fingerprint_line(path, line: str) -> tuple[int, dict]:
+    """The row count and fingerprint of a text Gram's first line, or the
+    refusal of ``path`` (:func:`~swwl.errors.refusal`): four integers, a
+    number, then ``key=value`` tokens whose keys repeat no other."""
+    tokens = line.split()
+    try:
+        n, *head = int(tokens[0]), int(tokens[1]), int(tokens[2]), int(tokens[3]), float(tokens[4])
+    except (IndexError, ValueError) as exc:
+        raise refusal(path, f"malformed fingerprint line: {exc}") from exc
+    if n < 0:
+        raise refusal(path, f"negative row count {n}")
+    fp = dict(zip(_LINE_HEAD, head))
+    for token in tokens[5:]:
+        key, eq, val = token.partition("=")
+        if not eq or key in fp:
+            raise refusal(path, f"fingerprint token {token!r} is not a new key=value")
+        fp[key] = val
+    return n, fp
 
 
 def save_gram_text(gram: GramMatrix, path) -> None:
-    """Plain-text export: fingerprint line, then rows of %.17g doubles."""
+    """Plain-text export: fingerprint line, then rows of %.17g doubles.
+    ValidationError, and no file, if the values hold a NaN or infinite entry
+    or the line cannot carry the fingerprint (:func:`_fingerprint_line`)."""
+    check_payload(None, {"values": gram.values})
+    line = _fingerprint_line(gram.size, gram.fingerprint)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fingerprint_line(gram.size, gram.fingerprint) + "\n")
+        fh.write(line + "\n")
         np.savetxt(fh, gram.values, fmt="%.17g")
 
 
@@ -321,22 +356,7 @@ def load_gram_text(path) -> GramMatrix:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            try:
-                n = int(header[0])
-                fp = {
-                    "seed": int(header[1]),
-                    "projections": int(header[2]),
-                    "quantiles": int(header[3]),
-                    "gamma": float(header[4]),
-                }
-            except (IndexError, ValueError) as exc:
-                raise ParseError(f"{path}: malformed fingerprint line: {exc}") from exc
-            if n < 0:
-                raise ParseError(f"{path}: negative row count {n}")
-            for token in header[5:]:
-                key, _, val = token.partition("=")
-                fp[key] = val
+            n, fp = _read_fingerprint_line(path, fh.readline())
             rows = []
             for line in fh:
                 if len(rows) == n:
@@ -359,8 +379,13 @@ def load_gram_text(path) -> GramMatrix:
 
 
 def save_gram_binary(gram: GramMatrix, path) -> None:
+    """Binary export; ValidationError, and no file, if
+    :func:`gram_from_container` refuses what would be written."""
     header = {"fingerprint": gram.fingerprint, "row_ids": list(gram.row_ids)}
-    write_container(path, GRAM_MAGIC, header, {"values": gram.values})
+    arrays = {"values": gram.values}
+    check_payload(None, arrays)
+    gram_from_container(None, header, arrays)
+    write_container(path, GRAM_MAGIC, header, arrays)
 
 
 def load_gram(path) -> GramMatrix:
@@ -372,13 +397,20 @@ def load_gram(path) -> GramMatrix:
 
 def load_gram_binary(path) -> GramMatrix:
     """Read a Gram written by :func:`save_gram_binary`; ParseError if malformed."""
-    header, arrays = read_container(path, GRAM_MAGIC)
-    ids = record_ids(path, header, "row_ids")
-    fp, values = header.get("fingerprint"), arrays.get("values")
+    return gram_from_container(path, *read_container(path, GRAM_MAGIC))
+
+
+def gram_from_container(path, header: dict, arrays: dict) -> GramMatrix:
+    """The Gram a container's header and arrays hold, or the refusal of
+    ``path`` (:func:`~swwl.errors.refusal`): the rule of every binary Gram,
+    run by :func:`load_gram_binary` on what it read and by
+    :func:`save_gram_binary` on what it would write. The fingerprint is a
+    JSON object, and ``values`` a square matrix of one row per id, the ids
+    distinct strings; :func:`~swwl.binio.check_payload` checks the values."""
+    ids, fp = record_ids(path, header, "row_ids"), header.get("fingerprint")
     if not isinstance(fp, dict):
-        raise ParseError(f"{path}: 'fingerprint' must be a JSON object")
-    if values is None or values.shape != (len(ids), len(ids)):
-        raise ParseError(
-            f"{path}: 'values' must be a {len(ids)}x{len(ids)} matrix, one row per id"
-        )
-    return GramMatrix(values=values, row_ids=ids, fingerprint=fp)
+        raise refusal(path, "'fingerprint' must be a JSON object")
+    try:
+        return GramMatrix(values=arrays.get("values"), row_ids=ids, fingerprint=fp)
+    except ValidationError as exc:
+        raise refusal(path, str(exc)) from exc

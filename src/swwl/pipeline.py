@@ -70,9 +70,7 @@ def embed_dataset(
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     d, k = dataset.attr_dim, wl_config.block_count
-    if standardization is not None and not (
-        standardization.mean.shape == standardization.std.shape == (d,)
-    ):
+    if standardization is not None and standardization.mean.shape != (d,):
         raise ValidationError(
             f"standardization statistics for {standardization.mean.size} attribute "
             f"dimensions, dataset has {d}"

@@ -25,13 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import header_numbers, read_container, record_ids, write_container
+from .binio import check_payload, header_numbers, read_container, record_ids, write_container
 from .errors import (
     DegenerateDrawError,
     DimensionMismatchError,
     EmptyInputError,
     ParseError,
     ValidationError,
+    refusal,
 )
 from .graphs import StandardizationStats
 
@@ -182,7 +183,10 @@ class PqFingerprint:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PqFingerprint":
-        """Inverse of :meth:`to_dict`; a missing or ill-typed key is a ParseError."""
+        """Inverse of :meth:`to_dict`; a missing, unknown or ill-typed key is a
+        ParseError. Each value keeps its JSON type: the seed, P, Q, dimension,
+        block and iterations are integers, so ``true`` or ``5.0`` is refused,
+        ``standardized`` is a boolean, and ``r`` any number."""
         try:
             block, iterations = obj.get("block"), obj.get("iterations")
             digest = obj.get("standardization_sha256")
@@ -198,9 +202,11 @@ class PqFingerprint:
                 standardization_sha256=None if digest is None else str(digest),
                 generator=str(obj.get("generator", GENERATOR_NAME)),
             )
-            # conversion must be lossless: "5", 1.5 or [0, "a"] are refused
+            # conversion must be lossless and keep the type: "5", 1.5, 5.0,
+            # true for 1, 1 for true, [0, "a"] or an unknown key are refused
             canonical = fp.to_dict()
-            if canonical != {**canonical, **obj}:
+            if repr({**canonical, "r": obj["r"]}) != repr({**canonical, **obj}) or (
+                    type(obj["r"]) not in (int, float)):
                 raise ValueError("ill-typed value")
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed embedding fingerprint {obj!r}: {exc!r}") from exc
@@ -309,7 +315,12 @@ class PqStore:
 
 
 def save_pq_store(directory, store: PqStore) -> None:
-    """Write ``store`` as one container in ``directory``."""
+    """Write ``store`` as one container in ``directory``, created if need be.
+
+    The payload and :func:`store_from_container` check what would be
+    written first: ValidationError, and no file or directory, if
+    :func:`load_pq_store` would refuse it.
+    """
     header = {
         "ids": list(store.ids),
         "fingerprints": [fp.to_dict() for fp in store.fingerprints],
@@ -322,46 +333,56 @@ def save_pq_store(directory, store: PqStore) -> None:
     if store.source_sha256 is not None:
         header["source_sha256"] = store.source_sha256
     arrays = {f"block{k}": block for k, block in enumerate(store.blocks)}
+    check_payload(None, arrays)
+    store_from_container(None, header, arrays)
+    Path(directory).mkdir(parents=True, exist_ok=True)
     write_container(Path(directory) / PQ_STORE_NAME, PQ_STORE_MAGIC, header, arrays)
 
 
 def load_pq_store(directory) -> PqStore:
     """Read the store written by :func:`save_pq_store`; ParseError if malformed."""
     path = Path(directory) / PQ_STORE_NAME
-    header, arrays = read_container(path, PQ_STORE_MAGIC)
+    return store_from_container(path, *read_container(path, PQ_STORE_MAGIC))
+
+
+def store_from_container(path, header: dict, arrays: dict) -> PqStore:
+    """The store a container's header and arrays hold, or the refusal of
+    ``path`` (:func:`~swwl.errors.refusal`): the rule of every store file,
+    which :func:`load_pq_store` runs on what it read and :func:`save_pq_store`
+    on what it would write.
+
+    The ids are distinct strings, at least one; every fingerprint is well
+    formed with ``r = 2``, and describes one array ``block{k}`` of one row
+    per id and P*Q columns; the targets and scalars, when present, are N
+    and N x m finite numbers; a ``source_sha256`` is 64 lowercase hex digits
+    and comes with the scalars.
+    """
     ids, fps = record_ids(path, header, "ids"), header.get("fingerprints")
     if not ids:
-        raise ParseError(f"{path}: 'ids' lists no record")
+        raise refusal(path, "'ids' lists no record")
     if not isinstance(fps, list) or not fps:
-        raise ParseError(f"{path}: 'fingerprints' must be a non-empty list")
+        raise refusal(path, "'fingerprints' must be a non-empty list")
     fingerprints = tuple(PqFingerprint.from_dict(fp) for fp in fps)
     for fp in fingerprints:
         # the Gram and the GP take squared Euclidean distances between rows,
         # which estimate the sliced Wasserstein distance only at r = 2
         if fp.r != 2.0:
-            raise ParseError(f"{path}: embeddings of distance order r={fp.r:g}, not 2")
+            raise refusal(path, f"embeddings of distance order r={fp.r:g}, not 2")
     if list(arrays) != [f"block{k}" for k in range(len(fingerprints))]:
-        raise ParseError(f"{path}: arrays {list(arrays)} do not match the fingerprints")
+        raise refusal(path, f"arrays {list(arrays)} do not match the fingerprints")
     for fp, block in zip(fingerprints, arrays.values()):
         width = fp.n_projections * fp.n_quantiles
         if block.shape != (len(ids), width):
-            raise ParseError(
-                f"{path}: block of shape {block.shape}, expected {len(ids)} ids x P*Q={width}"
-            )
+            raise refusal(path, f"block of shape {block.shape}, "
+                                f"expected {len(ids)} ids x P*Q={width}")
     targets = header_numbers(path, header, "targets", (len(ids),), optional=True)
     scalars = header_numbers(path, header, "scalars", (len(ids), None), optional=True)
     digest = header.get("source_sha256")
     if digest is not None and not (
         isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)
     ):
-        raise ParseError(f"{path}: 'source_sha256' must be 64 lowercase hex digits")
+        raise refusal(path, "'source_sha256' must be 64 lowercase hex digits")
     if digest is not None and scalars is None:
-        raise ParseError(f"{path}: 'source_sha256' is set but the scalars are not recorded")
-    return PqStore(
-        ids=ids,
-        blocks=tuple(arrays.values()),
-        fingerprints=fingerprints,
-        targets=targets,
-        scalars=scalars,
-        source_sha256=digest,
-    )
+        raise refusal(path, "'source_sha256' is set but the scalars are not recorded")
+    return PqStore(ids=ids, blocks=tuple(arrays.values()), fingerprints=fingerprints,
+                   targets=targets, scalars=scalars, source_sha256=digest)

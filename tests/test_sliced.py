@@ -542,6 +542,12 @@ def _rewrite_header(path, edit):
         lambda h: h["fingerprints"][0].update(r=1.0),  # distances are squared Euclidean
         lambda h: h.update(ids=[]),  # a store of no record
         lambda h: h["fingerprints"][0].update(standardization_sha256=7),
+        # JSON types: each value equals a valid one, so only its type is wrong
+        lambda h: h["fingerprints"][0].update(projections=True, quantiles=24),  # P = 1
+        lambda h: h["fingerprints"][0].update(block=False),
+        lambda h: h["fingerprints"][0].update(iterations=[0, True]),
+        lambda h: h["fingerprints"][0].update(standardized=1),
+        lambda h: h["fingerprints"][0].update(quantiles=6.0),
     ],
 )
 def test_malformed_store_header_is_parse_error(tmp_path, edit):
