@@ -90,7 +90,7 @@ def read_container(path, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise ParseError(f"{path}: truncated header")
         try:
             header = json.loads(fh.read(size).decode("utf-8"))
-        except ValueError as exc:
+        except (RecursionError, ValueError) as exc:  # RecursionError: nested too deep
             raise ParseError(f"{path}: header is not UTF-8 JSON: {exc}") from exc
         if not isinstance(header, dict):
             raise ParseError(f"{path}: header must be a JSON object")
@@ -112,10 +112,11 @@ def read_container(path, magic: str) -> tuple[dict, dict[str, np.ndarray]]:
 
 def check_payload(path, arrays: dict) -> None:
     """The refusal of ``path`` (:func:`~swwl.errors.refusal`) naming the first
-    array that holds a NaN or infinite entry."""
+    array that holds a NaN or infinite entry, and that entry's index."""
     for name, array in arrays.items():
         if not np.isfinite(array).all():
-            raise refusal(path, f"array {name!r} holds a NaN or infinite entry")
+            index = tuple(np.argwhere(~np.isfinite(array))[0].tolist())
+            raise refusal(path, f"array {name!r} holds a NaN or infinite entry at index {index}")
 
 
 def _numbers(value, depth: int) -> bool:

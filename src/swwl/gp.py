@@ -439,6 +439,8 @@ class PredictiveDistribution:
         return np.sqrt(np.maximum(self.scale_diagonal(), 0.0))
 
     def interval(self, level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
+        if not 0.0 < level < 1.0:
+            raise ValidationError(f"an interval's level must lie in (0, 1), got {level}")
         half = scipy.stats.t.ppf(0.5 + level / 2.0, self.dof) * self.standard_errors()
         return self.mean - half, self.mean + half
 
@@ -718,7 +720,7 @@ def model_from_container(path, header: dict, arrays: dict) -> dict:
     fp = header.get("fingerprint")
     return dict(ranges=ranges, nugget=nugget, chol=chol, targets=targets, train_features=feats,
                 train_scalars=scal, train_ids=ids,
-                fingerprint=None if fp is None else PqFingerprint.from_dict(fp))
+                fingerprint=None if fp is None else PqFingerprint.from_dict(fp, path))
 
 
 def write_predictions_csv(path, ids: list[str], dist: PredictiveDistribution) -> None:

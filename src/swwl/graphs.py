@@ -384,15 +384,21 @@ def save_dataset(dataset: Dataset, path) -> None:
 class StandardizationStats:
     """Per-dimension attribute mean/scale estimated on a training set.
 
-    The constructor holds the rule of ``standardization.json``: ``mean`` and
-    ``std`` are equal-length vectors of finite numbers and every ``std`` is
-    positive; ValidationError otherwise.
+    The constructor takes both as float arrays and holds the rule of
+    ``standardization.json``: ``mean`` and ``std`` are equal-length vectors
+    of finite numbers and every ``std`` is positive; ValidationError
+    otherwise.
     """
 
     mean: np.ndarray
     std: np.ndarray
 
     def __post_init__(self):
+        for name in ("mean", "std"):
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{name!r} must be a vector of numbers: {exc}") from exc
         if self.mean.ndim != 1 or self.mean.shape != self.std.shape:
             raise ValidationError(f"{self.mean.size} means but {self.std.size} scales")
         if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):

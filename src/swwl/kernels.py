@@ -12,7 +12,9 @@ counts.
 from __future__ import annotations
 
 import functools
+import json
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,7 +25,7 @@ import scipy.spatial.distance
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .binio import check_payload, read_container, record_ids, write_container
-from .errors import LengthMismatchError, NonSymmetricError, ParseError, ValidationError, refusal
+from .errors import LengthMismatchError, NonSymmetricError, ValidationError, refusal
 from .sliced import PqStore
 
 GRAM_MAGIC = "SWWL-G1"
@@ -289,103 +291,56 @@ def check_psd(gram: GramMatrix | np.ndarray, tol: float = 1e-8) -> PsdReport:
     )
 
 
-# the fields every text Gram's first line starts with, after the row count
-_LINE_HEAD = ("seed", "projections", "quantiles", "gamma")
-
-
-def _fingerprint_line(n: int, fp: dict) -> str:
-    """A text Gram's first line: ``n``, the seed, P, Q and gamma, then one
-    ``key=value`` token per other entry of ``fp``, a list's items joined by
-    commas. ValidationError unless :func:`_read_fingerprint_line` reads back
-    each entry as written: the seed, P and Q must be integers and gamma a
-    number, and no token may hold whitespace, an ``=`` in its key or a key
-    that repeats another."""
-    try:
-        head, extras = [fp.get(k, 0) for k in _LINE_HEAD], {}
-        for key in sorted(fp):
-            val = fp[key]
-            if isinstance(val, (list, tuple)):
-                val = ",".join(str(v) for v in val)
-            if key not in _LINE_HEAD:
-                extras[str(key)] = str(val)
-        line = " ".join([f"{n} {head[0]} {head[1]} {head[2]} {head[3]:.17g}",
-                         *(f"{key}={val}" for key, val in extras.items())])
-        if _read_fingerprint_line(None, line) != (n, {**dict(zip(_LINE_HEAD, head)), **extras}):
-            raise ValueError("the line reads back otherwise")
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValidationError(f"the fingerprint line cannot carry {fp!r}: {exc}") from exc
-    return line
-
-
-def _read_fingerprint_line(path, line: str) -> tuple[int, dict]:
-    """The row count and fingerprint of a text Gram's first line, or the
-    refusal of ``path`` (:func:`~swwl.errors.refusal`): four integers, a
-    number, then ``key=value`` tokens whose keys repeat no other."""
-    tokens = line.split()
-    try:
-        n, *head = int(tokens[0]), int(tokens[1]), int(tokens[2]), int(tokens[3]), float(tokens[4])
-    except (IndexError, ValueError) as exc:
-        raise refusal(path, f"malformed fingerprint line: {exc}") from exc
-    if n < 0:
-        raise refusal(path, f"negative row count {n}")
-    fp = dict(zip(_LINE_HEAD, head))
-    for token in tokens[5:]:
-        key, eq, val = token.partition("=")
-        if not eq or key in fp:
-            raise refusal(path, f"fingerprint token {token!r} is not a new key=value")
-        fp[key] = val
-    return n, fp
+def _gram_header(gram: GramMatrix) -> dict:
+    """The header of both Gram formats, ``fingerprint`` and ``row_ids``;
+    ValidationError if :func:`gram_from_container` refuses what would be
+    written. The savers call it before they open any file."""
+    header = {"fingerprint": gram.fingerprint, "row_ids": list(gram.row_ids)}
+    check_payload(None, {"values": gram.values})
+    gram_from_container(None, header, {"values": gram.values})
+    return header
 
 
 def save_gram_text(gram: GramMatrix, path) -> None:
-    """Plain-text export: fingerprint line, then rows of %.17g doubles.
-    ValidationError, and no file, if the values hold a NaN or infinite entry
-    or the line cannot carry the fingerprint (:func:`_fingerprint_line`)."""
-    check_payload(None, {"values": gram.values})
-    line = _fingerprint_line(gram.size, gram.fingerprint)
+    """Plain-text export: ``# `` and the binary Gram's JSON header, then rows
+    of %.17g doubles, which ``numpy.loadtxt(path)`` reads as they are."""
+    header = json.dumps(_gram_header(gram), sort_keys=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(line + "\n")
-        np.savetxt(fh, gram.values, fmt="%.17g")
+        np.savetxt(fh, gram.values, fmt="%.17g", header=header)
 
 
 def load_gram_text(path) -> GramMatrix:
-    """Read a Gram written by :func:`save_gram_text`; ParseError if malformed.
-
-    Rows are read only while the file has them: a row count that the file
-    does not back is refused once the rows run out.
-    """
+    """Read a Gram written by :func:`save_gram_text`; ParseError naming the
+    file if its first line is not ``# `` and a JSON object (a text Gram of
+    an earlier format), a row is not numbers of one width, or the Gram
+    breaks the rule of :func:`gram_from_container`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            n, fp = _read_fingerprint_line(path, fh.readline())
-            rows = []
-            for line in fh:
-                if len(rows) == n:
-                    raise ParseError(f"{path}: more than the announced {n} rows")
-                try:
-                    row = np.array(line.split(), dtype=float)
-                except ValueError as exc:
-                    raise ParseError(f"{path}: row {len(rows) + 1}: {exc}") from exc
-                if row.shape != (n,):
-                    raise ParseError(f"{path}: row {len(rows) + 1} has {row.size} values, not {n}")
-                if not np.isfinite(row).all():
-                    raise ParseError(f"{path}: row {len(rows) + 1} holds a NaN or infinite value")
-                rows.append(row)
+            line = fh.readline()
+            if not line.startswith("# {"):
+                raise refusal(path, "the first line is not '# ' and a JSON header, as in a "
+                                    "text Gram of an earlier format; rerun `swwl gram`")
+            try:
+                header = json.loads(line[2:])
+            except (RecursionError, ValueError) as exc:  # RecursionError: nested too deep
+                raise refusal(path, f"header is not JSON: {exc}") from exc
+            with warnings.catch_warnings():
+                # a 0 x 0 Gram has no rows, which loadtxt warns of and reads as 0 x 1
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, ndmin=2, comments=None)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason}); a binary Gram?") from exc
-    if len(rows) != n:
-        raise ParseError(f"{path}: {len(rows)} rows, the fingerprint line announces {n}")
-    ids = tuple(str(i) for i in range(n))
-    return GramMatrix(values=np.array(rows).reshape(n, n), row_ids=ids, fingerprint=fp)
+        raise refusal(path, f"not UTF-8 text ({exc.reason}); a binary Gram?") from exc
+    except ValueError as exc:  # a row of another width, a value that is not a number
+        raise refusal(path, str(exc)) from exc
+    values = values.reshape(0, 0) if values.size == 0 else values
+    check_payload(path, {"values": values})
+    return gram_from_container(path, header, {"values": values})
 
 
 def save_gram_binary(gram: GramMatrix, path) -> None:
     """Binary export; ValidationError, and no file, if
     :func:`gram_from_container` refuses what would be written."""
-    header = {"fingerprint": gram.fingerprint, "row_ids": list(gram.row_ids)}
-    arrays = {"values": gram.values}
-    check_payload(None, arrays)
-    gram_from_container(None, header, arrays)
-    write_container(path, GRAM_MAGIC, header, arrays)
+    write_container(path, GRAM_MAGIC, _gram_header(gram), {"values": gram.values})
 
 
 def load_gram(path) -> GramMatrix:
@@ -402,14 +357,19 @@ def load_gram_binary(path) -> GramMatrix:
 
 def gram_from_container(path, header: dict, arrays: dict) -> GramMatrix:
     """The Gram a container's header and arrays hold, or the refusal of
-    ``path`` (:func:`~swwl.errors.refusal`): the rule of every binary Gram,
-    run by :func:`load_gram_binary` on what it read and by
-    :func:`save_gram_binary` on what it would write. The fingerprint is a
-    JSON object, and ``values`` a square matrix of one row per id, the ids
-    distinct strings; :func:`~swwl.binio.check_payload` checks the values."""
+    ``path`` (:func:`~swwl.errors.refusal`): the rule of every Gram, text or
+    binary, run by its reader on what it read and by its saver on what it
+    would write. The fingerprint is a dict that JSON carries unchanged, and
+    ``values`` a square matrix of one row per id, the ids distinct strings;
+    :func:`~swwl.binio.check_payload` checks the values."""
     ids, fp = record_ids(path, header, "row_ids"), header.get("fingerprint")
-    if not isinstance(fp, dict):
-        raise refusal(path, "'fingerprint' must be a JSON object")
+    try:
+        as_written = isinstance(fp, dict) and json.loads(json.dumps(fp, allow_nan=False)) == fp
+    except (TypeError, ValueError):  # a value JSON has no type for, NaN or infinity
+        as_written = False
+    if not as_written:
+        raise refusal(path, f"'fingerprint' must be a JSON object that reads back as written, "
+                            f"got {fp!r}")
     try:
         return GramMatrix(values=arrays.get("values"), row_ids=ids, fingerprint=fp)
     except ValidationError as exc:

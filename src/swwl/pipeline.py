@@ -14,6 +14,7 @@ run.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,14 @@ def _batches(node_counts) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [len(node_counts)]))
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: any integer, numpy's included, but not a
+    boolean, a float or a string, which are a ValidationError naming ``name``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def embed_dataset(
     dataset: Dataset,
     wl_config: WlConfig,
@@ -69,6 +78,9 @@ def embed_dataset(
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    seed = _integer("seed", seed)
+    n_projections = _integer("n_projections", n_projections)
+    n_quantiles = _integer("n_quantiles", n_quantiles)
     d, k = dataset.attr_dim, wl_config.block_count
     if standardization is not None and standardization.mean.shape != (d,):
         raise ValidationError(

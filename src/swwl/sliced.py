@@ -30,7 +30,6 @@ from .errors import (
     DegenerateDrawError,
     DimensionMismatchError,
     EmptyInputError,
-    ParseError,
     ValidationError,
     refusal,
 )
@@ -182,11 +181,13 @@ class PqFingerprint:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "PqFingerprint":
-        """Inverse of :meth:`to_dict`; a missing, unknown or ill-typed key is a
-        ParseError. Each value keeps its JSON type: the seed, P, Q, dimension,
-        block and iterations are integers, so ``true`` or ``5.0`` is refused,
-        ``standardized`` is a boolean, and ``r`` any number."""
+    def from_dict(cls, obj: dict, path=None) -> "PqFingerprint":
+        """Inverse of :meth:`to_dict`; a missing, unknown or ill-typed key is
+        the refusal of ``path`` (:func:`~swwl.errors.refusal`), the file the
+        fingerprint was read from, or None as a writer checks it. Each value
+        keeps its JSON type: the seed, P, Q, dimension, block and iterations
+        are integers, so ``true`` or ``5.0`` is refused, ``standardized`` is
+        a boolean, and ``r`` any number."""
         try:
             block, iterations = obj.get("block"), obj.get("iterations")
             digest = obj.get("standardization_sha256")
@@ -209,7 +210,7 @@ class PqFingerprint:
                     type(obj["r"]) not in (int, float)):
                 raise ValueError("ill-typed value")
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed embedding fingerprint {obj!r}: {exc!r}") from exc
+            raise refusal(path, f"malformed embedding fingerprint {obj!r}: {exc!r}") from exc
         return fp
 
 
@@ -362,7 +363,7 @@ def store_from_container(path, header: dict, arrays: dict) -> PqStore:
         raise refusal(path, "'ids' lists no record")
     if not isinstance(fps, list) or not fps:
         raise refusal(path, "'fingerprints' must be a non-empty list")
-    fingerprints = tuple(PqFingerprint.from_dict(fp) for fp in fps)
+    fingerprints = tuple(PqFingerprint.from_dict(fp, path) for fp in fps)
     for fp in fingerprints:
         # the Gram and the GP take squared Euclidean distances between rows,
         # which estimate the sliced Wasserstein distance only at r = 2

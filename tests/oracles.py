@@ -22,6 +22,7 @@ sweeps.
 """
 
 import itertools
+import json
 
 import numpy as np
 import scipy.linalg
@@ -52,7 +53,7 @@ from swwl.errors import (
     ValidationError,
 )
 from swwl.gp import _floor_psd
-from swwl.kernels import _fingerprint_line, correlation_from_distances, scalar_abs_distances
+from swwl.kernels import _gram_header, correlation_from_distances, scalar_abs_distances
 from swwl.sliced import _step_indices, pq_fingerprint
 from swwl.synthetic import _attribute_cloud, geometric_graph
 from swwl.wl import _iterate, _neighbor_operator, _warn_nonpositive_weights, embed as wl_embed
@@ -406,7 +407,7 @@ def loop_edge_arrays(edges_raw, line):
 def value_by_value_gram_text(gram, path):
     """Gram text export formatting every value with its own f-string."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_fingerprint_line(gram.size, gram.fingerprint) + "\n")
+        fh.write("# " + json.dumps(_gram_header(gram), sort_keys=True) + "\n")
         for row in gram.values:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 

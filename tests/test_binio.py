@@ -129,7 +129,8 @@ def test_oversized_shape_is_refused_before_allocation(tmp_path):
         read_container(path, MAGIC)
 
 
-@pytest.mark.parametrize("blob", [b"[1, 2]", b"{not json", b"\xff\xfe"])
+@pytest.mark.parametrize("blob", [b"[1, 2]", b"{not json", b"\xff\xfe",
+                                  b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"])
 def test_header_must_be_a_json_object(tmp_path, blob):
     path = tmp_path / "c.bin"
     path.write_bytes(MAGIC.encode().ljust(8, b"\0") + np.uint64(len(blob)).tobytes() + blob)
@@ -143,7 +144,8 @@ def test_non_finite_payload_is_parse_error_naming_the_array(tmp_path, bad):
     values = np.arange(6.0).reshape(2, 3)
     values[1, 2] = bad
     write_container(path, MAGIC, {}, {"ok": np.ones(2), "values": values})
-    with pytest.raises(ParseError, match=re.escape(f"{path}: array 'values' holds a NaN")):
+    with pytest.raises(ParseError, match=re.escape(
+            f"{path}: array 'values' holds a NaN or infinite entry at index (1, 2)")):
         read_container(path, MAGIC)
 
 

@@ -25,7 +25,7 @@ from swwl.gp import (
     marginal_posterior,
     save_model,
 )
-from swwl.kernels import GRAM_MAGIC, load_gram_binary, load_gram_text, usable_cpus
+from swwl.kernels import GRAM_MAGIC, load_gram, load_gram_binary, load_gram_text, usable_cpus
 from swwl.sliced import PQ_STORE_MAGIC, PQ_STORE_NAME, load_pq_store
 from swwl.synthetic import generate_regression_dataset
 
@@ -232,6 +232,20 @@ def test_gram_distances_then_exponentiation_matches_gamma(workspace, tmp_path):
     np.testing.assert_allclose(np.exp(-1.5 * d2), k, rtol=1e-15, atol=1e-15)
     kb = load_gram_binary(tmp_path / "k.bin")
     assert np.array_equal(kb.values, k)
+
+
+@pytest.mark.parametrize("flags", [["--gamma", "1.5", "--nugget", "0.1"], ["--distances-only"],
+                                   ["--gammas", "0.5,2", "--variance", "2"]],
+                         ids=["swwl", "distances-only", "aswwl"])
+def test_gram_text_and_binary_outputs_load_back_equal(aniso_store, tmp_path, flags):
+    text, binary = tmp_path / "gram.txt", tmp_path / "gram.bin"
+    assert run("gram", "--embeddings", aniso_store, "--out", text, "--binary-out", binary,
+               *flags) == 0
+    got, want = load_gram(text), load_gram(binary)
+    assert np.array_equal(got.values, want.values)
+    assert got.row_ids == want.row_ids == load_pq_store(aniso_store).ids
+    assert got.fingerprint == want.fingerprint
+    assert np.array_equal(np.loadtxt(text), want.values)
 
 
 def test_gram_rerun_byte_identical(workspace, tmp_path):
@@ -604,15 +618,21 @@ def test_predict_with_wrong_seed_cache_exits_3(workspace, tmp_path):
     ) == 3
 
 
-def test_check_psd_command(workspace, tmp_path):
+def test_check_psd_command(workspace, tmp_path, capsys):
     gram_path = tmp_path / "gram.txt"
     assert run("gram", "--embeddings", workspace / "emb-train", "--out", gram_path,
                "--gamma", 1.0, "--check-psd") == 0
     assert run("check-psd", "--gram", gram_path) == 0
     # handcrafted indefinite matrix fails with the numerical exit code
     bad = tmp_path / "bad.txt"
-    bad.write_text("2 0 0 0 0\n1 2\n2 1\n")
+    bad.write_text('# {"fingerprint": {}, "row_ids": ["a", "b"]}\n1 2\n2 1\n')
     assert run("check-psd", "--gram", bad) == 4
+    assert "verdict NOT PSD" in capsys.readouterr().out
+    # a text Gram of the earlier format, which swwl gram rebuilds
+    old = tmp_path / "old.txt"
+    old.write_text("2 0 0 0 0\n1 0\n0 1\n")
+    assert run("check-psd", "--gram", old) == 2
+    assert f"{old}: the first line is not '# ' and a JSON header" in capsys.readouterr().err
 
 
 def test_gram_check_psd_and_check_psd_give_one_verdict(workspace, tmp_path, capsys):
@@ -689,13 +709,14 @@ def test_check_psd_of_a_non_finite_gram_exits_2(tmp_path, capsys, fmt, value):
     values[1, 1] = value
     path = tmp_path / "gram"
     # written by hand: the savers refuse a Gram that holds a NaN or infinity
+    header = {"fingerprint": {"seed": 0}, "row_ids": ["a", "b", "c"]}
     if fmt == "text":
-        path.write_text(f"3 0 0 0 0\n1 0 0\n0 {value} 0\n0 0 1\n")
+        path.write_text(f"# {json.dumps(header)}\n1 0 0\n0 {value} 0\n0 0 1\n")
     else:
-        write_container(path, GRAM_MAGIC, {"fingerprint": {"seed": 0}, "row_ids": ["a", "b", "c"]},
-                        {"values": values})
+        write_container(path, GRAM_MAGIC, header, {"values": values})
     assert run("check-psd", "--gram", path) == 2
-    assert "NaN or infinite" in capsys.readouterr().err
+    assert (f"{path}: array 'values' holds a NaN or infinite entry at index (1, 1)"
+            in capsys.readouterr().err)
     assert not Path(f"{path}.psd.manifest.json").exists()
 
 
@@ -860,8 +881,13 @@ def test_aniso_flow(tmp_path):
     ) == 0
     gram = load_gram_text(gram_path)
     assert np.all(np.diag(gram.values) == 1.0)
-    # the fingerprint is the first iteration's block's: block 0, s = d = 2
-    assert {"kind=aswwl", "block=0", "s=2"} <= set(gram_path.read_text().split("\n")[0].split())
+    # the fingerprint is the first iteration's block's: block 0, s = d = 2;
+    # it has no single gamma
+    header = json.loads(gram_path.read_text().split("\n")[0].removeprefix("# "))
+    assert header["row_ids"] == [f"a{i}" for i in range(5)]
+    fp = header["fingerprint"]
+    assert (fp["kind"], fp["block"], fp["s"], fp["gammas"]) == ("aswwl", 0, 2, [0.5, 1.0, 2.0])
+    assert "gamma" not in fp and gram.fingerprint == fp
     scaled = tmp_path / "aniso.bin"
     assert run(
         "gram", "--embeddings", emb, "--out", tmp_path / "aniso2.txt",

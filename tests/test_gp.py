@@ -1,5 +1,6 @@
 """Robust GP: profile statistics, fitting, prediction, equivariances."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -192,6 +193,14 @@ class TestPredict:
         assert dist.scale.shape == (0, 0)
         assert dist.scale_diagonal().shape == (0,)
         assert all(bound.shape == (0,) for bound in dist.interval())
+
+    @pytest.mark.parametrize("level", [1.5, -0.2, 0.0, 1.0, float("nan")])
+    def test_an_interval_level_outside_zero_one_is_refused(self, level):
+        # 1.5 gave NaN bounds and -0.2 bounds with lo > hi
+        x, y = scalar_inputs(8, seed=5)
+        dist = predict(fit(x, None, y, settings=GpSettings(multistarts=1)), x[:3], None)
+        with pytest.raises(ValidationError, match=re.escape(f"got {level}")):
+            dist.interval(level)
 
     def test_target_shift_equivariance(self):
         rng = np.random.default_rng(6)

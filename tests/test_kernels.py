@@ -1,5 +1,6 @@
 """Kernel values, Gram assembly, positive definiteness, export formats."""
 
+import json
 import math
 import os
 import re
@@ -40,6 +41,7 @@ from swwl.kernels import (
     save_gram_binary,
     save_gram_text,
     sq_distances,
+    store_gram,
     usable_cpus,
 )
 from swwl.synthetic import generate_regression_dataset
@@ -352,6 +354,9 @@ class TestCheckPsd:
             check_psd(np.eye(2), tol=tol)
 
 
+HEADER = '# {"fingerprint": {"seed": 0}, "row_ids": ["a", "b"]}\n'
+
+
 class TestGramFiles:
     def test_text_round_trip_17_digits(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -359,14 +364,35 @@ class TestGramFiles:
         gram = assemble_gram(embs, None, KernelConfig(gamma=1.0))
         path = tmp_path / "gram.txt"
         save_gram_text(gram, path)
-        first = path.read_text().splitlines()[0].split()
-        assert first[0] == "5"
+        # the binary Gram's header, as JSON with sorted keys
+        header = {"fingerprint": gram.fingerprint, "row_ids": list(gram.row_ids)}
+        assert path.read_text().splitlines()[0] == "# " + json.dumps(header, sort_keys=True)
         back = load_gram_text(path)
         assert np.array_equal(back.values, gram.values)
-        assert back.fingerprint["seed"] == gram.fingerprint["seed"]
-        assert back.fingerprint["projections"] == gram.fingerprint["projections"]
-        assert back.fingerprint["quantiles"] == gram.fingerprint["quantiles"]
-        assert back.fingerprint["gamma"] == gram.fingerprint["gamma"]
+        assert (back.row_ids, back.fingerprint) == (gram.row_ids, gram.fingerprint)
+
+    @pytest.mark.parametrize("kind", ["swwl", "aswwl", "distances-only"])
+    def test_text_and_binary_grams_load_back_equal(self, tmp_path, kind):
+        dataset = generate_regression_dataset(seed=3, n_graphs=6, mean_nodes=8, scalar_dim=1)
+        store = embed_dataset(dataset, WlConfig(iterations=(0, 1)), seed=2, n_projections=3,
+                              n_quantiles=4, per_iteration=True)
+        gram = {
+            "swwl": lambda: assemble_gram(
+                store, store.scalars, KernelConfig(gamma=0.5, matern_lengthscales=(1.0,))),
+            "aswwl": lambda: assemble_gram_aniso(store, [0.5, 2.0], variance=2.0),
+            # as swwl gram --distances-only labels its matrix
+            "distances-only": lambda: store_gram(store, 0, sq_distances(store.blocks[0]),
+                                                 kind="sw-squared-distances", gamma=0.0),
+        }[kind]()
+        text, binary = tmp_path / "gram.txt", tmp_path / "gram.bin"
+        save_gram_text(gram, text)
+        save_gram_binary(gram, binary)
+        got, want = load_gram(text), load_gram(binary)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+        assert np.array_equal(got.values, gram.values)
+        assert got.row_ids == want.row_ids == gram.row_ids == store.ids
+        assert got.fingerprint == want.fingerprint == gram.fingerprint
 
     @pytest.mark.parametrize("n", [1, 2, 7, 300])
     def test_text_matches_value_by_value_writer(self, tmp_path, n):
@@ -386,6 +412,17 @@ class TestGramFiles:
         assert np.array_equal(back, values)
         assert np.array_equal(np.signbit(back), np.signbit(values))  # -0.0 kept
 
+    def test_numpy_loadtxt_reads_the_text_gram_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-320, 300, (6, 6))
+        values.flat[:5] = [-0.0, 5e-324, -1e308, 1.0 / 3.0, 0.0]
+        path = tmp_path / "gram.txt"
+        save_gram_text(GramMatrix(values, tuple("abcdef"), {"note": "# not a row"}), path)
+        # the header line is a comment to numpy
+        loaded = np.loadtxt(path)
+        assert np.array_equal(loaded, values)
+        assert np.array_equal(np.signbit(loaded), np.signbit(values))
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -402,19 +439,55 @@ class TestGramFiles:
         ],
     )
     def test_malformed_text_is_parse_error(self, tmp_path, text):
+        # the earlier format's fingerprint line, whole or damaged: every such
+        # file is refused as one of that format, which swwl gram rebuilds
         path = tmp_path / "gram.txt"
         path.write_text(text)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: the first line is not '# ' and a JSON header, as in a text Gram "
+                "of an earlier format; rerun `swwl gram`")):
+            load_gram_text(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('# {"fingerprint": {}, "row_ids": ["a", "b"]\n1 0\n0 1\n', "header is not JSON"),
+            ('# {"fingerprint": ' + "[" * 100_000 + "]" * 100_000 + "}\n", "header is not JSON"),
+            ('# {"fingerprint": [], "row_ids": ["a", "b"]}\n1 0\n0 1\n',
+             "'fingerprint' must be a JSON object"),
+            ('# {"fingerprint": {"gamma": NaN}, "row_ids": ["a", "b"]}\n1 0\n0 1\n',
+             "'fingerprint' must be a JSON object"),
+            ('# {"fingerprint": {}}\n1 0\n0 1\n', "'row_ids' must be a list of record ids"),
+            ('# {"fingerprint": {}, "row_ids": ["a", "a"]}\n1 0\n0 1\n',
+             "'row_ids' repeats a record id"),
+            (HEADER + "1 0\n", "Gram matrix must be square, got (1, 2)"),
+            (HEADER + "1 0\n0 1\n0 0\n", "Gram matrix must be square, got (3, 2)"),
+            (HEADER + "1 0 0\n0 1 0\n0 0 1\n", "row id count does not match matrix size"),
+            (HEADER, "row id count does not match matrix size"),
+            (HEADER + "1 0\n0 1 0\n", "the number of columns changed from 2 to 3"),
+            (HEADER + "1 0\n0 x\n", "could not convert string 'x' to float64"),
+            (HEADER + "1 0 # a comment\n0 1\n", "could not convert string '#' to float64"),
+        ],
+        ids=["header-not-json", "header-nested-too-deep", "fingerprint-not-object",
+             "fingerprint-nan", "no-row-ids", "row-ids-repeated", "fewer-rows", "more-rows",
+             "more-rows-and-columns", "no-rows", "row-width", "not-a-number",
+             "comment-in-a-row"],
+    )
+    def test_malformed_text_refusal_names_the_file_and_the_fault(self, tmp_path, text, message):
+        path = tmp_path / "gram.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
             load_gram_text(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_text_value_is_parse_error_naming_the_row(self, tmp_path, value):
         path = tmp_path / "gram.txt"
-        path.write_text(f"2 0 1 2 1.0\n1 0\n0 {value}\n")
-        with pytest.raises(ParseError, match=re.escape(f"{path}: row 2 holds a NaN")):
+        path.write_text(f"{HEADER}1 0\n0 {value}\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: array 'values' holds a NaN or infinite entry at index (1, 1)")):
             load_gram_text(path)
 
-    @pytest.mark.parametrize("data", [b"\xb8SWWL-G1", b"2 0 1 2 1.0\n1 0\n0 \xff\n"],
+    @pytest.mark.parametrize("data", [b"\xb8SWWL-G1", HEADER.encode() + b"1 0\n0 \xff\n"],
                              ids=["header", "row"])
     def test_bytes_that_are_not_utf8_are_a_parse_error_naming_the_file(self, tmp_path, data):
         path = tmp_path / "gram.txt"
@@ -471,7 +544,7 @@ class TestGramFiles:
         # files that do not start with the whole magic are read as text
         for data in (b"", b"SWWL-G", b"\xb8SWWL-G1"):
             text.write_bytes(data)
-            with pytest.raises(ParseError, match="fingerprint line|not UTF-8"):
+            with pytest.raises(ParseError, match="rerun `swwl gram`|not UTF-8"):
                 load_gram(text)
 
     def test_empty_gram_is_validation_error(self, tmp_path):

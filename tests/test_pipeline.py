@@ -157,6 +157,27 @@ def test_fewer_than_one_job_is_refused(jobs):
         embed_dataset(_random_dataset(7, [4, 5]), CONFIG, jobs=jobs, **KWARGS)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5), ("seed", "9"), ("n_projections", 5.0), ("n_projections", True),
+    ("n_quantiles", 7.0), ("n_quantiles", np.True_),
+])
+def test_a_seed_or_count_that_is_not_an_integer_is_refused(name, value):
+    # seed=1.5 was fingerprinted as seed 1; the others raised a bare TypeError
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got"):
+        embed_dataset(_random_dataset(7, [4, 5]), CONFIG, **{**KWARGS, name: value})
+
+
+def test_numpy_integers_give_the_store_of_python_ints(tmp_path):
+    dataset = _random_dataset(7, [4, 5])
+    want = embed_dataset(dataset, CONFIG, **KWARGS)
+    got = embed_dataset(dataset, CONFIG, seed=np.int64(9), n_projections=np.int32(5),
+                        n_quantiles=np.uint8(7))
+    _assert_same_store(got, want)
+    # the store saves: its fingerprint holds JSON integers
+    save_pq_store(tmp_path, got)
+    assert load_pq_store(tmp_path).fingerprints == want.fingerprints
+
+
 def test_nonpositive_weight_warning_is_emitted():
     graphs = [AttributedGraph(np.ones((3, 1)), [[0, 1]]),
               AttributedGraph(np.zeros((2, 1)), [[0, 1]], [-1.0])]

@@ -1,6 +1,7 @@
 """Projections, quantiles, embeddings and transport-distance oracles."""
 
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -557,7 +558,7 @@ def test_malformed_store_header_is_parse_error(tmp_path, edit):
     ))
     load_pq_store(tmp_path)  # well formed before the edit
     _rewrite_header(tmp_path / PQ_STORE_NAME, edit)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(tmp_path / PQ_STORE_NAME))}: "):
         load_pq_store(tmp_path)
 
 

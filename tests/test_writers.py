@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from swwl import GramMatrix, KernelConfig, StandardizationStats, WlConfig, embed_dataset, fit
 from swwl.errors import ParseError, SwwlError, ValidationError
 from swwl import gp, kernels, sliced
+from swwl.binio import read_container, write_container
 from swwl.gp import GpModel, _correlation, load_model, save_model
 from swwl.kernels import (
     assemble_gram,
@@ -62,6 +63,8 @@ STORE_CASES = {
     "targets-length": lambda s: replace(s, targets=s.targets[:2]),
     "digest-without-scalars": lambda s: replace(s, scalars=None),
     "nan-block": lambda s: replace(s, blocks=(_with_nan(s.blocks[0]),) + s.blocks[1:]),
+    "standardized-1": lambda s: replace(
+        s, fingerprints=tuple(replace(fp, standardized=1) for fp in s.fingerprints)),
 }
 
 
@@ -84,6 +87,13 @@ GRAM_CASES = {
     "repeated-ids": lambda g: GramMatrix(g.values, ("a",) * g.size, g.fingerprint),
     "ids-not-str": lambda g: GramMatrix(g.values, tuple(range(g.size)), g.fingerprint),
     "nan": lambda g: GramMatrix(_with_nan(g.values), g.row_ids, g.fingerprint),
+    # fingerprints that JSON cannot carry, or would read back otherwise
+    "fingerprint-numpy-integer": lambda g: replace(g, fingerprint={**g.fingerprint,
+                                                                   "seed": np.int64(1)}),
+    "fingerprint-tuple": lambda g: replace(g, fingerprint={**g.fingerprint, "iterations": (0, 1)}),
+    "fingerprint-nan": lambda g: replace(g, fingerprint={**g.fingerprint, "gamma": math.nan}),
+    "fingerprint-integer-key": lambda g: replace(g, fingerprint={**g.fingerprint, 1: "a"}),
+    "fingerprint-not-a-dict": lambda g: replace(g, fingerprint=list(g.fingerprint)),
 }
 
 
@@ -95,35 +105,28 @@ def test_save_gram_binary_refuses_what_load_gram_binary_refuses(tmp_path, case):
     assert not path.exists()
 
 
-TEXT_CASES = {
-    "nan": lambda g: GramMatrix(_with_nan(g.values), g.row_ids, g.fingerprint),
-    # read back as the two keys note='two' and words=''
-    "value-with-a-space": lambda g: replace(g, fingerprint={**g.fingerprint, "note": "two words"}),
-    "value-with-a-newline": lambda g: replace(g, fingerprint={**g.fingerprint, "note": "a\nb"}),
-    "key-with-a-space": lambda g: replace(g, fingerprint={**g.fingerprint, "a b": 1}),
-    "key-with-equals": lambda g: replace(g, fingerprint={**g.fingerprint, "a=b": 1}),
-    "value-with-trailing-space": lambda g: replace(g, fingerprint={**g.fingerprint, "note": "x "}),
-    "seed-not-an-integer": lambda g: replace(g, fingerprint={**g.fingerprint, "seed": 1.5}),
-    "gamma-not-a-number": lambda g: replace(g, fingerprint={**g.fingerprint, "gamma": "x"}),
-}
-
-
-@pytest.mark.parametrize("case", TEXT_CASES)
+@pytest.mark.parametrize("case", GRAM_CASES)
 def test_save_gram_text_refuses_what_its_line_or_load_gram_text_cannot_carry(tmp_path, case):
-    path = tmp_path / "gram.txt"
-    with pytest.raises(ValidationError):
-        save_gram_text(TEXT_CASES[case](_gram()), path)
+    # the line is the binary Gram's header: the text saver refuses what the
+    # binary one refuses, with the same message
+    gram, path = GRAM_CASES[case](_gram()), tmp_path / "gram.txt"
+    with pytest.raises(ValidationError) as binary:
+        save_gram_binary(gram, tmp_path / "gram.bin")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(binary.value))}$"):
+        save_gram_text(gram, path)
     assert not path.exists()
 
 
-@pytest.mark.parametrize("token", ["words", "seed=9", "gamma=2", "note=a"])
-def test_fingerprint_line_token_that_is_not_a_new_key_is_parse_error(tmp_path, token):
-    # a token without '=' was stored as a key with an empty value, and an
-    # extra seed=9 replaced the typed seed with the string '9'
-    path = tmp_path / "gram.txt"
-    path.write_text(f"1 0 1 2 1.0 note=two {token}\n1\n")
-    with pytest.raises(ParseError, match=re.escape(f"{path}: fingerprint token {token!r}")):
-        load_gram_text(path)
+@pytest.mark.parametrize("key, value", [
+    ("note", "two words"), ("note", "a\nb"), ("note", "x "), ("a b", 1), ("a=b", 1),
+    ("seed", 1.5), ("gamma", "x"), ("gamma", None),
+], ids=["value-with-a-space", "value-with-a-newline", "value-with-trailing-space",
+        "key-with-a-space", "key-with-equals", "seed-a-float", "gamma-text", "gamma-null"])
+def test_a_fingerprint_the_earlier_text_line_refused_loads_back_equal(tmp_path, key, value):
+    gram = _gram()
+    gram = replace(gram, fingerprint={**gram.fingerprint, key: value})
+    save_gram_text(gram, tmp_path / "gram.txt")
+    assert load_gram_text(tmp_path / "gram.txt").fingerprint == gram.fingerprint
 
 
 def _model():
@@ -152,6 +155,32 @@ def test_save_model_refuses_what_load_model_refuses(tmp_path, case):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("artifact", ["store", "model"])
+def test_a_malformed_fingerprint_is_refused_as_every_other_field(tmp_path, artifact):
+    # P = true is refused by the writer, with no file, and by the reader,
+    # naming the file it read
+    if artifact == "store":
+        good, path = _small_store(), tmp_path / "emb" / sliced.PQ_STORE_NAME
+        bad = replace(good, fingerprints=(replace(good.fingerprints[0], n_projections=True),)
+                      + good.fingerprints[1:])
+        save, load = (lambda s: save_pq_store(path.parent, s)), (lambda: load_pq_store(path.parent))
+    else:
+        good, path = _model(), tmp_path / "model.bin"
+        bad = replace(good, fingerprint=replace(good.fingerprint, n_projections=True))
+        save, load = (lambda m: save_model(m, path)), (lambda: load_model(path))
+    with pytest.raises(ValidationError, match="^malformed embedding fingerprint"):
+        save(bad)
+    assert not path.exists()
+    save(good)
+    magic = sliced.PQ_STORE_MAGIC if artifact == "store" else gp.MODEL_MAGIC
+    header, arrays = read_container(path, magic)
+    for fp in header.get("fingerprints") or [header.get("fingerprint")]:
+        fp["projections"] = True
+    write_container(path, magic, header, arrays)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: malformed embedding"):
+        load()
+
+
 @pytest.mark.parametrize(
     "mean, std",
     [([0.0, 0.0], [0.0, 1.0]), ([0.0, 0.0], [-1.0, 1.0]), ([0.0], [1.0, 1.0]),
@@ -163,6 +192,15 @@ def test_standardization_stats_refuse_what_from_dict_refuses(mean, std):
     # non-finite values" at embed time
     with pytest.raises(ValidationError):
         StandardizationStats(mean=np.array(mean), std=np.array(std))
+
+
+def test_standardization_stats_take_lists_as_arrays():
+    # lists raised a bare AttributeError, and text must be a ValidationError
+    listed = StandardizationStats(mean=[0.0, 1.0], std=[1.0, 2.0])
+    arrays = StandardizationStats(mean=np.array([0.0, 1.0]), std=np.array([1.0, 2.0]))
+    assert isinstance(listed.mean, np.ndarray) and listed.sha256() == arrays.sha256()
+    with pytest.raises(ValidationError, match="^'mean' must be a vector of numbers"):
+        StandardizationStats(mean="abc", std=[1.0])
 
 
 # --- property: any drawn object either is refused or round-trips ------------
@@ -280,70 +318,58 @@ JSON_VALUES = st.none() | st.booleans() | st.integers(-10**6, 10**6) | FINITE | 
 
 
 @st.composite
-def grams(draw, text: bool):
+def grams(draw):
     n = draw(st.integers(0, 4))
     values = _matrix(draw, n, n)
     ids = tuple(draw(st.lists(IDS, min_size=n, max_size=n, unique=True)))
     fingerprint = draw(st.dictionaries(st.text(min_size=1, max_size=4), JSON_VALUES, max_size=3))
-    if text:
-        # the fields the first line starts with, typed as the reader reads them
-        fingerprint.update(draw(st.fixed_dictionaries({}, optional={
-            "seed": st.integers(0, 2**40), "projections": st.integers(0, 9),
-            "quantiles": st.integers(0, 9), "gamma": FINITE})))
     field = draw(st.sampled_from([None, "values", "row_ids", "fingerprint"]))
     if field == "values":
         values = _poison(draw, values)
     elif field == "row_ids" and n:
         ids = draw(st.sampled_from([ids[:1] * n, (0,) + ids[1:]]))
     elif field == "fingerprint":
-        key, value = draw(st.sampled_from([
-            ("seed", 1.5), ("seed", "x"), ("gamma", "x"), ("gamma", None), ("a b", 1),
-            ("a=b", 1), ("note", "two words"), ("note", "x\n"), ("note", [1, 2])]))
-        fingerprint[key] = value
+        fingerprint = draw(st.sampled_from([
+            {**fingerprint, "gamma": math.nan}, {**fingerprint, "gamma": [math.inf]},
+            list(fingerprint), None]))
     return GramMatrix(values, ids, fingerprint)
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(grams(text=False))
-def test_a_drawn_binary_gram_is_refused_or_loads_back_equal(tmp_path, gram):
-    path = _fresh_path(tmp_path, "gram.bin")
+def _gram_refused_or_loads_back_equal(tmp_path, gram, save, load):
+    """The Gram ``load`` reads back from what ``save`` wrote, equal to
+    ``gram``; or None if ``save`` refused it, left no file, and with its
+    rule switched off writes a file that ``load`` refuses."""
+    path = _fresh_path(tmp_path, "gram")
     path.parent.mkdir()
     try:
-        save_gram_binary(gram, path)
+        save(gram, path)
     except SwwlError:
         assert not path.exists()
-        _reader_refuses_it_too(kernels, "gram_from_container",
-                               lambda p: save_gram_binary(gram, p), load_gram_binary, path)
-        return
-    back = load_gram_binary(path)
+        _reader_refuses_it_too(kernels, "gram_from_container", lambda p: save(gram, p), load,
+                               path)
+        return None
+    back = load(path)
     assert np.array_equal(back.values, gram.values)
+    assert np.array_equal(np.signbit(back.values), np.signbit(gram.values))
     assert back.row_ids == gram.row_ids and back.fingerprint == gram.fingerprint
+    return back
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(grams(text=True))
+@given(grams())
+def test_a_drawn_binary_gram_is_refused_or_loads_back_equal(tmp_path, gram):
+    _gram_refused_or_loads_back_equal(tmp_path, gram, save_gram_binary, load_gram_binary)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(grams())
 def test_a_drawn_text_gram_is_refused_or_loads_back_equal(tmp_path, gram):
-    path = _fresh_path(tmp_path, "gram.txt")
-    path.parent.mkdir()
-    try:
-        save_gram_text(gram, path)
-    except SwwlError:
-        assert not path.exists()
-        return
-    back = load_gram_text(path)
-    assert np.array_equal(back.values, gram.values)
-    # the text format keeps no ids and writes every other entry as text
-    head = {"seed": 0, "projections": 0, "quantiles": 0, "gamma": 0.0}
-    assert back.fingerprint == {
-        **{k: gram.fingerprint.get(k, v) for k, v in head.items()},
-        **{k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
-           for k, v in gram.fingerprint.items() if k not in head},
-    }
-    again = path.with_name("again.txt")
-    save_gram_text(back, again)
-    assert again.read_bytes() == path.read_bytes()
+    # refused exactly when the binary Gram is, or read back equal to it
+    text, binary = (_gram_refused_or_loads_back_equal(tmp_path, gram, save, load) for save, load in
+                    ((save_gram_text, load_gram_text), (save_gram_binary, load_gram_binary)))
+    assert (text is None) == (binary is None)
 
 
 @st.composite
