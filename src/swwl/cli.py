@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigMismatchError, SchemaError, SwwlError, ValidationError
+from .errors import ConfigMismatchError, SchemaError, SwwlError, ValidationError, integer
 from .gp import (
     DEFAULT_NUGGET,
     GpSettings,
@@ -191,26 +191,24 @@ def _psd_verdict(stages, gram, tol=_PSD_TOL) -> dict:
 
 
 def cmd_generate(args) -> int:
-    for flag, count in (("--n-train", args.n_train), ("--n-test", args.n_test)):
-        if count < 1:
-            raise ValidationError(f"{flag} must be at least 1, got {count}")
+    n_train = integer("--n-train", args.n_train, least=1)
+    n_test = integer("--n-test", args.n_test, least=1)
     stages = _Stages(args)
     with stages.time("generate"):
-        total = args.n_train + args.n_test
         dataset = generate_regression_dataset(
             seed=args.seed,
-            n_graphs=total,
+            n_graphs=n_train + n_test,
             mean_nodes=args.nodes,
             noise_fraction=args.noise,
             scalar_dim=args.scalars,
             node_spread=args.node_spread,
         )
-        train = Dataset(records=dataset.records[: args.n_train])
-        test = Dataset(records=dataset.records[args.n_train :])
+        train = Dataset(records=dataset.records[:n_train])
+        test = Dataset(records=dataset.records[n_train:])
     with stages.time("write"):
         save_dataset(train, args.out_train)
         save_dataset(test, args.out_test)
-    stages.manifest(str(args.out_train) + ".manifest.json",
+    stages.manifest(str(args.out_train) + ".manifest.json", n_train=n_train, n_test=n_test,
                     extra={"counts": {"train": len(train), "test": len(test)}})
     print(f"wrote {len(train)} train and {len(test)} test records")
     return 0
@@ -267,13 +265,6 @@ def cmd_embed(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    if args.distances_only and (args.variance is not None or args.nugget is not None):
-        raise ValidationError("--distances-only takes neither --variance nor --nugget")
-    # the variance and nugget the kernel uses, which the manifest records
-    kernel = {} if args.distances_only else {
-        "variance": 1.0 if args.variance is None else args.variance,
-        "nugget": 0.0 if args.nugget is None else args.nugget,
-    }
     stages = _Stages(args)
     with stages.time("load"):
         store = load_pq_store(args.embeddings)
@@ -284,9 +275,9 @@ def cmd_gram(args) -> int:
     elif args.gammas is not None:
         gammas = np.array(_comma_list(args.gammas, "--gammas", float))
         with stages.time("assemble"):
-            gram = assemble_gram_aniso(store, gammas, **kernel)
+            gram = assemble_gram_aniso(store, gammas)
     else:
-        cfg = KernelConfig(gamma=args.gamma, **kernel)
+        cfg = KernelConfig(gamma=args.gamma)
         with stages.time("assemble"):
             gram = assemble_gram(store, None, cfg)
 
@@ -302,16 +293,14 @@ def cmd_gram(args) -> int:
     else:
         psd = None
         write()
-    stages.manifest(
-        str(args.out) + ".manifest.json",
-        extra={"counts": {"records": gram.size}, "psd": psd},
-        **kernel,
-    )
+    stages.manifest(str(args.out) + ".manifest.json",
+                    extra={"counts": {"records": gram.size}, "psd": psd})
     print(f"wrote {gram.size}x{gram.size} matrix to {args.out}")
     return 0
 
 
 def cmd_fit(args) -> int:
+    settings = GpSettings(nugget=args.nugget, multistarts=args.multistarts, seed=args.opt_seed)
     stages = _Stages(args)
     with stages.time("load"):
         store, records_from = _load_records(args.input, args.embeddings)
@@ -324,9 +313,7 @@ def cmd_fit(args) -> int:
             store.targets,
             ids=store.ids,
             fingerprint=store.fingerprints[0],
-            settings=GpSettings(
-                nugget=args.nugget, multistarts=args.multistarts, seed=args.opt_seed
-            ),
+            settings=settings,
         )
     with stages.time("write"):
         save_model(model, args.out)
@@ -392,8 +379,7 @@ def _bench_rows(args):
     third as many test graphs and writes one row per cell, timing embed, fit
     and predict, with the test RMSE.
     """
-    if args.repeats < 1:
-        raise ValidationError(f"--repeats must be at least 1, got {args.repeats}")
+    repeats = integer("--repeats", args.repeats, least=1)
     nodes = _comma_list(args.nodes, "--nodes")
     projections = _comma_list(args.projections, "--projections")
     quantiles = _comma_list(args.quantiles, "--quantiles")
@@ -401,7 +387,7 @@ def _bench_rows(args):
     n_test = max(1, n_train // 3) if args.mode == "rmse" else 0
     rows = []
     for n in nodes:
-        for rep in range(args.repeats):
+        for rep in range(repeats):
             seed = args.seed + rep
             dataset = generate_regression_dataset(
                 seed=seed, n_graphs=n_train + n_test, mean_nodes=n
@@ -501,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "anisotropic kernel (a store written by embed --aniso)")
     kernel.add_argument("--distances-only", action="store_true",
                         help="write the squared sliced Wasserstein distances")
-    p.add_argument("--variance", type=float, help="kernel variance (default 1)")
-    p.add_argument("--nugget", type=float, help="kernel nugget (default 0)")
     p.add_argument("--check-psd", action="store_true")
     p.set_defaults(func=cmd_gram)
 

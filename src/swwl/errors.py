@@ -13,6 +13,8 @@ Exit codes of ``swwl``, which each class declares as ``exit_code``:
   not PSD.
 """
 
+import operator
+
 
 class SwwlError(Exception):
     """Base class for all errors raised by this package."""
@@ -86,3 +88,18 @@ def refusal(path, message: str) -> SwwlError:
     ParseError naming ``path``, or the ValidationError of ``message`` when
     ``path`` is None, as a writer checks what it is about to write."""
     return ValidationError(message) if path is None else ParseError(f"{path}: {message}")
+
+
+def integer(name: str, value, least: int = 0, most: int | None = None) -> int:
+    """``value`` as a Python int from ``least`` to ``most`` (no bound when
+    None): any integer, numpy's included, but not a boolean, a float or a
+    string. The rule of every seed, count and level; ValidationError naming
+    ``name`` otherwise."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValidationError(f"{name} must be at most {most}, got {value}")
+    return value

@@ -36,6 +36,7 @@ from .errors import (
     OptimizationError,
     SwwlError,
     ValidationError,
+    integer,
     refusal,
 )
 from .kernels import (
@@ -46,7 +47,7 @@ from .kernels import (
     scalar_matrix,
     sq_distances,
 )
-from .sliced import PqFingerprint
+from .sliced import PHILOX_SEED_MAX, PqFingerprint
 
 MODEL_MAGIC = "SWWL-M1"
 
@@ -414,14 +415,18 @@ class GpModel:
 
 @dataclass(frozen=True)
 class GpSettings:
+    """The nugget, finite and >= 0; the optimizer starts, an integer >= 1;
+    and the seed of the random starts, an integer from 0 to
+    ``PHILOX_SEED_MAX``. ValidationError naming the first that is not."""
+
     nugget: float = DEFAULT_NUGGET
     multistarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
         check_parameters(nugget=self.nugget)
-        if self.multistarts < 1:
-            raise ValidationError(f"multistarts must be at least 1, got {self.multistarts}")
+        object.__setattr__(self, "multistarts", integer("multistarts", self.multistarts, least=1))
+        object.__setattr__(self, "seed", integer("seed", self.seed, most=PHILOX_SEED_MAX))
 
 
 @dataclass(frozen=True)
@@ -513,7 +518,7 @@ def fit(
     distances = build_train_distances(features, scalars)
     scales = distances.prior_scales
     start_center = np.log(np.where(scales > 0, scales, 1.0))
-    rng = np.random.Generator(np.random.Philox(key=int(settings.seed)))
+    rng = np.random.Generator(np.random.Philox(key=settings.seed))
     search = _Search(distances, y, settings.nugget)
     grid = [start_center + t for t in GRID_SHIFTS]
     scores = [search(x) for x in grid]

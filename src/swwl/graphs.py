@@ -333,7 +333,8 @@ def load_dataset(source) -> Dataset:
                     continue
                 try:
                     obj = json.loads(line)
-                except ValueError as exc:  # also an integer literal of over 4300 digits
+                # also an integer literal of over 4300 digits; RecursionError: nested too deep
+                except (RecursionError, ValueError) as exc:
                     raise ParseError(str(exc), line=lineno) from exc
                 try:
                     rec = _record_from_obj(obj, lineno)
@@ -432,10 +433,11 @@ class StandardizationStats:
     def load(cls, path) -> "StandardizationStats":
         """:meth:`from_dict` of the JSON file ``path`` (``standardization.json``
         as ``embed --standardize`` writes it); ParseError naming ``path`` if
-        it is not UTF-8 JSON."""
+        it is not UTF-8 JSON, or nests past the recursion limit."""
         try:
             obj = json.loads(Path(path).read_bytes().decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        # UnicodeDecodeError and JSONDecodeError; RecursionError: nested too deep
+        except (RecursionError, ValueError) as exc:
             raise ParseError(f"{path}: not UTF-8 JSON: {exc}") from exc
         return cls.from_dict(obj, source=path)
 

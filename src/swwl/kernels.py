@@ -34,8 +34,8 @@ GRAM_MAGIC = "SWWL-G1"
 def check_parameters(**values) -> None:
     """ValidationError naming the first parameter that breaks the kernel's
     rules: ``nugget`` and ``tol`` must be finite and nonnegative, every other
-    one (a precision, range or lengthscale, the variance) finite and
-    positive. A value is one number or a sequence of them."""
+    one (a precision, range or lengthscale) finite and positive. A value is
+    one number or a sequence of them."""
     for name, value in values.items():
         array = np.asarray(value, dtype=float)
         nonnegative = name in ("nugget", "tol")
@@ -50,19 +50,14 @@ class KernelConfig:
 
     gamma: precision of the graph factor exp(-gamma * d^2).
     matern_lengthscales: one lengthscale per scalar covariate.
-    variance: multiplicative variance sigma^2.
-    nugget: nonnegative diagonal addition.
     """
 
     gamma: float = 1.0
     matern_lengthscales: tuple[float, ...] = ()
-    variance: float = 1.0
-    nugget: float = 0.0
 
     def __post_init__(self):
         ls = tuple(float(v) for v in self.matern_lengthscales)
-        check_parameters(gamma=self.gamma, matern_lengthscales=ls,
-                         variance=self.variance, nugget=self.nugget)
+        check_parameters(gamma=self.gamma, matern_lengthscales=ls)
         object.__setattr__(self, "matern_lengthscales", ls)
 
 
@@ -173,20 +168,17 @@ def correlation_from_distances(
     scalar_abs: np.ndarray,
     gamma: float,
     lengthscales: np.ndarray,
-    variance: float = 1.0,
     nugget: float = 0.0,
 ) -> np.ndarray:
-    """``variance`` times exp(-gamma * d^2) times one Matern-5/2 factor per
-    (N, N') slice of the (m, N, N') ``scalar_abs``, m >= 0, then ``nugget``
-    added to the entries (i, i): every Gram and GP correlation matrix.
-    The caller checks the variance and the nugget."""
+    """exp(-gamma * d^2) times one Matern-5/2 factor per (N, N') slice of
+    the (m, N, N') ``scalar_abs``, m >= 0, then ``nugget`` added to the
+    entries (i, i): every Gram and GP correlation matrix. The caller checks
+    the nugget."""
     if len(scalar_abs) != len(lengthscales):
         raise LengthMismatchError(f"{len(scalar_abs)} scalars but {len(lengthscales)} lengthscales")
     corr = np.exp(-gamma * sw_sq)
     for dist, ls in zip(scalar_abs, np.asarray(lengthscales, dtype=float)):
         corr = corr * matern52(dist, ls)
-    if variance != 1.0:
-        corr *= variance
     if nugget:
         corr.flat[:: corr.shape[1] + 1] += nugget
     return corr
@@ -205,28 +197,20 @@ def assemble_gram(
     scalars: np.ndarray | None,
     cfg: KernelConfig,
 ) -> GramMatrix:
-    """Tensorized kernel matrix over all record pairs of ``store.blocks[0]``,
-    plus ``cfg.nugget`` * I.
+    """Tensorized kernel matrix over all record pairs of ``store.blocks[0]``.
 
     The distances are computed once per unordered pair (``sq_distances``)
     and mirrored, so the result is symmetric by construction.
     """
     values = correlation_from_distances(
         sq_distances(store.blocks[0]), scalar_abs_distances(scalar_matrix(scalars, len(store.ids))),
-        cfg.gamma, cfg.matern_lengthscales, cfg.variance, cfg.nugget,
+        cfg.gamma, cfg.matern_lengthscales,
     )
-    return store_gram(
-        store, 0, values, kind="swwl", gamma=cfg.gamma,
-        matern_lengthscales=list(cfg.matern_lengthscales), variance=cfg.variance, nugget=cfg.nugget,
-    )
+    return store_gram(store, 0, values, kind="swwl", gamma=cfg.gamma,
+                      matern_lengthscales=list(cfg.matern_lengthscales))
 
 
-def assemble_gram_aniso(
-    store: PqStore,
-    gammas: np.ndarray,
-    variance: float = 1.0,
-    nugget: float = 0.0,
-) -> GramMatrix:
+def assemble_gram_aniso(store: PqStore, gammas: np.ndarray) -> GramMatrix:
     """Anisotropic Gram: product over iterations of exponential factors.
 
     ``store.blocks[1 + h]`` embeds kept iteration h of every graph, built
@@ -235,7 +219,7 @@ def assemble_gram_aniso(
     The Gram carries the fingerprint of ``blocks[1]``.
     """
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
-    check_parameters(gamma=gammas, variance=variance, nugget=nugget)
+    check_parameters(gamma=gammas)
     iteration_blocks = store.blocks[1:]
     if not iteration_blocks:
         raise ValidationError("the store has no per-iteration blocks (embed --aniso)")
@@ -247,10 +231,8 @@ def assemble_gram_aniso(
     weighted_sq = np.zeros((n, n))
     for features, g in zip(iteration_blocks, gammas):
         weighted_sq += g * sq_distances(features)
-    values = correlation_from_distances(weighted_sq, (), 1.0, (), variance, nugget)
-    return store_gram(
-        store, 1, values, kind="aswwl", gammas=gammas.tolist(), variance=variance, nugget=nugget
-    )
+    values = correlation_from_distances(weighted_sq, (), 1.0, ())
+    return store_gram(store, 1, values, kind="aswwl", gammas=gammas.tolist())
 
 
 @dataclass(frozen=True)
@@ -331,10 +313,32 @@ def load_gram_text(path) -> GramMatrix:
     except UnicodeDecodeError as exc:
         raise refusal(path, f"not UTF-8 text ({exc.reason}); a binary Gram?") from exc
     except ValueError as exc:  # a row of another width, a value that is not a number
-        raise refusal(path, str(exc)) from exc
+        raise refusal(path, _first_bad_row(path) or str(exc)) from exc
     values = values.reshape(0, 0) if values.size == 0 else values
     check_payload(path, {"values": values})
     return gram_from_container(path, header, {"values": values})
+
+
+def _first_bad_row(path) -> str | None:
+    """The first row of the text Gram ``path`` that holds a token which is
+    not a number, or another count of them than the first row, named by its
+    line in the file (``numpy.loadtxt`` counts rows from 0 or from 1 and
+    without the header); None if every row reads."""
+    with open(path, "r", encoding="utf-8") as fh:
+        next(fh)  # the header
+        first = None  # the line of the first row, and its width
+        for lineno, line in enumerate(fh, start=2):
+            tokens = line.split()
+            for token in tokens:
+                try:
+                    float(token.replace("_", " "))  # numpy, unlike float(), refuses "1_0"
+                except ValueError:
+                    return f"line {lineno}: {token!r} is not a number"
+            if tokens and first is None:
+                first = lineno, len(tokens)
+            elif tokens and len(tokens) != first[1]:
+                return f"line {lineno} holds {len(tokens)} values, line {first[0]} holds {first[1]}"
+    return None
 
 
 def save_gram_binary(gram: GramMatrix, path) -> None:

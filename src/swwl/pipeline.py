@@ -14,12 +14,11 @@ run.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .graphs import Dataset, StandardizationStats, disjoint_union
 from .kernels import run_calls
 from .sliced import (
@@ -48,14 +47,6 @@ def _batches(node_counts) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [len(node_counts)]))
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int: any integer, numpy's included, but not a
-    boolean, a float or a string, which are a ValidationError naming ``name``."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
 def embed_dataset(
     dataset: Dataset,
     wl_config: WlConfig,
@@ -74,13 +65,14 @@ def embed_dataset(
     iteration h alone under its own directions. The store also carries the
     records' targets (when every record has one) and scalar covariates.
     ``kernels.run_calls`` embeds the batches on at most min(jobs, usable
-    CPUs) threads; the store is the same for every ``jobs``.
+    CPUs) threads; the store is the same for every ``jobs``. A seed below
+    0, fewer than 1 projection or job or 2 quantiles, or a value that is
+    not an integer is a ValidationError naming it (``errors.integer``).
     """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be at least 1, got {jobs}")
-    seed = _integer("seed", seed)
-    n_projections = _integer("n_projections", n_projections)
-    n_quantiles = _integer("n_quantiles", n_quantiles)
+    jobs = integer("jobs", jobs, least=1)
+    seed = integer("seed", seed)
+    n_projections = integer("n_projections", n_projections, least=1)
+    n_quantiles = integer("n_quantiles", n_quantiles, least=2)
     d, k = dataset.attr_dim, wl_config.block_count
     if standardization is not None and standardization.mean.shape != (d,):
         raise ValidationError(

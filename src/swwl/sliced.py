@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     ValidationError,
+    integer,
     refusal,
 )
 from .graphs import StandardizationStats
@@ -39,19 +40,20 @@ GENERATOR_NAME = "philox-normal-v1"
 PQ_STORE_MAGIC = "SWWL-S1"
 PQ_STORE_NAME = "embeddings.pq"
 
+# the largest key of numpy's Philox generator, which is 128 bits wide
+PHILOX_SEED_MAX = 2**128 - 1
 _MIN_DIRECTION_NORM = 1e-300
 _MAX_REDRAWS = 100
 
 
 @dataclass(frozen=True)
 class QuantileGrid:
-    """Q equally spaced levels t_1 = 0 < ... < t_Q = 1."""
+    """Q equally spaced levels t_1 = 0 < ... < t_Q = 1, Q an integer >= 2."""
 
     q: int
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValidationError(f"need at least 2 quantile levels, got {self.q}")
+        object.__setattr__(self, "q", integer("q", self.q, least=2))
 
     @property
     def levels(self) -> np.ndarray:
@@ -126,15 +128,17 @@ def sample_projection_blocks(
 
     The stream is a Philox counter-based generator consumed block by block in
     order, so block h is bit-identical for the same (seed, n_projections,
-    dim, h).
+    dim, h). The seed is an integer from 0 to ``PHILOX_SEED_MAX``, the
+    counts integers >= 1; ValidationError naming the first that is not.
     """
-    if n_projections < 1 or dim < 1:
-        raise ValidationError("need n_projections >= 1 and dim >= 1")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    seed = integer("seed", seed, most=PHILOX_SEED_MAX)
+    n_projections = integer("n_projections", n_projections, least=1)
+    dim, n_blocks = integer("dim", dim, least=1), integer("n_blocks", n_blocks, least=1)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     blocks = []
     for h in range(n_blocks):
         dirs = _unit_rows(lambda k: rng.standard_normal((k, dim)), n_projections, dim)
-        blocks.append(ProjectionSet(directions=dirs, seed=int(seed), block=h))
+        blocks.append(ProjectionSet(directions=dirs, seed=seed, block=h))
     return blocks
 
 

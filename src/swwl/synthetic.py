@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .graphs import AttributedGraph, Dataset, GraphRecord
 
 TARGET_CENTER = (0.5, 0.5)
@@ -75,14 +75,14 @@ def generate_regression_dataset(
     fraction of ``mean_nodes``); fixed sizes mirror simulation datasets built
     on one meshing of a reference geometry. When ``scalar_dim`` > 0 each
     record also carries uniform scalar covariates and the target gains a
-    smooth contribution from each. A value outside those ranges (fewer than
-    1 graph or 2 nodes, a negative or non-finite fraction, a negative
-    ``scalar_dim``) is a ValidationError naming it.
+    smooth contribution from each. A value outside those ranges (a negative
+    seed, fewer than 1 graph or 2 nodes, a negative or non-finite fraction,
+    a negative ``scalar_dim``), or a seed or count that is not an integer,
+    is a ValidationError naming it.
     """
-    for name, value, least in (("n_graphs", n_graphs, 1), ("mean_nodes", mean_nodes, 2),
-                               ("scalar_dim", scalar_dim, 0)):
-        if value < least:
-            raise ValidationError(f"{name} must be at least {least}, got {value}")
+    seed, n_graphs = integer("seed", seed), integer("n_graphs", n_graphs, least=1)
+    mean_nodes = integer("mean_nodes", mean_nodes, least=2)
+    scalar_dim = integer("scalar_dim", scalar_dim)
     for name, value in (("noise_fraction", noise_fraction), ("node_spread", node_spread)):
         if not (math.isfinite(value) and value >= 0):
             raise ValidationError(f"{name} must be finite and nonnegative, got {value}")

@@ -15,21 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .graphs import AttributedGraph
 
 @dataclass(frozen=True)
 class WlConfig:
-    """Which iterations to keep, e.g. (0, 1, 2, 3) or (0, T, 2T, 3T)."""
+    """Which iterations to keep, e.g. (0, 1, 2, 3) or (0, T, 2T, 3T): integers
+    >= 0, strictly increasing."""
 
     iterations: tuple[int, ...]
 
     def __post_init__(self):
-        iters = tuple(int(h) for h in self.iterations)
+        iters = tuple(integer(f"iterations[{i}]", h) for i, h in enumerate(self.iterations))
         if not iters:
             raise ValidationError("iterations list is empty")
-        if any(h < 0 for h in iters):
-            raise ValidationError("iterations must be nonnegative")
         if any(b <= a for a, b in zip(iters, iters[1:])):
             raise ValidationError("iterations must be strictly increasing")
         object.__setattr__(self, "iterations", iters)

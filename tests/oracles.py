@@ -338,7 +338,7 @@ def aswwl_kernel(per_iter_a, per_iter_b, gammas):
 
 
 def tensorized_kernel(rec_a, rec_b, cfg):
-    """Variance times the graph factor times one Matern factor per scalar."""
+    """The graph factor times one Matern factor per scalar."""
     emb_a, scalars_a = rec_a
     emb_b, scalars_b = rec_b
     scalars_a = np.asarray(scalars_a, dtype=float).reshape(-1)
@@ -351,23 +351,22 @@ def tensorized_kernel(rec_a, rec_b, cfg):
         raise LengthMismatchError(
             f"{scalars_a.shape[0]} scalars but {len(cfg.matern_lengthscales)} lengthscales"
         )
-    value = cfg.variance * swwl_kernel(emb_a, emb_b, cfg.gamma)
+    value = swwl_kernel(emb_a, emb_b, cfg.gamma)
     for sa, sb, ls in zip(scalars_a, scalars_b, cfg.matern_lengthscales):
         value *= matern52(abs(sa - sb), ls)
     return float(value)
 
 
-def two_step_kernel_matrix(sw_sq, scalar_abs, gamma, lengthscales, variance, nugget):
+def two_step_kernel_matrix(sw_sq, scalar_abs, gamma, lengthscales, nugget):
     """The kernel matrix in two steps, the reference for
-    ``kernels.correlation_from_distances``: the correlation times the
-    variance, then the nugget added in place to the diagonal."""
+    ``kernels.correlation_from_distances``: the correlation, then the nugget
+    added in place to the diagonal."""
     corr = np.exp(-gamma * sw_sq)
     for dist, ls in zip(scalar_abs, lengthscales):
         corr = corr * matern52(dist, ls)
-    values = variance * corr
     if nugget:
-        values.flat[:: len(values) + 1] += nugget
-    return values
+        corr.flat[:: len(corr) + 1] += nugget
+    return corr
 
 
 def _is_number(x):

@@ -91,6 +91,21 @@ def test_generate_refuses_values_it_cannot_honour_exit_2(tmp_path, capsys, flags
     assert not train.exists() and not test.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "embed", "fit"])
+def test_a_negative_seed_exits_2_naming_it_and_writes_nothing(workspace, tmp_path, capsys,
+                                                              command):
+    out = tmp_path / "out"
+    argv = {
+        "generate": ("--out-train", out, "--out-test", tmp_path / "test.jsonl", "--seed", -1),
+        "embed": ("--input", workspace / "train.jsonl", "--out", out, "--seed", -1),
+        "fit": ("--input", workspace / "train.jsonl", "--embeddings", workspace / "emb-train",
+                "--out", out, "--opt-seed", -1),
+    }[command]
+    assert run(command, *argv) == 2
+    assert "error: seed must be at least 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("n_graphs", [0, -1])
 def test_generator_refuses_fewer_than_one_graph(n_graphs):
     message = f"n_graphs must be at least 1, got {n_graphs}"
@@ -154,7 +169,7 @@ def test_embed_bad_dataset_exits_2(tmp_path):
     "line, flags, message",
     [(line, (), message) for line, _, message in BAD_JSONL_LINES.values()]
     + [('{"id": "b", "nodes": [[1.0]], "scalars": [2.0]}', ("--iterations=-1,0",),
-        "iterations must be nonnegative")],
+        "iterations[0] must be at least 0, got -1")],
     ids=[*BAD_JSONL_LINES, "negative-iteration"],
 )
 def test_embed_refuses_a_malformed_record_or_iteration_exit_2(tmp_path, capsys, line, flags,
@@ -234,8 +249,7 @@ def test_gram_distances_then_exponentiation_matches_gamma(workspace, tmp_path):
     assert np.array_equal(kb.values, k)
 
 
-@pytest.mark.parametrize("flags", [["--gamma", "1.5", "--nugget", "0.1"], ["--distances-only"],
-                                   ["--gammas", "0.5,2", "--variance", "2"]],
+@pytest.mark.parametrize("flags", [["--gamma", "1.5"], ["--distances-only"], ["--gammas", "0.5,2"]],
                          ids=["swwl", "distances-only", "aswwl"])
 def test_gram_text_and_binary_outputs_load_back_equal(aniso_store, tmp_path, flags):
     text, binary = tmp_path / "gram.txt", tmp_path / "gram.bin"
@@ -279,42 +293,57 @@ def aniso_store(workspace):
     return out
 
 
+def _exit_code(*argv):
+    """``run``'s exit code, argparse's refusals included."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize(
-    "flags",
-    [("--gamma", "nan"), ("--gamma", "inf"), ("--gamma", 0),
-     ("--gamma", 1, "--variance", -2), ("--gamma", 1, "--nugget", -1),
-     ("--gamma", 1, "--variance", "inf"), ("--gammas=-1,1,1,1", "--variance", -2, "--nugget", -1),
-     ("--gammas=-1,1",), ("--gammas", "1,nan"), ("--gammas", "1,1", "--variance", "nan"),
-     ("--gammas", "1,1", "--nugget", -1)],
+    "flags, message",
+    [(("--gamma", "nan"), "must be finite and"), (("--gamma", "inf"), "must be finite and"),
+     (("--gamma", 0), "must be finite and"),
+     # the kernel variance and nugget are no flags of gram's
+     (("--gamma", 1, "--variance", -2), "unrecognized arguments: --variance"),
+     (("--gamma", 1, "--nugget", -1), "unrecognized arguments: --nugget"),
+     (("--gamma", 1, "--variance", "inf"), "unrecognized arguments: --variance"),
+     (("--gammas=-1,1,1,1", "--variance", -2, "--nugget", -1), "unrecognized arguments"),
+     (("--gammas=-1,1",), "must be finite and"), (("--gammas", "1,nan"), "must be finite and"),
+     (("--gammas", "1,1", "--variance", "nan"), "unrecognized arguments: --variance"),
+     (("--gammas", "1,1", "--nugget", -1), "unrecognized arguments: --nugget")],
     ids=["gamma-nan", "gamma-inf", "gamma-0", "variance-negative", "nugget-negative",
          "variance-inf", "gammas-variance-nugget-negative", "gammas-negative", "gammas-nan",
          "gammas-variance-nan", "gammas-nugget-negative"],
 )
-def test_gram_refuses_bad_hyperparameters_exits_2(aniso_store, tmp_path, capsys, flags):
-    assert run("gram", "--embeddings", aniso_store, "--out", tmp_path / "g.txt", *flags) == 2
-    assert "must be finite and" in capsys.readouterr().err
+def test_gram_refuses_bad_hyperparameters_exits_2(aniso_store, tmp_path, capsys, flags, message):
+    assert _exit_code("gram", "--embeddings", aniso_store, "--out", tmp_path / "g.txt",
+                      *flags) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "g.txt").exists()
 
 
 @pytest.mark.parametrize("flags", [("--variance", 5), ("--nugget", 3), ("--nugget", 0)])
 def test_gram_distances_only_refuses_kernel_flags_exits_2(workspace, tmp_path, capsys, flags):
-    assert run("gram", "--embeddings", workspace / "emb-train", "--out", tmp_path / "d.txt",
-               "--distances-only", *flags) == 2
-    assert "--distances-only takes neither" in capsys.readouterr().err
+    assert _exit_code("gram", "--embeddings", workspace / "emb-train", "--out",
+                      tmp_path / "d.txt", "--distances-only", *flags) == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
     assert not (tmp_path / "d.txt").exists()
 
 
-def test_gram_manifests_record_the_variance_and_nugget_used(workspace, aniso_store, tmp_path):
+def test_gram_manifests_record_no_variance_or_nugget(workspace, aniso_store, tmp_path):
     runs = {
-        "iso": (("--embeddings", workspace / "emb-train", "--gamma", 1), (1.0, 0.0)),
-        "aniso": (("--embeddings", aniso_store, "--gammas", "1,2", "--nugget", 0.5), (1.0, 0.5)),
-        "d2": (("--embeddings", workspace / "emb-train", "--distances-only"), (None, None)),
+        "iso": ("--embeddings", workspace / "emb-train", "--gamma", 1),
+        "aniso": ("--embeddings", aniso_store, "--gammas", "1,2"),
+        "d2": ("--embeddings", workspace / "emb-train", "--distances-only"),
     }
-    for name, (flags, used) in runs.items():
+    for name, flags in runs.items():
         out = tmp_path / f"{name}.txt"
         assert run("gram", "--out", out, *flags) == 0
         parameters = json.loads(Path(f"{out}.manifest.json").read_text())["parameters"]
-        assert (parameters["variance"], parameters["nugget"]) == used, name
+        assert "variance" not in parameters and "nugget" not in parameters, name
+        assert not {"variance", "nugget"} & load_gram(out).fingerprint.keys(), name
 
 
 def test_embed_has_no_distance_order_flag(workspace, tmp_path):
@@ -752,11 +781,13 @@ def test_check_psd_tells_a_binary_gram_from_a_text_one(workspace, tmp_path, caps
 @pytest.mark.parametrize(
     "argv",
     [("check-psd", "--gram", "g.bin", "--binary"),
-     ("fit", "--input", "t.jsonl", "--embeddings", "e", "--out", "m.bin", "--max-evals", 5)],
-    ids=["check-psd-binary", "fit-max-evals"],
+     ("fit", "--input", "t.jsonl", "--embeddings", "e", "--out", "m.bin", "--max-evals", 5),
+     ("gram", "--embeddings", "e", "--out", "g.txt", "--gamma", 1, "--variance", 2)],
+    ids=["check-psd-binary", "fit-max-evals", "gram-variance"],
 )
 def test_removed_flags_are_refused(argv):
-    # check-psd reads the format from the file; each optimizer start has a fixed budget
+    # check-psd reads the format from the file; each optimizer start has a
+    # fixed budget; gram's kernels are correlations, with no nugget
     with pytest.raises(SystemExit) as info:
         run(*argv)
     assert info.value.code == 2
@@ -888,15 +919,6 @@ def test_aniso_flow(tmp_path):
     fp = header["fingerprint"]
     assert (fp["kind"], fp["block"], fp["s"], fp["gammas"]) == ("aswwl", 0, 2, [0.5, 1.0, 2.0])
     assert "gamma" not in fp and gram.fingerprint == fp
-    scaled = tmp_path / "aniso.bin"
-    assert run(
-        "gram", "--embeddings", emb, "--out", tmp_path / "aniso2.txt",
-        "--gammas", "0.5,1.0,2.0", "--variance", 2, "--binary-out", scaled,
-    ) == 0
-    gram2 = load_gram_binary(scaled)
-    assert np.all(np.diag(gram2.values) == 2.0)
-    assert gram2.fingerprint["variance"] == 2.0
-    np.testing.assert_array_equal(gram2.values, 2.0 * gram.values)
 
 
 def test_standardize_roundtrip(workspace, tmp_path):
@@ -971,8 +993,10 @@ def test_embed_refuses_bad_standardization_stats_exit_2(workspace, tmp_path, sta
 @pytest.mark.parametrize(
     "raw, message",
     [(b"mean: [0]", "not UTF-8 JSON"), (b'{"mean": ["\xe9"]}', "not UTF-8 JSON"),
-     (b"[0, 1]", "must be a JSON object, got list")],
-    ids=["not-json", "not-utf8", "not-an-object"],
+     (b"[0, 1]", "must be a JSON object, got list"),
+     (b'{"mean": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+      "not UTF-8 JSON: maximum recursion depth exceeded")],
+    ids=["not-json", "not-utf8", "not-an-object", "nested-too-deep"],
 )
 def test_embed_names_the_standardization_stats_file_it_refuses_exit_2(
     workspace, tmp_path, capsys, raw, message

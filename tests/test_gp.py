@@ -548,7 +548,7 @@ def test_fit_factors_the_two_step_correlation_matrix(with_scalars):
     distances = build_train_distances(features, scalars)
     r = model.ranges
     want = two_step_kernel_matrix(
-        distances.sw_sq, distances.scalar_abs, 1.0 / (r[0] * r[0]), r[1:], 1.0, DEFAULT_NUGGET
+        distances.sw_sq, distances.scalar_abs, 1.0 / (r[0] * r[0]), r[1:], DEFAULT_NUGGET
     )
     got = gp._correlation(distances.sw_sq, distances.scalar_abs, r, DEFAULT_NUGGET)
     assert np.array_equal(got, want)

@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,9 @@ BAD_JSONL_LINES = {
                             "line 2: 'target' must be a JSON number"),
     "boolean-target": ('{"id": "b", "nodes": [[0.0]], "scalars": [1.0], "target": true}',
                        ParseError, "line 2: 'target' must be a JSON number"),
+    # json.loads raises RecursionError, not ValueError, past the recursion limit
+    "nested-too-deep": ('{"id": "b", "nodes": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                        ParseError, "line 2: maximum recursion depth exceeded"),
 }
 
 
@@ -503,6 +507,14 @@ def test_zero_spread_dimension_keeps_unit_scale():
 def test_malformed_standardization_is_parse_error(obj):
     with pytest.raises(ParseError):
         StandardizationStats.from_dict(obj)
+
+
+def test_standardization_nested_too_deep_is_a_parse_error_naming_the_file(tmp_path):
+    path = tmp_path / "standardization.json"
+    path.write_text('{"mean": ' + "[" * 100_000 + "]" * 100_000 + ', "std": [1.0]}')
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not UTF-8 JSON: maximum "
+                                         "recursion depth exceeded"):
+        StandardizationStats.load(path)
 
 
 def test_standardization_of_another_dimension_is_refused():

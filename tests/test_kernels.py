@@ -34,6 +34,7 @@ from swwl.errors import LengthMismatchError, NonSymmetricError, ParseError, Vali
 from swwl.kernels import (
     GRAM_MAGIC,
     GramMatrix,
+    correlation_from_distances,
     load_gram,
     load_gram_binary,
     load_gram_text,
@@ -149,24 +150,24 @@ class TestMatern52:
 
 class TestTensorized:
     def test_identical_records_give_variance(self):
+        # a correlation: its variance, the value at identical records, is 1
         a, _ = dirac_pair(0, 1)
-        cfg = KernelConfig(gamma=1.0, matern_lengthscales=(2.0,), variance=3.5)
-        assert tensorized_kernel((a, [0.4]), (a, [0.4]), cfg) == pytest.approx(3.5)
+        cfg = KernelConfig(gamma=1.0, matern_lengthscales=(2.0,))
+        assert tensorized_kernel((a, [0.4]), (a, [0.4]), cfg) == 1.0
 
     def test_empty_scalar_product(self):
         a, b = dirac_pair(0, 1)
-        cfg = KernelConfig(gamma=2.0, variance=1.7)
-        want = 1.7 * swwl_kernel(a, b, 2.0)
+        cfg = KernelConfig(gamma=2.0)
+        want = swwl_kernel(a, b, 2.0)
         assert tensorized_kernel((a, np.zeros(0)), (b, np.zeros(0)), cfg) == pytest.approx(want)
 
     def test_product_of_three_numbers(self):
-        # graph factor 0.5, one Matern factor at its lengthscale, variance 2
+        # graph factor 0.5 and two Matern factors: one at its lengthscale,
+        # one at twice it
         a, b = dirac_pair(0, 1)
-        cfg = KernelConfig(gamma=math.log(2.0), matern_lengthscales=(1.0,), variance=2.0)
-        m = matern52(1.0, 1.0)
-        got = tensorized_kernel((a, [0.0]), (b, [1.0]), cfg)
-        assert got == pytest.approx(2.0 * 0.5 * m, rel=1e-12)
-        assert got == pytest.approx(m, rel=1e-12)
+        cfg = KernelConfig(gamma=math.log(2.0), matern_lengthscales=(1.0, 0.5))
+        got = tensorized_kernel((a, [0.0, 0.0]), (b, [1.0, 1.0]), cfg)
+        assert got == pytest.approx(0.5 * matern52(1.0, 1.0) * matern52(2.0, 1.0), rel=1e-12)
 
     def test_scalar_length_mismatch(self):
         a, b = dirac_pair(0, 1)
@@ -179,27 +180,24 @@ class TestAssembleGram:
     def test_single_record(self):
         rng = np.random.default_rng(0)
         embs = random_embeddings(rng, 1)
-        gram = assemble_gram(embs, None, KernelConfig(gamma=1.0, variance=2.0))
-        np.testing.assert_allclose(gram.values, [[2.0]])
-        with_nugget = assemble_gram(
-            embs, None, KernelConfig(gamma=1.0, variance=2.0, nugget=0.25)
-        )
-        np.testing.assert_allclose(with_nugget.values, [[2.25]])
-        assert with_nugget.fingerprint["nugget"] == 0.25
+        gram = assemble_gram(embs, None, KernelConfig(gamma=1.0))
+        assert gram.values.tolist() == [[1.0]]
+        # the Gram labels its kernel, and nothing the kernel does not use
+        assert {"kind": "swwl", "gamma": 1.0, "matern_lengthscales": []}.items() <= (
+            gram.fingerprint.items())
+        assert "variance" not in gram.fingerprint and "nugget" not in gram.fingerprint
 
     def test_duplicate_records(self):
         rng = np.random.default_rng(1)
         emb = random_embeddings(rng, 1)[0]
-        gram = assemble_gram(store_of([emb, emb]), None, KernelConfig(gamma=1.0, nugget=0.1))
-        assert gram.values[0, 1] == pytest.approx(1.0)
-        assert gram.values[0, 0] == pytest.approx(1.1)
-        assert gram.values[1, 1] == pytest.approx(1.1)
+        gram = assemble_gram(store_of([emb, emb]), None, KernelConfig(gamma=1.0))
+        assert gram.values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_matches_scalar_kernel_entrywise(self):
         rng = np.random.default_rng(2)
         embs = random_embeddings(rng, 6)
         scalars = rng.standard_normal((6, 2))
-        cfg = KernelConfig(gamma=0.8, matern_lengthscales=(1.0, 2.5), variance=1.4)
+        cfg = KernelConfig(gamma=0.8, matern_lengthscales=(1.0, 2.5))
         gram = assemble_gram(embs, scalars, cfg)
         for i in range(6):
             for j in range(6):
@@ -209,12 +207,12 @@ class TestAssembleGram:
     def test_symmetry_exact_and_bounds(self):
         rng = np.random.default_rng(3)
         embs = random_embeddings(rng, 10)
-        cfg = KernelConfig(gamma=1.2, variance=2.0)
+        cfg = KernelConfig(gamma=1.2)
         gram = assemble_gram(embs, None, cfg)
         assert np.array_equal(gram.values, gram.values.T)
         assert np.all(gram.values > 0)
-        assert np.all(gram.values <= 2.0 + 1e-15)
-        np.testing.assert_allclose(np.diag(gram.values), 2.0)
+        assert np.all(gram.values <= 1.0)
+        assert np.all(np.diag(gram.values) == 1.0)
 
     def test_random_gram_is_psd(self):
         rng = np.random.default_rng(4)
@@ -256,19 +254,14 @@ class TestAssembleGram:
                 assert gram.values[i, j] == pytest.approx(want, rel=1e-12)
         assert check_psd(gram).is_psd
 
-    @pytest.mark.parametrize(
-        "gamma, variance, nugget",
-        [(-1.0, 1.0, 0.0), (0.0, 1.0, 0.0), (math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
-         (1.0, -2.0, 0.0), (1.0, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, math.inf, 0.0),
-         (1.0, 1.0, -1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)],
-    )
-    def test_both_assemblies_refuse_bad_hyperparameters(self, gamma, variance, nugget):
-        # precisions and variance finite and > 0, nugget finite and >= 0
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf])
+    def test_both_assemblies_refuse_bad_hyperparameters(self, gamma):
+        # precisions finite and > 0
         embs = random_embeddings(np.random.default_rng(7), 3)
-        with pytest.raises(ValidationError):
-            KernelConfig(gamma=gamma, variance=variance, nugget=nugget)
-        with pytest.raises(ValidationError):
-            assemble_gram_aniso(store_of(embs, embs), [gamma], variance, nugget)
+        with pytest.raises(ValidationError, match="gamma must be finite and positive"):
+            KernelConfig(gamma=gamma)
+        with pytest.raises(ValidationError, match="gamma must be finite and positive"):
+            assemble_gram_aniso(store_of(embs, embs), [gamma])
         assert assemble_gram_aniso(store_of(embs, embs), [1.0]).size == 3
 
     @pytest.mark.parametrize("lengthscale", [0.0, -1.0, math.nan, math.inf])
@@ -379,7 +372,7 @@ class TestGramFiles:
         gram = {
             "swwl": lambda: assemble_gram(
                 store, store.scalars, KernelConfig(gamma=0.5, matern_lengthscales=(1.0,))),
-            "aswwl": lambda: assemble_gram_aniso(store, [0.5, 2.0], variance=2.0),
+            "aswwl": lambda: assemble_gram_aniso(store, [0.5, 2.0]),
             # as swwl gram --distances-only labels its matrix
             "distances-only": lambda: store_gram(store, 0, sq_distances(store.blocks[0]),
                                                  kind="sw-squared-distances", gamma=0.0),
@@ -464,14 +457,15 @@ class TestGramFiles:
             (HEADER + "1 0\n0 1\n0 0\n", "Gram matrix must be square, got (3, 2)"),
             (HEADER + "1 0 0\n0 1 0\n0 0 1\n", "row id count does not match matrix size"),
             (HEADER, "row id count does not match matrix size"),
-            (HEADER + "1 0\n0 1 0\n", "the number of columns changed from 2 to 3"),
-            (HEADER + "1 0\n0 x\n", "could not convert string 'x' to float64"),
-            (HEADER + "1 0 # a comment\n0 1\n", "could not convert string '#' to float64"),
+            (HEADER + "1 0\n0 1 0\n", "line 3 holds 3 values, line 2 holds 2"),
+            (HEADER + "1 0\n0 x\n", "line 3: 'x' is not a number"),
+            (HEADER + "1 0 # a comment\n0 1\n", "line 2: '#' is not a number"),
+            (HEADER + "1 0\n\n0 1_0\n", "line 4: '1_0' is not a number"),
         ],
         ids=["header-not-json", "header-nested-too-deep", "fingerprint-not-object",
              "fingerprint-nan", "no-row-ids", "row-ids-repeated", "fewer-rows", "more-rows",
              "more-rows-and-columns", "no-rows", "row-width", "not-a-number",
-             "comment-in-a-row"],
+             "comment-in-a-row", "digit-separator-after-a-blank-line"],
     )
     def test_malformed_text_refusal_names_the_file_and_the_fault(self, tmp_path, text, message):
         path = tmp_path / "gram.txt"
@@ -576,44 +570,39 @@ def test_sq_distances_equal_scipy_on_acceptance_7_data(acceptance_7_stores):
 
 
 def test_gram_nugget_equals_adding_a_scaled_identity(acceptance_7_stores):
+    # the GP's correlation matrix R + nugget * I, from the Gram's distances
     store = acceptance_7_stores[0]
-    cfg = KernelConfig(gamma=0.02, variance=2.0, nugget=0.1)
     d2 = squareform(pdist(store.blocks[0], "sqeuclidean"))
-    want = 2.0 * np.exp(-0.02 * d2) + 0.1 * np.eye(120)
-    assert np.array_equal(assemble_gram(store, None, cfg).values, want)
-    gammas = np.array([0.5, 0.1, 0.05, 0.02])
-    weighted = np.zeros((120, 120))
-    for block, g in zip(store.blocks[1:], gammas):
-        weighted += g * squareform(pdist(block, "sqeuclidean"))
-    want = 2.0 * np.exp(-1.0 * weighted) + 0.1 * np.eye(120)
-    assert np.array_equal(assemble_gram_aniso(store, gammas, 2.0, 0.1).values, want)
+    want = np.exp(-0.02 * d2) + 0.1 * np.eye(120)
+    assert np.array_equal(correlation_from_distances(d2, (), 0.02, (), nugget=0.1), want)
+    assert np.array_equal(assemble_gram(store, None, KernelConfig(gamma=0.02)).values,
+                          np.exp(-0.02 * d2))
 
 
 def test_one_builder_equals_the_two_step_kernel_matrix(acceptance_7_stores):
-    # isotropic with a variance and a nugget, tensorized with two scalar
-    # covariates, and anisotropic: bit for bit the reference arithmetic
+    # isotropic, tensorized with two scalar covariates, and anisotropic:
+    # bit for bit the reference arithmetic
     store = acceptance_7_stores[0]
     d2 = squareform(pdist(store.blocks[0], "sqeuclidean"))
     no_scalars = np.zeros((0, 120, 120))
-    cfg = KernelConfig(gamma=0.02, variance=2.0, nugget=0.1)
     assert np.array_equal(
-        assemble_gram(store, None, cfg).values,
-        two_step_kernel_matrix(d2, no_scalars, 0.02, (), 2.0, 0.1),
+        assemble_gram(store, None, KernelConfig(gamma=0.02)).values,
+        two_step_kernel_matrix(d2, no_scalars, 0.02, (), 0.0),
     )
     scalars = np.random.default_rng(4).standard_normal((120, 2))
-    cfg = KernelConfig(gamma=0.02, matern_lengthscales=(0.7, 1.3), variance=1.5, nugget=0.01)
+    cfg = KernelConfig(gamma=0.02, matern_lengthscales=(0.7, 1.3))
     scalar_abs = np.abs(scalars.T[:, :, None] - scalars.T[:, None, :])
     assert np.array_equal(
         assemble_gram(store, scalars, cfg).values,
-        two_step_kernel_matrix(d2, scalar_abs, 0.02, (0.7, 1.3), 1.5, 0.01),
+        two_step_kernel_matrix(d2, scalar_abs, 0.02, (0.7, 1.3), 0.0),
     )
     gammas = np.array([0.5, 0.1, 0.05, 0.02])
     weighted = np.zeros((120, 120))
     for block, g in zip(store.blocks[1:], gammas):
         weighted += g * squareform(pdist(block, "sqeuclidean"))
     assert np.array_equal(
-        assemble_gram_aniso(store, gammas, 2.0, 0.1).values,
-        two_step_kernel_matrix(weighted, no_scalars, 1.0, (), 2.0, 0.1),
+        assemble_gram_aniso(store, gammas).values,
+        two_step_kernel_matrix(weighted, no_scalars, 1.0, (), 0.0),
     )
 
 
@@ -690,7 +679,7 @@ def test_grams_equal_at_one_and_two_threads(monkeypatch, acceptance_7_stores):
         monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: threads)
         grams.append((
             assemble_gram(store, None, KernelConfig(gamma=0.02)).values,
-            assemble_gram_aniso(store, gammas, 2.0, 0.1).values,
+            assemble_gram_aniso(store, gammas).values,
         ))
     (iso_1, aniso_1), (iso_2, aniso_2) = grams
     assert np.array_equal(iso_1, iso_2)

@@ -166,7 +166,7 @@ def test_config_validation():
         WlConfig(iterations=(0, 0))
     with pytest.raises(ValidationError):
         WlConfig(iterations=(2, 1))
-    with pytest.raises(ValidationError, match="iterations must be nonnegative"):
+    with pytest.raises(ValidationError, match=r"^iterations\[0\] must be at least 0, got -1$"):
         WlConfig(iterations=(-1, 2))
     # first kept iteration may exceed zero
     cfg = WlConfig(iterations=(2, 5))

@@ -456,7 +456,7 @@ def test_what_the_library_makes_always_saves(tmp_path, seed, n_graphs, nodes, m,
     assert load_pq_store(directory).fingerprints == store.fingerprints
     for gram in (assemble_gram(store, store.scalars if m else None,
                                KernelConfig(gamma=0.5, matern_lengthscales=(1.0,) * m)),
-                 assemble_gram_aniso(store, [0.5, 2.0], variance=2.0, nugget=0.1)):
+                 assemble_gram_aniso(store, [0.5, 2.0])):
         save_gram_binary(gram, directory / "gram.bin")
         save_gram_text(gram, directory / "gram.txt")
         assert np.array_equal(load_gram_binary(directory / "gram.bin").values, gram.values)
