@@ -348,18 +348,23 @@ def cmd_predict(args) -> int:
         )
     metrics = {}
     if store.targets is not None:
+        lo, hi = dist.interval(0.95)
         metrics = {
             "rmse": rmse_metric(dist.mean, store.targets),
             "q2": q2_metric(dist.mean, store.targets),
+            # share of the test targets inside their 95% interval
+            "coverage95": float(np.mean((lo <= store.targets) & (store.targets <= hi))),
         }
-        print(f"rmse {metrics['rmse']:.6g}  q2 {metrics['q2']:.6g}")
+        print(f"rmse {metrics['rmse']:.6g}  q2 {metrics['q2']:.6g}  "
+              f"coverage95 {metrics['coverage95']:.6g}")
     with stages.time("write"):
         write_predictions_csv(args.out, store.ids, dist)
     stages.manifest(
         str(args.out) + ".manifest.json",
         extra={
             "metrics": metrics,
-            "counts": {"records": len(store.ids)},
+            # predictive variances that rounded below 0 and were clamped at 0
+            "counts": {"records": len(store.ids), "variances_floored": dist.floored},
             "records_from": records_from,
         },
     )

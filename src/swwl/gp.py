@@ -64,8 +64,8 @@ SIMPLEX_STEP = 0.5
 # objective calls each start may make (a default one-range fit scores 18-22
 # points, grid included)
 MAX_EVALS = 400
-# test rows per cross-distance call of predict; fixed, so the calls and what
-# they compute do not depend on the CPU count
+# test rows per cross-distance call and per variance solve of predict; fixed,
+# so the calls and what they compute do not depend on the CPU count
 PREDICT_CHUNK_ROWS = 64
 
 
@@ -431,17 +431,24 @@ class GpSettings:
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
-    """Student-t predictive law: mean vector, PSD scale matrix, dof."""
+    """Student-t predictive law of each test input on its own: the mean
+    vector, the (N*,) vector of per-point scales (predictive variances of
+    the latent function, nugget excluded) and the dof.
+
+    ``floored`` counts the variances that rounded below 0 and were clamped
+    at 0. The joint scale matrix is not formed.
+    """
 
     mean: np.ndarray
     scale: np.ndarray
     dof: int
+    floored: int = 0
 
     def scale_diagonal(self) -> np.ndarray:
-        return np.diag(self.scale)
+        return self.scale
 
     def standard_errors(self) -> np.ndarray:
-        return np.sqrt(np.maximum(self.scale_diagonal(), 0.0))
+        return np.sqrt(self.scale)
 
     def interval(self, level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
         if not 0.0 < level < 1.0:
@@ -450,15 +457,11 @@ class PredictiveDistribution:
         return self.mean - half, self.mean + half
 
 
-def _floor_psd(matrix: np.ndarray) -> np.ndarray:
-    """Symmetrize and clip negative eigenvalues at zero."""
-    if matrix.size == 0:
-        return matrix
-    sym = 0.5 * (matrix + matrix.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    if eigvals[0] >= 0:
-        return sym
-    return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
+def _floor_psd(variances: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-point variances clamped at 0, and how many were below it; a
+    nonnegative diagonal is a PSD diagonal covariance."""
+    below = variances < 0.0
+    return np.where(below, 0.0, variances), int(np.count_nonzero(below))
 
 
 def _training_set(features, scalars, targets, ids):
@@ -570,7 +573,11 @@ def predict(
     scalars: np.ndarray | None = None,
     fingerprint: PqFingerprint | None = None,
 ) -> PredictiveDistribution:
-    """Student-t predictive distribution at new inputs.
+    """Student-t predictive distribution at new inputs, each on its own: the
+    mean and, per input, sigma2_hat * (1 - r' R^-1 r + (1 - r' R^-1 h)^2 / h' R^-1 h),
+    with r its correlations to the training inputs (Rasmussen & Williams
+    2006, Alg. 2.1, plus the term of the estimated constant trend). Time and
+    memory are linear in the number of new inputs.
 
     Refuses embeddings whose fingerprint differs from the training one; the
     projection directions define the feature space and must be shared.
@@ -598,31 +605,27 @@ def predict(
         )
     n_test, n_train = len(features), model.size
     cross_sq = np.empty((n_test, n_train))
+    chunks = [slice(start, start + PREDICT_CHUNK_ROWS)
+              for start in range(0, n_test, PREDICT_CHUNK_ROWS)]
 
-    def cross_rows(start):
-        rows = slice(start, start + PREDICT_CHUNK_ROWS)
+    def cross_rows(rows):
         cross_sq[rows] = sq_distances(features[rows], model.train_features)
 
-    # features twice rather than y=None: perfbench/spans.py labels a cdist of
-    # one matrix with itself gp.test_dist
-    test_call = functools.partial(sq_distances, features, features)
-    pairs = {test_call: n_test * n_test}
-    for start in range(0, n_test, PREDICT_CHUNK_ROWS):
-        rows = min(PREDICT_CHUNK_ROWS, n_test - start)
-        pairs[functools.partial(cross_rows, start)] = rows * n_train
-    # most pairs first, so the threads run out of work together
-    calls = sorted(pairs, key=pairs.get, reverse=True)
-    test_sq = run_calls(calls)[calls.index(test_call)]
+    run_calls([functools.partial(cross_rows, rows) for rows in chunks])
     cross = _correlation(cross_sq, scalar_abs_distances(scalars, model.train_scalars), model.ranges)
     mean = model.theta_hat + cross @ model.rinv_centered_y
-    # (N, N*); the factor is finite (fit and load_model check it), and its
-    # transposed view is the Fortran-ordered upper factor LAPACK reads as is
-    rinv_cross_t = scipy.linalg.cho_solve((model.chol.T, False), cross.T, check_finite=False)
-    cbar = _correlation(test_sq, scalar_abs_distances(scalars), model.ranges) - cross @ rinv_cross_t
+    # r*_i' R^-1 r*_i = ||L^-1 r*_i||^2, one triangular solve per chunk; the
+    # factor is finite (fit and load_model check it), and its transposed
+    # view is the Fortran-ordered upper factor LAPACK reads as is
+    explained = np.empty(n_test)
+    for rows in chunks:
+        half = scipy.linalg.solve_triangular(model.chol.T, cross[rows].T, trans="T",
+                                             check_finite=False)
+        explained[rows] = np.einsum("ij,ij->j", half, half)
     trend_gap = 1.0 - cross @ model.rinv_h  # h* - R* R^-1 h
-    cbar = cbar + np.outer(trend_gap, trend_gap) / model.h_rinv_h
-    scale = model.sigma2_hat * _floor_psd(cbar)
-    return PredictiveDistribution(mean=mean, scale=scale, dof=model.dof)
+    variances, floored = _floor_psd(1.0 - explained + trend_gap * trend_gap / model.h_rinv_h)
+    return PredictiveDistribution(mean=mean, scale=model.sigma2_hat * variances,
+                                  dof=model.dof, floored=floored)
 
 
 def _paired(predicted, truth) -> tuple[np.ndarray, np.ndarray]:

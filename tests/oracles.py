@@ -52,7 +52,6 @@ from swwl.errors import (
     ParseError,
     ValidationError,
 )
-from swwl.gp import _floor_psd
 from swwl.kernels import _gram_header, correlation_from_distances, scalar_abs_distances
 from swwl.sliced import _step_indices, pq_fingerprint
 from swwl.synthetic import _attribute_cloud, geometric_graph
@@ -508,9 +507,25 @@ def grid_then_local_search(distances, targets, nugget, multistarts=1, seed=0):
     return log_ranges, parts, len(scores), record["hits"], starts
 
 
+def floor_psd_matrix(matrix):
+    """Symmetrize and clip negative eigenvalues at zero, the floor that
+    ``gp.predict`` applied to the full test scale matrix when it formed one.
+    Returns the floored matrix and the number of eigenvalues clipped."""
+    if matrix.size == 0:
+        return matrix, 0
+    sym = 0.5 * (matrix + matrix.T)
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    clipped = int(np.count_nonzero(eigvals < 0))
+    if not clipped:
+        return sym, 0
+    return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T, clipped
+
+
 def predict_mean_and_scale(model, features, scalars):
-    """``gp.predict``'s mean and scale matrix, with each distance matrix from
-    scipy's ``cdist`` and no nugget on the correlations."""
+    """``gp.predict``'s mean and the joint N* x N* scale matrix of the test
+    inputs, floored by :func:`floor_psd_matrix`, with each distance matrix
+    from scipy's ``cdist`` and no nugget on the correlations. Returns the
+    mean, the scale matrix and the number of eigenvalues the floor clipped."""
     gamma = 1.0 / (model.ranges[0] * model.ranges[0])
 
     def correlation(a, b, scalars_a, scalars_b):
@@ -524,7 +539,8 @@ def predict_mean_and_scale(model, features, scalars):
     cbar = correlation(features, features, scalars, scalars) - cross @ rinv_cross_t
     trend_gap = 1.0 - cross @ model.rinv_h
     cbar = cbar + np.outer(trend_gap, trend_gap) / model.h_rinv_h
-    return mean, model.sigma2_hat * _floor_psd(cbar)
+    floored, clipped = floor_psd_matrix(cbar)
+    return mean, model.sigma2_hat * floored, clipped
 
 
 def generate_timing_graph(seed: int, n_nodes: int) -> AttributedGraph:

@@ -461,6 +461,14 @@ def test_fit_then_predict_test_set_and_reruns(workspace, tmp_path):
             "--embeddings", workspace / "emb-test", "--out", p,
         ) == 0
     assert preds[0].read_bytes() == preds[1].read_bytes()
+    # the coverage is the share of test targets between lo95 and hi95
+    with open(preds[0]) as fh:
+        rows = list(csv.DictReader(fh))
+    truth = load_dataset(workspace / "test.jsonl").targets()
+    inside = [float(r["lo95"]) <= t <= float(r["hi95"]) for r, t in zip(rows, truth)]
+    manifest = json.loads(preds[0].with_suffix(".csv.manifest.json").read_text())
+    assert manifest["metrics"]["coverage95"] == pytest.approx(np.mean(inside))
+    assert manifest["counts"] == {"records": len(rows), "variances_floored": 0}
 
 
 def _fit_and_predict(root, train, test, emb_train, emb_test, tag):

@@ -1,6 +1,7 @@
 """Robust GP: profile statistics, fitting, prediction, equivariances."""
 
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -190,7 +191,7 @@ class TestPredict:
         model = fit(x, None, y, settings=GpSettings(multistarts=1))
         dist = predict(model, np.zeros((0, 1)), None)
         assert dist.mean.shape == (0,)
-        assert dist.scale.shape == (0, 0)
+        assert dist.scale.shape == (0,)
         assert dist.scale_diagonal().shape == (0,)
         assert all(bound.shape == (0,) for bound in dist.interval())
 
@@ -614,8 +615,9 @@ def test_fit_and_predict_equal_the_reference_formulas(n_scalars):
         corr = corr * matern52(dist, ls)
     assert np.array_equal(model.chol, np.linalg.cholesky(corr + settings.nugget * np.eye(20)))
     dist = predict(model, features[20:], scalars[20:])
-    mean, scale = predict_mean_and_scale(model, features[20:], scalars[20:])
-    assert np.array_equal(dist.mean, mean) and np.array_equal(dist.scale, scale)
+    mean, scale, _ = predict_mean_and_scale(model, features[20:], scalars[20:])
+    assert np.array_equal(dist.mean, mean)
+    np.testing.assert_allclose(dist.scale, np.diag(scale), rtol=0, atol=1e-12 * model.sigma2_hat)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -880,9 +882,9 @@ def test_predictions_equal_at_one_and_two_threads(monkeypatch, n_scalars):
             assert np.array_equal(runs[0].scale, run.scale)
 
 
-def test_predict_hands_out_its_distance_calls_most_pairs_first(monkeypatch):
-    """One test x test call, and the cross matrix in chunks of
-    PREDICT_CHUNK_ROWS test rows, ordered by pair count."""
+def test_predict_hands_out_its_distance_calls_in_chunks(monkeypatch):
+    """The cross matrix in chunks of PREDICT_CHUNK_ROWS test rows, in order,
+    and no test x test call."""
     chunk = gp.PREDICT_CHUNK_ROWS
     rng = np.random.default_rng(13)
     feats = rng.standard_normal((30 + 2 * chunk + 1, 20))
@@ -897,7 +899,66 @@ def test_predict_hands_out_its_distance_calls_most_pairs_first(monkeypatch):
     monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: 1)  # inline, in order
     monkeypatch.setattr(gp, "sq_distances", recording)
     mean = predict(model, test).mean
-    n_test = len(test)
-    assert shapes == [(n_test, n_test), (chunk, 30), (chunk, 30), (1, 30)]
+    assert shapes == [(chunk, 30), (chunk, 30), (1, 30)]
     monkeypatch.undo()
     assert np.array_equal(mean, predict(model, test).mean)
+
+
+@pytest.mark.parametrize("case", ["training inputs, zero nugget", "repeated test rows"])
+def test_variances_match_the_old_floor_where_it_clipped(case):
+    """Where the test scale matrix is singular, rounding gives it negative
+    eigenvalues that the old full-matrix floor clipped; the per-point
+    variances still equal its diagonal."""
+    rng = np.random.default_rng(3)
+    feats = rng.standard_normal((15, 4))
+    y = np.cos(feats @ np.array([0.5, -0.2, 0.1, 0.3])) + 2.0
+    if case == "training inputs, zero nugget":
+        model = fit(feats, None, y, settings=GpSettings(nugget=0.0))
+        test = feats
+    else:
+        model = fit(feats, None, y)
+        test = np.repeat(feats[:3] + 0.1, 3, axis=0)
+    dist = predict(model, test)
+    mean, scale, clipped = predict_mean_and_scale(model, test, np.zeros((len(test), 0)))
+    assert clipped > 0
+    assert np.array_equal(dist.mean, mean)
+    np.testing.assert_allclose(dist.scale, np.diag(scale), rtol=0, atol=1e-12 * model.sigma2_hat)
+
+
+def test_variances_below_zero_are_clamped_and_counted():
+    """Inputs so far apart that R = I, and a model built by hand on the
+    factor of (1 - eps) * I, which no fit returns: a training input's
+    variance is 1 - 1/(1 - eps) + eps^2 / ((1 - eps) N), below 0, and a far
+    input's is 1 + (1 - eps)/N."""
+    n, eps = 6, 1e-3
+    feats = 1e4 * np.arange(n, dtype=float)[:, None]
+
+    def model(chol):
+        return gp.GpModel(ranges=np.ones(1), nugget=0.0, chol=chol, targets=np.arange(n) % 3.0,
+                          train_features=feats, train_scalars=np.zeros((n, 0)),
+                          train_ids=tuple(map(str, range(n))), fingerprint=None)
+
+    shrunk = model(np.sqrt(1.0 - eps) * np.eye(n))
+    assert -eps / (1.0 - eps) + eps * eps / ((1.0 - eps) * n) < 0
+    test = np.vstack([feats, feats[-1:] + 1e4])
+    dist = predict(shrunk, test)
+    assert dist.floored == n
+    assert np.array_equal(dist.scale[:n], np.zeros(n))
+    np.testing.assert_allclose(dist.scale[n], shrunk.sigma2_hat * (1.0 + (1.0 - eps) / n),
+                               rtol=1e-12)
+    assert predict(model(np.eye(n)), test).floored == 0
+
+
+def test_predict_memory_is_linear_in_test_rows():
+    """The peak traced allocation of predict grows with N*, not N*^2."""
+    rng = np.random.default_rng(14)
+    feats = rng.standard_normal((40, 8))
+    model = fit(feats, None, np.sin(feats[:, 0]), settings=GpSettings(multistarts=1))
+    test = rng.standard_normal((4000, 8))
+    peaks = {}
+    for n_test in (1000, 4000):
+        tracemalloc.start()
+        predict(model, test[:n_test])
+        peaks[n_test] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[4000] < 4.5 * peaks[1000], peaks
