@@ -62,7 +62,6 @@ from .kernels import (
     save_gram_text,
     sq_distances,
     store_gram,
-    usable_cpus,
 )
 from .pipeline import embed_dataset
 from .sliced import PqStore, load_pq_store, save_pq_store
@@ -107,8 +106,6 @@ class _Stages:
             # peak resident set of this process so far (ru_maxrss is in KiB on Linux)
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
             "blas": _blas_setup(),
-            # the most threads kernels.run_calls gives the distance layer
-            "distance_threads": usable_cpus(),
         }
         if extra:
             manifest.update(extra)

@@ -42,7 +42,6 @@ from .errors import (
 from .kernels import (
     check_parameters,
     correlation_from_distances,
-    run_calls,
     scalar_abs_distances,
     scalar_matrix,
     sq_distances,
@@ -64,8 +63,8 @@ SIMPLEX_STEP = 0.5
 # objective calls each start may make (a default one-range fit scores 18-22
 # points, grid included)
 MAX_EVALS = 400
-# test rows per cross-distance call and per variance solve of predict; fixed,
-# so the calls and what they compute do not depend on the CPU count
+# test rows per variance solve of predict; fixed, so the solves and what
+# they compute do not depend on the machine
 PREDICT_CHUNK_ROWS = 64
 
 
@@ -603,22 +602,15 @@ def predict(
             f"scalar covariates: {scalars.shape[1]} given, "
             f"the model was trained with {model.train_scalars.shape[1]}"
         )
-    n_test, n_train = len(features), model.size
-    cross_sq = np.empty((n_test, n_train))
-    chunks = [slice(start, start + PREDICT_CHUNK_ROWS)
-              for start in range(0, n_test, PREDICT_CHUNK_ROWS)]
-
-    def cross_rows(rows):
-        cross_sq[rows] = sq_distances(features[rows], model.train_features)
-
-    run_calls([functools.partial(cross_rows, rows) for rows in chunks])
-    cross = _correlation(cross_sq, scalar_abs_distances(scalars, model.train_scalars), model.ranges)
+    cross = _correlation(sq_distances(features, model.train_features),
+                         scalar_abs_distances(scalars, model.train_scalars), model.ranges)
     mean = model.theta_hat + cross @ model.rinv_centered_y
     # r*_i' R^-1 r*_i = ||L^-1 r*_i||^2, one triangular solve per chunk; the
     # factor is finite (fit and load_model check it), and its transposed
     # view is the Fortran-ordered upper factor LAPACK reads as is
-    explained = np.empty(n_test)
-    for rows in chunks:
+    explained = np.empty(len(features))
+    for start in range(0, len(features), PREDICT_CHUNK_ROWS):
+        rows = slice(start, start + PREDICT_CHUNK_ROWS)
         half = scipy.linalg.solve_triangular(model.chol.T, cross[rows].T, trans="T",
                                              check_finite=False)
         explained[rows] = np.einsum("ij,ij->j", half, half)

@@ -6,12 +6,14 @@ covariates contribute Matern-5/2 factors; the anisotropic variant multiplies
 one exponential factor per WL iteration. Assembly works on the pairwise
 distance matrices of a ``PqStore``'s feature blocks, so its cost depends on
 the number of graphs and the embedding width only, never on graph node
-counts.
+counts. One routine, :func:`sq_distances`, computes every squared distance
+of the package on the calling thread: centred, column-blocked BLAS, a SYRK
+per block for a set with itself (:func:`pdist`) and a GEMM per block
+between two sets (:func:`cdist`).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import warnings
@@ -19,16 +21,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.spatial.distance
-# the tiles of sq_distances(x) call these module names; sq_distances(x, y)
-# calls cdist through scipy's module instead
-from scipy.spatial.distance import cdist, pdist, squareform
+import scipy.linalg.blas
 
 from .binio import check_payload, read_container, record_ids, write_container
 from .errors import LengthMismatchError, NonSymmetricError, ValidationError, refusal
 from .sliced import PqStore
 
 GRAM_MAGIC = "SWWL-G1"
+# feature columns per BLAS call of sq_distances: fixed, so the blocks are
+# summed in one order on every machine; small, so the centred copy of a block
+# and BLAS's packed copy of it stay small (0.8 MB each at 800 rows; at 512
+# columns the distances of 800 rows peaked 5.6 MB higher, at no gain in speed)
+DISTANCE_BLOCK_COLUMNS = 128
 
 
 def check_parameters(**values) -> None:
@@ -110,40 +114,82 @@ def run_calls(calls: list) -> list:
 
 
 def sq_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances between the rows of x and those of y; without y, of
-    x with itself, each pair once, mirrored (symmetric, zero diagonal).
+    """Squared distances between the rows of x and those of y: ``cdist(x,
+    y)``; without y (or with y the array x itself), ``pdist(x)``, of x with
+    itself, symmetric with a zero diagonal.
 
-    Without y the n rows are cut into min(usable_cpus(), n) contiguous
-    blocks (one if n is 0), and each upper-triangle tile is one
-    ``run_calls`` call: ``pdist`` on a diagonal block, ``cdist`` on an
-    off-diagonal pair. Each pair is computed by scipy's own kernel, so the
-    matrix equals squareform(pdist(x)) bit for bit whatever the thread count.
+    ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b on the rows centred on one
+    vector, the column mean of y (of x without y): without the centring, a
+    large offset shared by every feature would cancel most of the digits.
+    The columns are taken ``DISTANCE_BLOCK_COLUMNS`` at a time, each block
+    one BLAS call summed in place into the output, in block order, on the
+    calling thread. The result is clamped at 0. The error is of the order
+    of machine epsilon times the centred squared row norms.
     """
-    if y is not None:
-        return scipy.spatial.distance.cdist(x, y, "sqeuclidean")
-    x = np.asarray(x)
-    n = len(x)
-    k = max(1, min(usable_cpus(), n))
-    bounds = [n * i // k for i in range(k + 1)]
-    out = np.zeros((n, n))
+    x = np.asarray(x, dtype=float)
+    y = x if y is None else np.asarray(y, dtype=float)
+    return pdist(x) if y is x else cdist(x, y)
 
-    def diagonal(i):
-        rows = slice(bounds[i], bounds[i + 1])
-        out[rows, rows] = squareform(pdist(x[rows], "sqeuclidean"))
 
-    def off_diagonal(i, j):
-        rows, cols = slice(bounds[i], bounds[i + 1]), slice(bounds[j], bounds[j + 1])
-        tile = cdist(x[rows], x[cols], "sqeuclidean")
-        out[rows, cols] = tile
-        out[cols, rows] = tile.T
+# pdist and cdist keep the names and argument names of the scipy functions
+# they replaced: perfbench/spans.py times and counts each call under them
 
-    # the off-diagonal tiles hold twice the pairs of a diagonal one; handing
-    # them out first evens the threads' loads
-    run_calls(
-        [functools.partial(off_diagonal, i, j) for i in range(k) for j in range(i + 1, k)]
-        + [functools.partial(diagonal, i) for i in range(k)]
-    )
+
+def pdist(X: np.ndarray) -> np.ndarray:
+    """``sq_distances(X)``: one BLAS SYRK per column block fills the upper
+    triangle, which is then mirrored onto the lower one; the diagonal is 0."""
+    out = np.zeros((len(X), len(X)))
+    if out.size:
+        norms = np.zeros(len(X))
+        for (xc,) in _centred_blocks(X.mean(axis=0), X):
+            norms += np.einsum("ij,ij->i", xc, xc)
+            # the lower triangle of out.T, the Fortran-ordered view BLAS
+            # writes in place, is out's upper one: += -2 xc xc'
+            scipy.linalg.blas.dsyrk(-2.0, xc.T, beta=1.0, c=out.T, trans=1, lower=1,
+                                    overwrite_c=True)
+        _add_norms(out, norms, norms)
+        _mirror_upper(out)
     return out
+
+
+def cdist(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
+    """``sq_distances(XA, XB)``: one BLAS GEMM per column block."""
+    out = np.zeros((len(XA), len(XB)))
+    if out.size:
+        a_norms, b_norms = np.zeros(len(XA)), np.zeros(len(XB))
+        for ac, bc in _centred_blocks(XB.mean(axis=0), XA, XB):
+            a_norms += np.einsum("ij,ij->i", ac, ac)
+            b_norms += np.einsum("ij,ij->i", bc, bc)
+            # out.T, the Fortran-ordered view BLAS writes in place, += -2 bc ac'
+            scipy.linalg.blas.dgemm(-2.0, bc.T, ac.T, beta=1.0, c=out.T, trans_a=True,
+                                    overwrite_c=True)
+        _add_norms(out, a_norms, b_norms)
+    return out
+
+
+def _centred_blocks(centre: np.ndarray, *arrays: np.ndarray):
+    """Each ``DISTANCE_BLOCK_COLUMNS``-wide column block of the arrays, in
+    order, as one copy per array centred on that block of ``centre``."""
+    for start in range(0, len(centre), DISTANCE_BLOCK_COLUMNS):
+        cols = slice(start, start + DISTANCE_BLOCK_COLUMNS)
+        yield [a[:, cols] - centre[cols] for a in arrays]
+
+
+def _add_norms(out: np.ndarray, row_norms: np.ndarray, col_norms: np.ndarray) -> None:
+    """out += row_norms[:, None] + col_norms, clamped at 0, in place."""
+    out += row_norms[:, None]
+    out += col_norms
+    np.maximum(out, 0.0, out=out)
+
+
+def _mirror_upper(square: np.ndarray) -> None:
+    """Copy the strict upper triangle of ``square`` onto the lower one and
+    zero the diagonal, in place, 64 rows at a time."""
+    for start in range(0, len(square), 64):
+        rows = slice(start, start + 64)
+        square[rows, :start] = square[:start, rows].T
+        upper = np.triu(square[rows, rows], 1)
+        square[rows, rows] = upper + upper.T
 
 
 def scalar_matrix(scalars: np.ndarray | None, n: int) -> np.ndarray:

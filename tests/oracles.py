@@ -7,9 +7,9 @@ pair of records at a time, as reference values for the Gram assembly, edge
 lists are parsed one entry at a time and Gram text is written one value at
 a time. Five-start Nelder-Mead on the log marginal posterior gives the
 reference optimum for ``gp.fit``'s grid-then-local range search; the same
-search with its record kept in a closure, and prediction from scipy's
-``cdist`` and a correlation built term by term, give the references that
-``fit`` and ``predict`` must equal bit for bit.
+search with its record kept in a closure, and prediction from the
+package's own distances and a correlation built term by term, give the
+references that ``fit`` and ``predict`` must equal bit for bit.
 
 The exact transport distances, the quantile conventions, the sliced
 estimate between two embeddings, one WL step and node degrees are here too:
@@ -27,7 +27,6 @@ import json
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-import scipy.spatial.distance
 
 from swwl import (
     AttributedGraph,
@@ -52,7 +51,12 @@ from swwl.errors import (
     ParseError,
     ValidationError,
 )
-from swwl.kernels import _gram_header, correlation_from_distances, scalar_abs_distances
+from swwl.kernels import (
+    _gram_header,
+    correlation_from_distances,
+    scalar_abs_distances,
+    sq_distances,
+)
 from swwl.sliced import _step_indices, pq_fingerprint
 from swwl.synthetic import _attribute_cloud, geometric_graph
 from swwl.wl import _iterate, _neighbor_operator, _warn_nonpositive_weights, embed as wl_embed
@@ -524,12 +528,12 @@ def floor_psd_matrix(matrix):
 def predict_mean_and_scale(model, features, scalars):
     """``gp.predict``'s mean and the joint N* x N* scale matrix of the test
     inputs, floored by :func:`floor_psd_matrix`, with each distance matrix
-    from scipy's ``cdist`` and no nugget on the correlations. Returns the
+    from ``kernels.sq_distances`` and no nugget on the correlations. Returns the
     mean, the scale matrix and the number of eigenvalues the floor clipped."""
     gamma = 1.0 / (model.ranges[0] * model.ranges[0])
 
     def correlation(a, b, scalars_a, scalars_b):
-        sw_sq = scipy.spatial.distance.cdist(a, b, "sqeuclidean")
+        sw_sq = sq_distances(a, b)
         scalar_abs = scalar_abs_distances(scalars_a, scalars_b)
         return correlation_from_distances(sw_sq, scalar_abs, gamma, model.ranges[1:])
 

@@ -25,7 +25,7 @@ from swwl.gp import (
     marginal_posterior,
     save_model,
 )
-from swwl.kernels import GRAM_MAGIC, load_gram, load_gram_binary, load_gram_text, usable_cpus
+from swwl.kernels import GRAM_MAGIC, load_gram, load_gram_binary, load_gram_text
 from swwl.sliced import PQ_STORE_MAGIC, PQ_STORE_NAME, load_pq_store
 from swwl.synthetic import generate_regression_dataset
 
@@ -1098,15 +1098,6 @@ def test_gram_names_a_bad_gammas_token_exits_2(aniso_store, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_manifests_record_the_threads_of_the_affinity_mask(workspace, tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    gram = tmp_path / "gram.txt"
-    assert run("gram", "--embeddings", workspace / "emb-train", "--out", gram,
-               "--distances-only") == 0
-    manifest = json.loads((tmp_path / "gram.txt.manifest.json").read_text())
-    assert manifest["distance_threads"] == 3
-
-
 def test_jobs_flag_gives_identical_artifacts(workspace, tmp_path):
     out = tmp_path / "parallel"
     assert run(
@@ -1186,7 +1177,6 @@ def test_manifests_record_every_flag(workspace, tmp_path, monkeypatch):
         assert manifest["command"] == command
         assert set(manifest["parameters"]) == flags[command], command
         assert manifest["peak_rss_mb"] > 0
-        assert manifest["distance_threads"] == usable_cpus()
         assert manifest["blas"] == {
             "name": blas["name"],
             "version": blas["version"],

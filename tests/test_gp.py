@@ -831,7 +831,7 @@ def test_predict_refuses_features_of_another_width(monkeypatch):
         raise AssertionError("distances computed before the width check")
 
     # no fingerprints to compare: the width alone tells the feature spaces apart
-    monkeypatch.setattr(scipy.spatial.distance, "cdist", no_distances)
+    monkeypatch.setattr(gp, "sq_distances", no_distances)
     for width in (3, 5):
         with pytest.raises(
             DimensionMismatchError, match=f"{width} wide, the model was trained on 4-wide"
@@ -861,9 +861,10 @@ def test_fit_keeps_the_factor_of_the_best_point_scored(monkeypatch):
 
 
 @pytest.mark.parametrize("n_scalars", [0, 2])
-def test_predictions_equal_at_one_and_two_threads(monkeypatch, n_scalars):
-    """At 1, 2 and 4 usable CPUs, with one test row, one full cross-distance
-    chunk and one row more."""
+def test_predictions_of_a_row_do_not_depend_on_its_solve_chunk(n_scalars):
+    """With one test row, one full variance-solve chunk and one row more:
+    each row's mean and scale agree with those it gets among 65 test rows
+    within rounding, and a rerun repeats them bit for bit."""
     chunk = gp.PREDICT_CHUNK_ROWS
     rng = np.random.default_rng(12)
     feats = rng.standard_normal((30 + chunk + 1, 300)) + 3.0
@@ -871,37 +872,62 @@ def test_predictions_equal_at_one_and_two_threads(monkeypatch, n_scalars):
     y = np.sin(feats[:, :5].sum(axis=1))
     model = fit(feats[:30], None if scalars is None else scalars[:30], y[:30],
                 settings=GpSettings(multistarts=1))
-    for n_test in (1, chunk, chunk + 1):
+
+    def run(n_test):
         test = slice(30, 30 + n_test)
-        runs = []
-        for threads in (1, 2, 4):
-            monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: threads)
-            runs.append(predict(model, feats[test], None if scalars is None else scalars[test]))
-        for run in runs[1:]:
-            assert np.array_equal(runs[0].mean, run.mean)
-            assert np.array_equal(runs[0].scale, run.scale)
+        return predict(model, feats[test], None if scalars is None else scalars[test])
+
+    full = run(chunk + 1)
+    for n_test in (1, chunk, chunk + 1):
+        first, again = run(n_test), run(n_test)
+        assert np.array_equal(first.mean, again.mean)
+        assert np.array_equal(first.scale, again.scale)
+        # a row's distances and mean come out of a BLAS call of another
+        # shape (5.9e-14 apart here); its variance is 1 minus terms near 1,
+        # so its scale keeps fewer digits
+        np.testing.assert_allclose(first.mean, full.mean[:n_test], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(first.scale, full.scale[:n_test], rtol=1e-10, atol=0)
 
 
-def test_predict_hands_out_its_distance_calls_in_chunks(monkeypatch):
-    """The cross matrix in chunks of PREDICT_CHUNK_ROWS test rows, in order,
-    and no test x test call."""
+def test_predict_makes_one_cross_distance_call(monkeypatch):
+    """The whole N* x N cross matrix in one call, and no test x test call."""
     chunk = gp.PREDICT_CHUNK_ROWS
     rng = np.random.default_rng(13)
     feats = rng.standard_normal((30 + 2 * chunk + 1, 20))
     model = fit(feats[:30], None, np.sin(feats[:, 0])[:30], settings=GpSettings(multistarts=1))
     test = feats[30:]
-    shapes = []
+    calls = []
 
     def recording(x, y=None):
-        shapes.append((len(x), len(y)))
+        calls.append((x, y))
         return swwl.kernels.sq_distances(x, y)
 
-    monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: 1)  # inline, in order
     monkeypatch.setattr(gp, "sq_distances", recording)
     mean = predict(model, test).mean
-    assert shapes == [(chunk, 30), (chunk, 30), (1, 30)]
+    assert len(calls) == 1
+    x, y = calls[0]
+    assert np.array_equal(x, test) and y is model.train_features
     monkeypatch.undo()
     assert np.array_equal(mean, predict(model, test).mean)
+
+
+def test_fit_and_predict_reach_the_distances_through_pdist_and_cdist(monkeypatch):
+    """perfbench/spans.py times the distance layer by wrapping the module
+    names ``kernels.pdist`` and ``kernels.cdist``: fit's training matrix is
+    one pdist call and predict's cross matrix one cdist call."""
+    rng = np.random.default_rng(14)
+    feats = rng.standard_normal((40, 20))
+    calls = []
+    for name in ("pdist", "cdist"):
+        def recording(*arrays, _name=name, _original=getattr(swwl.kernels, name)):
+            calls.append((_name, [a.shape for a in arrays]))
+            return _original(*arrays)
+
+        monkeypatch.setattr(swwl.kernels, name, recording)
+    model = fit(feats[:30], None, np.sin(feats[:30, 0]), settings=GpSettings(multistarts=1))
+    assert calls == [("pdist", [(30, 20)])]
+    predict(model, feats[30:])
+    assert calls[1:] == [("cdist", [(10, 20), (30, 20)])]
 
 
 @pytest.mark.parametrize("case", ["training inputs, zero nugget", "repeated test rows"])
@@ -917,7 +943,7 @@ def test_variances_match_the_old_floor_where_it_clipped(case):
         test = feats
     else:
         model = fit(feats, None, y)
-        test = np.repeat(feats[:3] + 0.1, 3, axis=0)
+        test = np.repeat(feats[:3] + 0.1, 4, axis=0)
     dist = predict(model, test)
     mean, scale, clipped = predict_mean_and_scale(model, test, np.zeros((len(test), 0)))
     assert clipped > 0
