@@ -52,11 +52,13 @@ from .graphs import (
     save_dataset,
 )
 from .kernels import (
+    DISTANCE_BLAS_THREADS,
     KernelConfig,
     assemble_gram,
     assemble_gram_aniso,
     check_psd,
     load_gram,
+    openblas_copies,
     run_calls,
     save_gram_binary,
     save_gram_text,
@@ -78,6 +80,7 @@ class _Stages:
         self.timings = {}
         self._t0 = time.perf_counter()
         self._lock = threading.Lock()
+        self._blas_threads = [copy.get_threads() for copy in openblas_copies()]
 
     @contextlib.contextmanager
     def time(self, name):
@@ -105,7 +108,7 @@ class _Stages:
             "total_ms": round(1000.0 * (time.perf_counter() - self._t0), 3),
             # peak resident set of this process so far (ru_maxrss is in KiB on Linux)
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
-            "blas": _blas_setup(),
+            "blas": _blas_setup(self._blas_threads),
         }
         if extra:
             manifest.update(extra)
@@ -115,17 +118,25 @@ class _Stages:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _blas_setup() -> dict:
+def _blas_setup(threads_before: list[int]) -> dict:
     """Name and version of the BLAS numpy was built with (None before numpy
-    1.25, which cannot report them) and the BLAS thread variables' values."""
+    1.25, which cannot report them), the BLAS thread variables' values, and
+    whether the library sets the thread count of an OpenBLAS copy
+    (``managed``), the count its distance layer runs on, and each copy's
+    library file and count ``threads_before`` the command."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (KeyError, TypeError):
         blas = {}
+    copies = openblas_copies()
     return {
         "name": blas.get("name"),
         "version": blas.get("version"),
         "threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+        "managed": bool(copies),
+        "distance_threads": DISTANCE_BLAS_THREADS if copies else None,
+        "copies": [{"library": copy.library, "threads_before": before}
+                   for copy, before in zip(copies, threads_before)],
     }
 
 

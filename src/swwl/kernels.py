@@ -7,21 +7,33 @@ one exponential factor per WL iteration. Assembly works on the pairwise
 distance matrices of a ``PqStore``'s feature blocks, so its cost depends on
 the number of graphs and the embedding width only, never on graph node
 counts. One routine, :func:`sq_distances`, computes every squared distance
-of the package on the calling thread: centred, column-blocked BLAS, a SYRK
-per block for a set with itself (:func:`pdist`) and a GEMM per block
-between two sets (:func:`cdist`).
+of the package: centred, column-blocked BLAS, a SYRK per block for a set
+with itself (:func:`pdist`) and a GEMM per block between two sets
+(:func:`cdist`). Each call is cut into two fixed halves, which
+:func:`run_calls` runs on two threads, or inline on one CPU, each half's
+BLAS calls on one BLAS thread (:func:`blas_threads`) and without the GIL:
+:func:`pdist` halves its column blocks, :func:`cdist` its output rows.
+Where the BLAS is OpenBLAS, the distance bytes therefore depend neither
+on the CPU count nor on the BLAS thread count, and the distances use at
+most two cores; the Cholesky factors, the solves and ``eigvalsh`` still
+follow the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import os
+import threading
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.blas
+import scipy.linalg.cython_blas
 
 from .binio import check_payload, read_container, record_ids, write_container
 from .errors import LengthMismatchError, NonSymmetricError, ValidationError, refusal
@@ -33,6 +45,8 @@ GRAM_MAGIC = "SWWL-G1"
 # and BLAS's packed copy of it stay small (0.8 MB each at 800 rows; at 512
 # columns the distances of 800 rows peaked 5.6 MB higher, at no gain in speed)
 DISTANCE_BLOCK_COLUMNS = 128
+# BLAS threads of each half of a distance call: the halves are the parallelism
+DISTANCE_BLAS_THREADS = 1
 
 
 def check_parameters(**values) -> None:
@@ -113,6 +127,140 @@ def run_calls(calls: list) -> list:
         return list(pool.map(lambda call: call(), calls))
 
 
+@dataclass(frozen=True)
+class OpenBlasCopy:
+    """One OpenBLAS library loaded into this process: its file name, and its
+    functions that read and set its thread count."""
+
+    library: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+# (read, set) names of the thread count in OpenBLAS builds: the scipy-openblas
+# ones numpy (64-bit integers) and scipy ship, then plain OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")
+)
+
+
+@functools.cache
+def openblas_copies() -> tuple[OpenBlasCopy, ...]:
+    """Every OpenBLAS library this process has loaded, in path order: the
+    files it maps (``/proc/self/maps``) whose name holds ``openblas`` and
+    that export a pair of :data:`_OPENBLAS_THREAD_SYMBOLS`. None where the
+    platform lists no mapped files, or no OpenBLAS is loaded (MKL,
+    Accelerate). numpy and scipy, imported with this module, have loaded
+    theirs, so the answer is kept."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.rpartition("/")[2]})
+    except OSError:
+        return ()
+    copies = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # the loaded copy, never a new one
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                copies.append(OpenBlasCopy(os.path.basename(path), get, set_))
+                break
+    return tuple(copies)
+
+
+# the number of blas_threads entries open, and the counts the copies had
+# before the first of them
+_BLAS_LOCK = threading.Lock()
+_BLAS_OPEN = 0
+_BLAS_BEFORE: list[int] = []
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the ``with`` body with every copy of :func:`openblas_copies` on
+    ``n`` threads. The count is the process's: BLAS calls that other threads
+    make meanwhile run on it too, and entries that overlap, on this thread
+    or another, leave the count of the latest. When the last open entry
+    exits, also by an exception, each copy takes back the count it had
+    before the first. Without OpenBLAS it does nothing."""
+    global _BLAS_OPEN
+    copies = openblas_copies()
+    with _BLAS_LOCK:
+        if not _BLAS_OPEN:
+            _BLAS_BEFORE[:] = [copy.get_threads() for copy in copies]
+        _BLAS_OPEN += 1
+        for copy in copies:
+            copy.set_threads(n)
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _BLAS_OPEN -= 1
+            if not _BLAS_OPEN:
+                for copy, count in zip(copies, _BLAS_BEFORE):
+                    copy.set_threads(count)
+
+
+def _cython_blas(name: str):
+    """The Fortran BLAS routine ``name`` that scipy exports to Cython
+    (``scipy.linalg.cython_blas``, on whichever BLAS scipy was built
+    against), as a ctypes function of pointers: ctypes releases the GIL for
+    each call, which the wrappers of ``scipy.linalg.blas`` hold."""
+    capsule = scipy.linalg.cython_blas.__pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    signature = capsule_name(capsule)
+    # the signature, the capsule's name, lists one pointer per argument
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (signature.count(b",") + 1))(
+        capsule_pointer(capsule, signature))
+
+
+_DGEMM, _DSYRK = _cython_blas("dgemm"), _cython_blas("dsyrk")
+
+
+def _blas(routine, *args) -> None:
+    """Call a Fortran BLAS ``routine`` with each argument by reference:
+    bytes as a character, an int as a C int, a float as a double, and a
+    C-ordered float64 array as its data, which the caller keeps alive."""
+    refs = []
+    for arg in args:
+        if isinstance(arg, np.ndarray):
+            if arg.dtype != np.float64 or not arg.flags.c_contiguous:
+                raise ValueError(f"BLAS takes C-ordered float64 arrays, got {arg.dtype} "
+                                 f"with C order {arg.flags.c_contiguous}")
+            refs.append(arg.ctypes.data)
+        elif isinstance(arg, bytes):
+            refs.append(arg)
+        else:
+            refs.append(ctypes.byref(ctypes.c_int(arg) if isinstance(arg, int)
+                                     else ctypes.c_double(arg)))
+    routine(*refs)
+
+
+def _gemm_update(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """c += -2 a b' in place, for a (m, k), b (n, k) and c (m, n): BLAS
+    computes on c's Fortran-ordered view c', of (n, m), ``c' += -2 b a'``."""
+    (m, k), n = a.shape, len(b)
+    _blas(_DGEMM, b"T", b"N", n, m, k, -2.0, b, k, a, k, 1.0, c, n)
+
+
+def _syrk_update(c: np.ndarray, x: np.ndarray, upper: bool) -> None:
+    """One triangle of c += -2 x x', the upper or the lower one, diagonal
+    included, in place, for x (n, k) and c (n, n): c's upper triangle is the
+    lower one of its Fortran-ordered view c', on which BLAS computes."""
+    n, k = x.shape
+    _blas(_DSYRK, b"L" if upper else b"U", b"T", n, k, -2.0, x, k, 1.0, c, n)
+
+
 def sq_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Squared distances between the rows of x and those of y: ``cdist(x,
     y)``; without y (or with y the array x itself), ``pdist(x)``, of x with
@@ -122,9 +270,9 @@ def sq_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     vector, the column mean of y (of x without y): without the centring, a
     large offset shared by every feature would cancel most of the digits.
     The columns are taken ``DISTANCE_BLOCK_COLUMNS`` at a time, each block
-    one BLAS call summed in place into the output, in block order, on the
-    calling thread. The result is clamped at 0. The error is of the order
-    of machine epsilon times the centred squared row norms.
+    one BLAS call summed in place into the output, in block order, for each
+    of two fixed halves of the call. The result is clamped at 0. The error
+    is of the order of machine epsilon times the centred squared row norms.
     """
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
@@ -136,41 +284,81 @@ def sq_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
 
 
 def pdist(X: np.ndarray) -> np.ndarray:
-    """``sq_distances(X)``: one BLAS SYRK per column block fills the upper
-    triangle, which is then mirrored onto the lower one; the diagonal is 0."""
+    """``sq_distances(X)``: one BLAS SYRK per column block, into the upper
+    triangle of the output for the first half of the blocks (the larger
+    one by a block when their count is odd) and into the lower one for the
+    second half. The lower triangle is then added onto the upper one, which
+    is mirrored; the diagonal, which both halves write, is set to 0."""
+    X = np.ascontiguousarray(X, dtype=float)
     out = np.zeros((len(X), len(X)))
     if out.size:
-        norms = np.zeros(len(X))
-        for (xc,) in _centred_blocks(X.mean(axis=0), X):
-            norms += np.einsum("ij,ij->i", xc, xc)
-            # the lower triangle of out.T, the Fortran-ordered view BLAS
-            # writes in place, is out's upper one: += -2 xc xc'
-            scipy.linalg.blas.dsyrk(-2.0, xc.T, beta=1.0, c=out.T, trans=1, lower=1,
-                                    overwrite_c=True)
+        centre = X.mean(axis=0)
+        starts = range(0, len(centre), DISTANCE_BLOCK_COLUMNS)
+        middle = (len(starts) + 1) // 2
+
+        def half(starts, upper):
+            norms = np.zeros(len(X))
+            for (xc,) in _centred_blocks(centre, starts, X):
+                norms += np.einsum("ij,ij->i", xc, xc)
+                _syrk_update(out, xc, upper)
+            return norms
+
+        norms = np.add(*_run_parts([functools.partial(half, starts[:middle], True),
+                                    functools.partial(half, starts[middle:], False)]))
+        _fold_lower(out)
         _add_norms(out, norms, norms)
         _mirror_upper(out)
     return out
 
 
 def cdist(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
-    """``sq_distances(XA, XB)``: one BLAS GEMM per column block."""
+    """``sq_distances(XA, XB)``: one BLAS GEMM per column block, for each
+    half of the output's rows (the first the larger by a row when their
+    count is odd) into those rows of the output. On one usable CPU a single
+    call runs both halves, which centres each block of XB once; on more,
+    each half's call centres every block of XB."""
+    XA, XB = np.ascontiguousarray(XA, dtype=float), np.ascontiguousarray(XB, dtype=float)
     out = np.zeros((len(XA), len(XB)))
     if out.size:
-        a_norms, b_norms = np.zeros(len(XA)), np.zeros(len(XB))
-        for ac, bc in _centred_blocks(XB.mean(axis=0), XA, XB):
-            a_norms += np.einsum("ij,ij->i", ac, ac)
-            b_norms += np.einsum("ij,ij->i", bc, bc)
-            # out.T, the Fortran-ordered view BLAS writes in place, += -2 bc ac'
-            scipy.linalg.blas.dgemm(-2.0, bc.T, ac.T, beta=1.0, c=out.T, trans_a=True,
-                                    overwrite_c=True)
+        centre = XB.mean(axis=0)
+        starts = range(0, len(centre), DISTANCE_BLOCK_COLUMNS)
+        middle = (len(XA) + 1) // 2
+        halves = [slice(0, middle), slice(middle, len(XA))]
+        b_norms = np.zeros(len(XB))
+
+        def rows(halves, b_norms):
+            first = halves[0].start
+            a_norms = np.zeros(halves[-1].stop - first)
+            for ac, bc in _centred_blocks(centre, starts, XA[first:halves[-1].stop], XB):
+                a_norms += np.einsum("ij,ij->i", ac, ac)
+                if b_norms is not None:
+                    b_norms += np.einsum("ij,ij->i", bc, bc)
+                for half in halves:
+                    _gemm_update(out[half], ac[half.start - first:half.stop - first], bc)
+            return a_norms
+
+        groups = [halves] if usable_cpus() == 1 else [[half] for half in halves]
+        a_norms = np.concatenate(_run_parts([
+            functools.partial(rows, group, None if i else b_norms)
+            for i, group in enumerate(groups)
+        ]))
         _add_norms(out, a_norms, b_norms)
     return out
 
 
-def _centred_blocks(centre: np.ndarray, *arrays: np.ndarray):
-    """Each ``DISTANCE_BLOCK_COLUMNS``-wide column block of the arrays, in
-    order, as one copy per array centred on that block of ``centre``."""
-    for start in range(0, len(centre), DISTANCE_BLOCK_COLUMNS):
+def _run_parts(calls: list) -> list:
+    """The results of the argument-free ``calls``, the parts of a distance
+    call, which :func:`run_calls` runs with BLAS on
+    ``DISTANCE_BLAS_THREADS`` threads."""
+    with blas_threads(DISTANCE_BLAS_THREADS):
+        return run_calls(calls)
+
+
+def _centred_blocks(centre: np.ndarray, starts: range, *arrays: np.ndarray):
+    """The ``DISTANCE_BLOCK_COLUMNS``-wide column block of the arrays at each
+    of ``starts``, in order, as one C-ordered copy per array centred on that
+    block of ``centre``."""
+    for start in starts:
         cols = slice(start, start + DISTANCE_BLOCK_COLUMNS)
         yield [a[:, cols] - centre[cols] for a in arrays]
 
@@ -180,6 +368,16 @@ def _add_norms(out: np.ndarray, row_norms: np.ndarray, col_norms: np.ndarray) ->
     out += row_norms[:, None]
     out += col_norms
     np.maximum(out, 0.0, out=out)
+
+
+def _fold_lower(square: np.ndarray) -> None:
+    """Add the strict lower triangle of ``square`` onto the strict upper
+    one, entry (i, j) onto (j, i), in place, 64 rows at a time."""
+    for start in range(0, len(square), 64):
+        rows = slice(start, start + 64)
+        square[:start, rows] += square[rows, :start].T
+        block = square[rows, rows]
+        block += np.tril(block, -1).T
 
 
 def _mirror_upper(square: np.ndarray) -> None:

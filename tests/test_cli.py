@@ -1145,6 +1145,9 @@ def test_manifests_record_every_flag(workspace, tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    # each OpenBLAS copy: its file and the count it had before the command
+    copies = [{"library": copy.library, "threads_before": copy.get_threads()}
+              for copy in swwl.kernels.openblas_copies()]
     emb = workspace / "emb-train"
     gram, model = tmp_path / "gram.txt", tmp_path / "model.bin"
     pred, bench = tmp_path / "pred.csv", tmp_path / "bench.csv"
@@ -1185,6 +1188,9 @@ def test_manifests_record_every_flag(workspace, tmp_path, monkeypatch):
                 "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
                 "MKL_NUM_THREADS": None,
             },
+            "managed": bool(copies),
+            "distance_threads": 1 if copies else None,
+            "copies": copies,
         }
 
 
@@ -1201,6 +1207,36 @@ def test_manifest_blas_without_build_config(tmp_path, monkeypatch):
     blas = json.loads((tmp_path / "train.jsonl.manifest.json").read_text())["blas"]
     assert blas["name"] is None and blas["version"] is None
     assert blas["threads"]["OMP_NUM_THREADS"] == "2"
+
+
+def test_manifest_blas_records_the_counts_before_the_command(tmp_path, monkeypatch):
+    # a copy at 3 threads when the command starts: gram runs its distances
+    # on 1 and hands the 3 back, which the manifest records
+    counts = [3]
+    fake = swwl.kernels.OpenBlasCopy("libfake.so", lambda: counts[0],
+                                     lambda n: counts.__setitem__(0, n))
+    monkeypatch.setattr(swwl.kernels, "openblas_copies", lambda: (fake,))
+    monkeypatch.setattr(swwl.cli, "openblas_copies", lambda: (fake,))
+    out, emb = tmp_path / "train.jsonl", tmp_path / "emb"
+    assert run("generate", "--out-train", out, "--out-test", tmp_path / "test.jsonl",
+               "--n-train", 4, "--n-test", 1, "--nodes", 5) == 0
+    assert run("embed", "--input", out, "--out", emb, "--projections", 2, "--quantiles", 3) == 0
+    assert run("gram", "--embeddings", emb, "--out", tmp_path / "gram.txt", "--gamma", 1.0) == 0
+    blas = json.loads((tmp_path / "gram.txt.manifest.json").read_text())["blas"]
+    assert blas["managed"] is True and blas["distance_threads"] == 1
+    assert blas["copies"] == [{"library": "libfake.so", "threads_before": 3}]
+    assert counts == [3]
+
+
+def test_manifest_blas_unmanaged_without_openblas(tmp_path, monkeypatch):
+    monkeypatch.setattr(swwl.kernels, "openblas_copies", lambda: ())
+    monkeypatch.setattr(swwl.cli, "openblas_copies", lambda: ())
+    out = tmp_path / "train.jsonl"
+    assert run("generate", "--out-train", out, "--out-test", tmp_path / "test.jsonl",
+               "--n-train", 2, "--n-test", 1, "--nodes", 5) == 0
+    blas = json.loads((tmp_path / "train.jsonl.manifest.json").read_text())["blas"]
+    assert blas["managed"] is False and blas["distance_threads"] is None
+    assert blas["copies"] == []
 
 
 # the exit-code table in the swwl.errors docstring

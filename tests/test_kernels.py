@@ -5,6 +5,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import swwl.kernels
 from swwl import (
     Dataset,
     EmpiricalMeasure,
+    GpSettings,
     KernelConfig,
     QuantileGrid,
     WlConfig,
@@ -23,8 +25,10 @@ from swwl import (
     assemble_gram_aniso,
     check_psd,
     embed_dataset,
+    fit,
     matern52,
     pq_embed,
+    predict,
     sample_projection_blocks,
     sample_projections,
 )
@@ -619,7 +623,12 @@ def test_one_builder_equals_the_two_step_kernel_matrix(acceptance_7_stores):
 
 @st.composite
 def row_matrices(draw):
-    n, width = draw(st.integers(1, 70)), draw(st.integers(1, 40))
+    # widths of one block, one block and a column, and an odd block count:
+    # the second half of the blocks is empty, holds one column, or is the
+    # smaller one
+    blocks = [1, 127, 128, 129, 2 * 128 + 1, 3 * 128 + 1]
+    n = draw(st.integers(1, 70))
+    width = draw(st.sampled_from(blocks) | st.integers(1, 40))
     elements = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     return draw(hnp.arrays(np.float64, (n, width), elements=elements))
 
@@ -640,6 +649,173 @@ def test_distances_symmetric_and_bounded_by_the_centred_norms(x):
     want = squareform(pdist(x, "sqeuclidean"))
     for d2 in (got, sq_distances(x, x.copy())):
         assert np.all(np.abs(d2 - want) <= bound + np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("shape", [(300, 5_000), (70, 3 * 128 + 1), (5, 1)])
+def test_distance_bytes_follow_neither_the_cpus_nor_the_blas_threads(monkeypatch, shape):
+    """The two halves of each call, run inline on one CPU or on two
+    threads, under a caller's BLAS count of 1 or 2: the same bytes."""
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal(shape) + 3, rng.standard_normal((shape[0] // 2 + 1, shape[1]))
+    copies = swwl.kernels.openblas_copies()
+    caller = [copy.get_threads() for copy in copies]
+    results = []
+    try:
+        for cpus in (1, 2):
+            monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: cpus)
+            for threads in (1, 2):
+                for copy in copies:
+                    copy.set_threads(threads)
+                results.append((sq_distances(x).tobytes(), sq_distances(y, x).tobytes()))
+    finally:
+        for copy, count in zip(copies, caller):
+            copy.set_threads(count)
+    assert results[1:] == results[:1] * 3
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cross_distances_need_no_second_output_sized_matrix(monkeypatch, cpus):
+    # narrow rows: the output (1,500 x 1,000, 12 MB) dwarfs every block copy,
+    # so a second matrix of its shape would show as twice its bytes
+    monkeypatch.setattr(swwl.kernels, "usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(8)
+    xa, xb = rng.standard_normal((1_500, 8)), rng.standard_normal((1_000, 8))
+    tracemalloc.start()
+    try:
+        d2 = sq_distances(xa, xb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * d2.nbytes
+    assert np.max(np.abs(d2 - cdist(xa, xb, "sqeuclidean"))) < 1e-12 * np.max(d2)
+
+
+def test_distances_of_any_memory_layout_are_the_same_bytes():
+    # a Fortran-ordered array, a strided view and float32 values: the bytes
+    # of their C-ordered float64 copies
+    x = np.random.default_rng(5).standard_normal((40, 300))
+    y = x[:15] + 1
+    for other in (np.asfortranarray(x), np.repeat(x, 2, axis=0)[::2], x.astype(np.float32)):
+        want = np.ascontiguousarray(other, dtype=float)
+        assert np.array_equal(sq_distances(other), sq_distances(want))
+        assert np.array_equal(sq_distances(y, other), sq_distances(y, want))
+        assert np.array_equal(sq_distances(other, y), sq_distances(want, y))
+
+
+def test_blas_refuses_an_array_it_cannot_hand_over_as_it_is():
+    # BLAS writes through the data pointer: a Fortran-ordered or float32 c
+    # would be written at the wrong places
+    a = np.ones((3, 2))
+    for c in (np.zeros((3, 3), order="F"), np.zeros((3, 3), dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-ordered float64"):
+            swwl.kernels._gemm_update(c, a, a)
+
+
+class FakeOpenBlas:
+    """Thread counts of pretend OpenBLAS copies, for blas_threads to set."""
+
+    def __init__(self, *counts):
+        self.counts = list(counts)
+        self.copies = tuple(
+            swwl.kernels.OpenBlasCopy(
+                f"libfake{i}.so",
+                lambda i=i: self.counts[i],
+                lambda n, i=i: self.counts.__setitem__(i, n),
+            )
+            for i in range(len(counts))
+        )
+
+
+@pytest.fixture
+def fake_openblas(monkeypatch):
+    fake = FakeOpenBlas(3, 2)
+    monkeypatch.setattr(swwl.kernels, "openblas_copies", lambda: fake.copies)
+    return fake
+
+
+def test_blas_threads_restores_each_copy_after_a_normal_exit(fake_openblas):
+    with swwl.kernels.blas_threads(1):
+        assert fake_openblas.counts == [1, 1]
+    assert fake_openblas.counts == [3, 2]
+
+
+def test_blas_threads_restores_each_copy_after_an_exception(fake_openblas):
+    with pytest.raises(ZeroDivisionError):
+        with swwl.kernels.blas_threads(1):
+            1 / 0
+    assert fake_openblas.counts == [3, 2]
+
+
+def test_blas_threads_restores_each_copy_after_nested_entries(fake_openblas):
+    with swwl.kernels.blas_threads(1):
+        with swwl.kernels.blas_threads(1):
+            assert fake_openblas.counts == [1, 1]
+        assert fake_openblas.counts == [1, 1]
+    assert fake_openblas.counts == [3, 2]
+
+
+def test_blas_threads_entries_that_overlap_out_of_order(fake_openblas):
+    # entries on two threads need not close in the order they opened: the
+    # counts come back when the last one exits
+    first, second = swwl.kernels.blas_threads(1), swwl.kernels.blas_threads(1)
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert fake_openblas.counts == [1, 1]
+    second.__exit__(None, None, None)
+    assert fake_openblas.counts == [3, 2]
+
+
+def test_blas_threads_does_nothing_without_openblas(monkeypatch):
+    real = swwl.kernels.openblas_copies()
+    caller = [copy.get_threads() for copy in real]
+    monkeypatch.setattr(swwl.kernels, "openblas_copies", lambda: ())
+    with swwl.kernels.blas_threads(1):
+        assert [copy.get_threads() for copy in real] == caller
+    x = np.random.default_rng(6).standard_normal((20, 300))
+    assert np.max(np.abs(sq_distances(x) - squareform(pdist(x, "sqeuclidean")))) < 1e-12
+    assert [copy.get_threads() for copy in real] == caller
+
+
+def test_openblas_copies_are_numpys_and_scipys():
+    libraries = [copy.library for copy in swwl.kernels.openblas_copies()]
+    if not libraries:
+        pytest.skip("numpy and scipy are not built with OpenBLAS")
+    assert all("openblas" in library for library in libraries)
+    assert len(set(libraries)) == len(libraries)
+
+
+def test_the_library_hands_back_the_callers_blas_threads(monkeypatch):
+    """assemble_gram, fit and predict run their distances on one BLAS
+    thread, and each copy is back at the caller's count when they return."""
+    copies = swwl.kernels.openblas_copies()
+    if not copies:
+        pytest.skip("numpy and scipy are not built with OpenBLAS")
+    during = []
+    for name in ("_syrk_update", "_gemm_update"):
+        def recording(*args, _original=getattr(swwl.kernels, name)):
+            during.append(tuple(copy.get_threads() for copy in copies))
+            return _original(*args)
+
+        monkeypatch.setattr(swwl.kernels, name, recording)
+    rng = np.random.default_rng(7)
+    store = random_embeddings(rng, 30)
+    feats, targets = store.blocks[0], rng.standard_normal(30)
+    before = [copy.get_threads() for copy in copies]
+    try:
+        for i, copy in enumerate(copies):
+            copy.set_threads(2 + i % 2)
+        caller = [copy.get_threads() for copy in copies]
+        assemble_gram(store, None, KernelConfig())
+        assert [copy.get_threads() for copy in copies] == caller
+        model = fit(feats[:20], None, targets[:20], settings=GpSettings(multistarts=1))
+        assert [copy.get_threads() for copy in copies] == caller
+        predict(model, feats[20:])
+        assert [copy.get_threads() for copy in copies] == caller
+    finally:
+        for copy, count in zip(copies, before):
+            copy.set_threads(count)
+    assert during and set(during) == {(1,) * len(copies)}
 
 
 def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
