@@ -52,7 +52,6 @@ from .graphs import (
     save_dataset,
 )
 from .kernels import (
-    DISTANCE_BLAS_THREADS,
     KernelConfig,
     assemble_gram,
     assemble_gram_aniso,
@@ -122,8 +121,8 @@ def _blas_setup(threads_before: list[int]) -> dict:
     """Name and version of the BLAS numpy was built with (None before numpy
     1.25, which cannot report them), the BLAS thread variables' values, and
     whether the library sets the thread count of an OpenBLAS copy
-    (``managed``), the count its distance layer runs on, and each copy's
-    library file and count ``threads_before`` the command."""
+    (``managed``), and each copy's library file and count
+    ``threads_before`` the command."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (KeyError, TypeError):
@@ -134,7 +133,6 @@ def _blas_setup(threads_before: list[int]) -> dict:
         "version": blas.get("version"),
         "threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         "managed": bool(copies),
-        "distance_threads": DISTANCE_BLAS_THREADS if copies else None,
         "copies": [{"library": copy.library, "threads_before": before}
                    for copy, before in zip(copies, threads_before)],
     }

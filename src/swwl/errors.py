@@ -95,9 +95,13 @@ def integer(name: str, value, least: int = 0, most: int | None = None) -> int:
     None): any integer, numpy's included, but not a boolean, a float or a
     string. The rule of every seed, count and level; ValidationError naming
     ``name`` otherwise."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:  # no __index__, or numpy's, which takes one integer only
+        index = None
+    if index is None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    value = operator.index(value)
+    value = index
     if value < least:
         raise ValidationError(f"{name} must be at least {least}, got {value}")
     if most is not None and value > most:

@@ -130,13 +130,6 @@ def _correlation(sw_sq, scalar_abs, ranges: np.ndarray, nugget: float = 0.0) -> 
     return correlation_from_distances(sw_sq, scalar_abs, gamma, ranges[1:], nugget=nugget)
 
 
-def _require_finite(**values) -> None:
-    """ValidationError naming the first argument with a NaN or infinite entry."""
-    for name, value in values.items():
-        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
-            raise ValidationError(f"{name} must be finite")
-
-
 @dataclass(frozen=True)
 class PosteriorParts:
     """Pieces of one marginal-posterior evaluation, for audits and tests.
@@ -188,7 +181,7 @@ def posterior_parts(
     n = len(y)
     if n < 2:
         raise ValidationError(f"need at least 2 targets, got {n}")
-    _require_finite(targets=y)
+    check_payload(None, {"targets": y})
     check_parameters(nugget=nugget)
     ranges = np.exp(np.asarray(log_ranges, dtype=float).reshape(-1))
     if len(ranges) != distances.n_ranges:
@@ -473,7 +466,7 @@ def _training_set(features, scalars, targets, ids):
     if len(features) != n:
         raise LengthMismatchError(f"{len(features)} inputs for {n} targets")
     scalars = scalar_matrix(scalars, n)
-    _require_finite(targets=y, features=features, scalars=scalars)
+    check_payload(None, {"targets": y, "features": features})
     if np.ptp(y) == 0.0:
         raise ConstantTargetError("all training targets are identical")
     ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
@@ -596,7 +589,7 @@ def predict(
             f"the model was trained on {model.train_features.shape[1]}-wide features"
         )
     scalars = scalar_matrix(scalars, len(features))
-    _require_finite(features=features, scalars=scalars)
+    check_payload(None, {"features": features})
     if scalars.shape[1] != model.train_scalars.shape[1]:
         raise LengthMismatchError(
             f"scalar covariates: {scalars.shape[1]} given, "

@@ -9,14 +9,18 @@ the number of graphs and the embedding width only, never on graph node
 counts. One routine, :func:`sq_distances`, computes every squared distance
 of the package: centred, column-blocked BLAS, a SYRK per block for a set
 with itself (:func:`pdist`) and a GEMM per block between two sets
-(:func:`cdist`). Each call is cut into two fixed halves, which
-:func:`run_calls` runs on two threads, or inline on one CPU, each half's
-BLAS calls on one BLAS thread (:func:`blas_threads`) and without the GIL:
-:func:`pdist` halves its column blocks, :func:`cdist` its output rows.
-Where the BLAS is OpenBLAS, the distance bytes therefore depend neither
-on the CPU count nor on the BLAS thread count, and the distances use at
-most two cores; the Cholesky factors, the solves and ``eigvalsh`` still
-follow the BLAS thread count.
+(:func:`cdist`). Each call is cut into two fixed halves, which one
+runner, :func:`_halves`, hands to :func:`run_calls`: on two threads, or
+in turn on one CPU, each half's BLAS calls on one BLAS thread
+(:func:`blas_threads`) and without the GIL. :func:`pdist` halves its
+column blocks, :func:`cdist` its output rows. Each half centres its own
+blocks, so both halves of :func:`cdist` centre every block of its second
+set, also on one CPU, where :func:`cdist` takes about a tenth longer
+than in earlier releases, which centred each block once there (0.233 ->
+0.256 s at 400 x 25,000, x86_64). Where the BLAS is OpenBLAS, the
+distance bytes therefore depend neither on the CPU count nor on the BLAS
+thread count, and the distances use at most two cores; the Cholesky
+factors, the solves and ``eigvalsh`` still follow the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -45,19 +49,21 @@ GRAM_MAGIC = "SWWL-G1"
 # and BLAS's packed copy of it stay small (0.8 MB each at 800 rows; at 512
 # columns the distances of 800 rows peaked 5.6 MB higher, at no gain in speed)
 DISTANCE_BLOCK_COLUMNS = 128
-# BLAS threads of each half of a distance call: the halves are the parallelism
-DISTANCE_BLAS_THREADS = 1
 
 
 def check_parameters(**values) -> None:
     """ValidationError naming the first parameter that breaks the kernel's
     rules: ``nugget`` and ``tol`` must be finite and nonnegative, every other
     one (a precision, range or lengthscale) finite and positive. A value is
-    one number or a sequence of them."""
+    one number or a sequence of them, never text."""
     for name, value in values.items():
-        array = np.asarray(value, dtype=float)
+        try:
+            array = np.asarray(value)
+        except ValueError:  # a ragged sequence
+            array = np.array(None)
         nonnegative = name in ("nugget", "tol")
-        if not (np.isfinite(array) & (array >= 0 if nonnegative else array > 0)).all():
+        if array.dtype.kind not in "biuf" or array.ndim > 1 or not (
+                np.isfinite(array) & (array >= 0 if nonnegative else array > 0)).all():
             rule = "nonnegative" if nonnegative else "positive"
             raise ValidationError(f"{name} must be finite and {rule}, got {value}")
 
@@ -66,17 +72,21 @@ def check_parameters(**values) -> None:
 class KernelConfig:
     """Hyperparameters of the tensorized kernel.
 
-    gamma: precision of the graph factor exp(-gamma * d^2).
+    gamma: precision of the graph factor exp(-gamma * d^2), one number.
     matern_lengthscales: one lengthscale per scalar covariate.
+    Both are kept as floats.
     """
 
     gamma: float = 1.0
     matern_lengthscales: tuple[float, ...] = ()
 
     def __post_init__(self):
-        ls = tuple(float(v) for v in self.matern_lengthscales)
-        check_parameters(gamma=self.gamma, matern_lengthscales=ls)
-        object.__setattr__(self, "matern_lengthscales", ls)
+        check_parameters(gamma=self.gamma, matern_lengthscales=self.matern_lengthscales)
+        if np.ndim(self.gamma) or np.ndim(self.matern_lengthscales) != 1:
+            raise ValidationError(f"gamma must be one number and matern_lengthscales a sequence "
+                                  f"of them, got {self.gamma} and {self.matern_lengthscales}")
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "matern_lengthscales", tuple(map(float, self.matern_lengthscales)))
 
 
 @dataclass(frozen=True)
@@ -292,19 +302,13 @@ def pdist(X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=float)
     out = np.zeros((len(X), len(X)))
     if out.size:
-        centre = X.mean(axis=0)
-        starts = range(0, len(centre), DISTANCE_BLOCK_COLUMNS)
+        starts = range(0, X.shape[1], DISTANCE_BLOCK_COLUMNS)
         middle = (len(starts) + 1) // 2
-
-        def half(starts, upper):
-            norms = np.zeros(len(X))
-            for (xc,) in _centred_blocks(centre, starts, X):
-                norms += np.einsum("ij,ij->i", xc, xc)
-                _syrk_update(out, xc, upper)
-            return norms
-
-        norms = np.add(*_run_parts([functools.partial(half, starts[:middle], True),
-                                    functools.partial(half, starts[middle:], False)]))
+        (upper,), (lower,) = _halves(X.mean(axis=0), [
+            (starts[:middle], (X,), (), lambda xc: _syrk_update(out, xc, True)),
+            (starts[middle:], (X,), (), lambda xc: _syrk_update(out, xc, False)),
+        ])
+        norms = upper + lower
         _fold_lower(out)
         _add_norms(out, norms, norms)
         _mirror_upper(out)
@@ -314,53 +318,45 @@ def pdist(X: np.ndarray) -> np.ndarray:
 def cdist(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
     """``sq_distances(XA, XB)``: one BLAS GEMM per column block, for each
     half of the output's rows (the first the larger by a row when their
-    count is odd) into those rows of the output. On one usable CPU a single
-    call runs both halves, which centres each block of XB once; on more,
-    each half's call centres every block of XB."""
+    count is odd) into those rows of the output. Each half centres every
+    block of XB, also on one CPU, where the halves run in turn and so take
+    about a tenth longer than one pass that centres each block once (0.233
+    -> 0.256 s at 400 x 25,000, x86_64); the first half sums XB's norms."""
     XA, XB = np.ascontiguousarray(XA, dtype=float), np.ascontiguousarray(XB, dtype=float)
     out = np.zeros((len(XA), len(XB)))
     if out.size:
-        centre = XB.mean(axis=0)
-        starts = range(0, len(centre), DISTANCE_BLOCK_COLUMNS)
+        starts = range(0, XB.shape[1], DISTANCE_BLOCK_COLUMNS)
         middle = (len(XA) + 1) // 2
-        halves = [slice(0, middle), slice(middle, len(XA))]
-        b_norms = np.zeros(len(XB))
-
-        def rows(halves, b_norms):
-            first = halves[0].start
-            a_norms = np.zeros(halves[-1].stop - first)
-            for ac, bc in _centred_blocks(centre, starts, XA[first:halves[-1].stop], XB):
-                a_norms += np.einsum("ij,ij->i", ac, ac)
-                if b_norms is not None:
-                    b_norms += np.einsum("ij,ij->i", bc, bc)
-                for half in halves:
-                    _gemm_update(out[half], ac[half.start - first:half.stop - first], bc)
-            return a_norms
-
-        groups = [halves] if usable_cpus() == 1 else [[half] for half in halves]
-        a_norms = np.concatenate(_run_parts([
-            functools.partial(rows, group, None if i else b_norms)
-            for i, group in enumerate(groups)
-        ]))
-        _add_norms(out, a_norms, b_norms)
+        (top_norms, b_norms), (bottom_norms,) = _halves(XB.mean(axis=0), [
+            (starts, (XA[:middle], XB), (), lambda ac, bc: _gemm_update(out[:middle], ac, bc)),
+            (starts, (XA[middle:],), (XB,), lambda ac, bc: _gemm_update(out[middle:], ac, bc)),
+        ])
+        _add_norms(out, np.concatenate([top_norms, bottom_norms]), b_norms)
     return out
 
 
-def _run_parts(calls: list) -> list:
-    """The results of the argument-free ``calls``, the parts of a distance
-    call, which :func:`run_calls` runs with BLAS on
-    ``DISTANCE_BLAS_THREADS`` threads."""
-    with blas_threads(DISTANCE_BLAS_THREADS):
-        return run_calls(calls)
+def _halves(centre: np.ndarray, parts: list) -> list:
+    """The squared row norms of each part of a distance call, one vector per
+    array of its ``normed``, from running the ``parts`` through
+    :func:`run_calls` with BLAS on one thread. A part is ``(starts, normed,
+    others, update)``: at each of ``starts``, in order, the
+    ``DISTANCE_BLOCK_COLUMNS``-wide column block of every array of ``normed
+    + others`` is copied once, C-ordered and centred on that block of
+    ``centre``, the norms of the ``normed`` blocks are summed, and
+    ``update(*blocks)`` is called."""
 
+    def run(starts, normed, others, update):
+        norms = [np.zeros(len(a)) for a in normed]
+        for start in starts:
+            cols = slice(start, start + DISTANCE_BLOCK_COLUMNS)
+            blocks = [a[:, cols] - centre[cols] for a in normed + others]
+            for total, block in zip(norms, blocks):
+                total += np.einsum("ij,ij->i", block, block)
+            update(*blocks)
+        return norms
 
-def _centred_blocks(centre: np.ndarray, starts: range, *arrays: np.ndarray):
-    """The ``DISTANCE_BLOCK_COLUMNS``-wide column block of the arrays at each
-    of ``starts``, in order, as one C-ordered copy per array centred on that
-    block of ``centre``."""
-    for start in starts:
-        cols = slice(start, start + DISTANCE_BLOCK_COLUMNS)
-        yield [a[:, cols] - centre[cols] for a in arrays]
+    with blas_threads(1):
+        return run_calls([functools.partial(run, *part) for part in parts])
 
 
 def _add_norms(out: np.ndarray, row_norms: np.ndarray, col_norms: np.ndarray) -> None:
@@ -391,12 +387,14 @@ def _mirror_upper(square: np.ndarray) -> None:
 
 
 def scalar_matrix(scalars: np.ndarray | None, n: int) -> np.ndarray:
-    """The scalar covariates of n inputs as an (n, m) matrix; None is m = 0."""
+    """The scalar covariates of n inputs as an (n, m) matrix; None is m = 0.
+    ValidationError naming an entry that is NaN or infinite."""
     if scalars is None:
         return np.zeros((n, 0))
     scalars = np.asarray(scalars, dtype=float)
     if scalars.ndim != 2 or scalars.shape[0] != n:
         raise LengthMismatchError(f"scalars of shape {scalars.shape} for {n} inputs")
+    check_payload(None, {"scalars": scalars})
     return scalars
 
 
@@ -489,14 +487,15 @@ class PsdReport:
 
 def check_psd(gram: GramMatrix | np.ndarray, tol: float = 1e-8) -> PsdReport:
     """Smallest eigenvalue check: PSD iff min_eig >= -tol * max(1, trace).
-    ValidationError on an empty or non-square matrix, NonSymmetricError on
-    an asymmetric one."""
+    ValidationError on an empty or non-square matrix or one holding a NaN
+    or infinite entry, NonSymmetricError on an asymmetric one."""
     check_parameters(tol=tol)
     values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, float)
     if values.size == 0:
         raise ValidationError("cannot check an empty matrix")
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValidationError(f"cannot check a matrix of shape {values.shape}: it is not square")
+    check_payload(None, {"gram": values})
     # the asymmetry 64 rows at a time: an N x N temporary would stay in the
     # malloc arena of the thread that ran the check (cli gram runs it on a
     # pool thread, beside the export)

@@ -1189,7 +1189,6 @@ def test_manifests_record_every_flag(workspace, tmp_path, monkeypatch):
                 "MKL_NUM_THREADS": None,
             },
             "managed": bool(copies),
-            "distance_threads": 1 if copies else None,
             "copies": copies,
         }
 
@@ -1223,7 +1222,7 @@ def test_manifest_blas_records_the_counts_before_the_command(tmp_path, monkeypat
     assert run("embed", "--input", out, "--out", emb, "--projections", 2, "--quantiles", 3) == 0
     assert run("gram", "--embeddings", emb, "--out", tmp_path / "gram.txt", "--gamma", 1.0) == 0
     blas = json.loads((tmp_path / "gram.txt.manifest.json").read_text())["blas"]
-    assert blas["managed"] is True and blas["distance_threads"] == 1
+    assert blas["managed"] is True
     assert blas["copies"] == [{"library": "libfake.so", "threads_before": 3}]
     assert counts == [3]
 
@@ -1235,7 +1234,7 @@ def test_manifest_blas_unmanaged_without_openblas(tmp_path, monkeypatch):
     assert run("generate", "--out-train", out, "--out-test", tmp_path / "test.jsonl",
                "--n-train", 2, "--n-test", 1, "--nodes", 5) == 0
     blas = json.loads((tmp_path / "train.jsonl.manifest.json").read_text())["blas"]
-    assert blas["managed"] is False and blas["distance_threads"] is None
+    assert blas["managed"] is False
     assert blas["copies"] == []
 
 

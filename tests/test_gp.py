@@ -74,7 +74,7 @@ class TestPosterior:
         assert parts.flag == "ConstantTarget"
 
     def test_non_finite_target_refused(self):
-        with pytest.raises(ValidationError, match="targets must be finite"):
+        with pytest.raises(ValidationError, match="array 'targets' holds a NaN or infinite"):
             posterior_parts(np.log([1.0]), identity_distances(3), np.array([2.0, np.nan, 1.0]))
 
     def test_cholesky_failure_scores_minus_infinity(self):
@@ -757,7 +757,8 @@ def test_fit_refuses_non_finite_inputs(where, bad):
     if where != "nugget":
         inputs[where] = inputs[where].copy()
         inputs[where].flat[3] = bad
-    with pytest.raises(ValidationError, match=f"{where} must be finite"):
+    match = "nugget must be finite" if where == "nugget" else f"array '{where}' holds a NaN"
+    with pytest.raises(ValidationError, match=match):
         fit(inputs["features"], inputs["scalars"], inputs["targets"],
             settings=GpSettings(nugget=nugget, multistarts=1))
 
@@ -768,7 +769,7 @@ def test_predict_refuses_non_finite_inputs(where):
     model = fit(features, scalars, y, settings=GpSettings(multistarts=1))
     test = {"features": features[:4].copy(), "scalars": scalars[:4].copy()}
     test[where][1, 0] = np.nan
-    with pytest.raises(ValidationError, match=f"{where} must be finite"):
+    with pytest.raises(ValidationError, match=f"array '{where}' holds a NaN or infinite"):
         predict(model, test["features"], test["scalars"])
 
 

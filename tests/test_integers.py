@@ -1,8 +1,8 @@
 """One integer rule, ``errors.integer``, at every seed, count and level.
 
-Each site refuses a boolean, a float, a string and a value out of its range
-with a ValidationError naming the argument, and a numpy integer gives the
-artifact bytes of the equal Python int.
+Each site refuses a boolean, a float, a string, a one-entry array and a
+value out of its range with a ValidationError naming the argument, and a
+numpy integer gives the artifact bytes of the equal Python int.
 """
 
 import re
@@ -142,7 +142,8 @@ SITES = {
 
 def _bad_values(site):
     """(kind, value) pairs the site must refuse."""
-    return [("bool", True), ("float", float(site.good)), ("str", str(site.good))] + [
+    return [("bool", True), ("float", float(site.good)), ("str", str(site.good)),
+            ("array", np.array([site.good]))] + [
         (f"out-of-range-{i}", value) for i, value in enumerate(site.out_of_range)]
 
 
