@@ -394,7 +394,7 @@ def _bench_rows(args):
     nodes = _comma_list(args.nodes, "--nodes")
     projections = _comma_list(args.projections, "--projections")
     quantiles = _comma_list(args.quantiles, "--quantiles")
-    n_train = args.graphs
+    n_train = integer("--graphs", args.graphs, least=1)
     n_test = max(1, n_train // 3) if args.mode == "rmse" else 0
     rows = []
     for n in nodes:

@@ -97,8 +97,9 @@ class TrainDistances:
     def mean_scales(self) -> np.ndarray:
         """Mean off-diagonal distance per coordinate (prior scales C_l)."""
         off = ~np.eye(self.size, dtype=bool)
-        graph = np.sqrt(np.maximum(self.sw_sq, 0.0))[off].mean()
-        return np.array([graph] + [dist[off].mean() for dist in self.scalar_abs])
+        graph = self.sw_sq[off]  # a copy, which maximum and sqrt overwrite
+        np.sqrt(np.maximum(graph, 0.0, out=graph), out=graph)
+        return np.array([graph.mean()] + [dist[off].mean() for dist in self.scalar_abs])
 
     @functools.cached_property
     def prior_scales(self) -> np.ndarray:
@@ -132,7 +133,8 @@ def _correlation(sw_sq, scalar_abs, ranges: np.ndarray, nugget: float = 0.0) -> 
 
 @dataclass(frozen=True)
 class PosteriorParts:
-    """Pieces of one marginal-posterior evaluation, for audits and tests.
+    """Pieces of one marginal-posterior evaluation: :func:`fit` takes the
+    model's factor and log posterior from them, audits and tests the rest.
 
     ``chol`` is the lower Cholesky factor of R + nugget*I, None when the
     factorization failed.
@@ -219,13 +221,9 @@ def marginal_posterior(
     distances: TrainDistances,
     targets: np.ndarray,
     nugget: float = DEFAULT_NUGGET,
-    best: _Search | None = None,
 ) -> float:
-    """The value of :func:`posterior_parts`; the evaluation is offered to ``best``."""
-    parts = posterior_parts(log_ranges, distances, targets, nugget)
-    if best is not None:
-        best.offer(log_ranges, parts)
-    return parts.value
+    """The value of :func:`posterior_parts`."""
+    return posterior_parts(log_ranges, distances, targets, nugget).value
 
 
 @dataclass(frozen=True)
@@ -245,7 +243,8 @@ class StartDiagnostics:
 class FitDiagnostics:
     """Optimizer bookkeeping of one :func:`fit`.
 
-    posterior_evaluations: distinct log-range points scored (one Cholesky each).
+    posterior_evaluations: distinct log-range points scored (one Cholesky
+    each; the best point's is computed once more, for the model).
     repeated_points: objective calls answered from the score memo instead.
     failed_points: distinct points scored -inf (Cholesky failure or S^2 <= 0).
     log_posterior: log marginal posterior at the returned ranges.
@@ -261,12 +260,12 @@ class FitDiagnostics:
 
 
 class _Search:
-    """The range search's objective, minus the log marginal posterior, and
-    its record: each point is scored once (one N x N Cholesky), keyed by its
+    """The range search's objective, minus the log marginal posterior, as a
+    score memo: each point is scored once (one N x N Cholesky), keyed by its
     exact bytes, as the optimizers revisit points; -inf costs ``PENALTY``, a
     finite stand-in that keeps the simplex and Brent's comparisons well
-    defined; and the best point keeps its :class:`PosteriorParts`, whose
-    factor becomes the model's.
+    defined. No factor is kept: the best point is the first key with the
+    lowest score, and :func:`fit` factorizes it once more.
     """
 
     PENALTY = 1e300
@@ -275,8 +274,6 @@ class _Search:
         self.distances, self.targets, self.nugget = distances, targets, nugget
         self.scores = {}
         self.hits = 0
-        self.log_ranges = None
-        self.parts = None
 
     def __call__(self, log_ranges: np.ndarray) -> float:
         key = log_ranges.tobytes()
@@ -288,21 +285,8 @@ class _Search:
         return value
 
     def score(self, log_ranges: np.ndarray) -> float:
-        value = marginal_posterior(log_ranges, self.distances, self.targets, self.nugget, self)
+        value = marginal_posterior(log_ranges, self.distances, self.targets, self.nugget)
         return -value if np.isfinite(value) else self.PENALTY
-
-    def offer(self, log_ranges: np.ndarray, parts: PosteriorParts) -> None:
-        if np.isfinite(parts.value) and (self.parts is None or parts.value > self.parts.value):
-            self.log_ranges, self.parts = log_ranges, parts
-
-    def diagnostics(self, starts: tuple[StartDiagnostics, ...]) -> FitDiagnostics:
-        return FitDiagnostics(
-            posterior_evaluations=len(self.scores),
-            repeated_points=self.hits,
-            failed_points=sum(v >= self.PENALTY for v in self.scores.values()),
-            log_posterior=self.parts.value,
-            starts=starts,
-        )
 
 
 class _BudgetSpent(Exception):
@@ -407,9 +391,10 @@ class GpModel:
 
 @dataclass(frozen=True)
 class GpSettings:
-    """The nugget, finite and >= 0; the optimizer starts, an integer >= 1;
-    and the seed of the random starts, an integer from 0 to
-    ``PHILOX_SEED_MAX``. ValidationError naming the first that is not."""
+    """The nugget, one number, finite and >= 0, kept as a float; the
+    optimizer starts, an integer >= 1; and the seed of the random starts,
+    an integer from 0 to ``PHILOX_SEED_MAX``. ValidationError naming the
+    first that is not."""
 
     nugget: float = DEFAULT_NUGGET
     multistarts: int = 1
@@ -417,6 +402,9 @@ class GpSettings:
 
     def __post_init__(self):
         check_parameters(nugget=self.nugget)
+        if np.ndim(self.nugget):
+            raise ValidationError(f"nugget must be one number, got {self.nugget}")
+        object.__setattr__(self, "nugget", float(self.nugget))
         object.__setattr__(self, "multistarts", integer("multistarts", self.multistarts, least=1))
         object.__setattr__(self, "seed", integer("seed", self.seed, most=PHILOX_SEED_MAX))
 
@@ -505,9 +493,10 @@ def fit(
     downhill bracket search from its start with one range. Every start goes
     through ``scipy.optimize.minimize``, and ``MAX_EVALS`` bounds its
     objective calls; the grid is scored on top of it. The model takes the
-    best point scored, and the factor computed when scoring it. Candidates
-    whose correlation matrix cannot be factorized score -inf and simply
-    lose the comparison.
+    best point scored, the first of those that tie, and factorizes it once
+    more: the search keeps scores, not factors. Candidates whose
+    correlation matrix cannot be factorized score -inf and simply lose the
+    comparison.
     """
     features, scalars, y, ids = _training_set(features, scalars, targets, ids)
     distances = build_train_distances(features, scalars)
@@ -540,22 +529,31 @@ def fit(
             log_posterior=-float(result.fun) if result.fun < search.PENALTY else None,
             posterior_evaluations=len(search.scores) - scored,
         ))
-    if search.parts is None:
+    best = min(search.scores, key=search.scores.get)  # the first of the lowest
+    if search.scores[best] >= search.PENALTY:
         raise OptimizationError(
             "every optimizer start failed: the correlation matrix could not be "
             "factorized for any candidate ranges; duplicated inputs or a zero "
             "nugget are the usual cause (try raising the nugget)"
         )
+    log_ranges = np.frombuffer(best)
+    parts = posterior_parts(log_ranges, distances, y, settings.nugget)
     return GpModel(
-        ranges=np.exp(search.log_ranges),
+        ranges=np.exp(log_ranges),
         nugget=settings.nugget,
-        chol=search.parts.chol,
+        chol=parts.chol,
         targets=y,
         train_features=features,
         train_scalars=scalars,
         train_ids=ids,
         fingerprint=fingerprint,
-        diagnostics=search.diagnostics(tuple(starts)),
+        diagnostics=FitDiagnostics(
+            posterior_evaluations=len(search.scores),
+            repeated_points=search.hits,
+            failed_points=sum(v >= search.PENALTY for v in search.scores.values()),
+            log_posterior=parts.value,
+            starts=tuple(starts),
+        ),
     )
 
 

@@ -40,7 +40,13 @@ import numpy as np
 import scipy.linalg.cython_blas
 
 from .binio import check_payload, read_container, record_ids, write_container
-from .errors import LengthMismatchError, NonSymmetricError, ValidationError, refusal
+from .errors import (
+    DimensionMismatchError,
+    LengthMismatchError,
+    NonSymmetricError,
+    ValidationError,
+    refusal,
+)
 from .sliced import PqStore
 
 GRAM_MAGIC = "SWWL-G1"
@@ -55,14 +61,14 @@ def check_parameters(**values) -> None:
     """ValidationError naming the first parameter that breaks the kernel's
     rules: ``nugget`` and ``tol`` must be finite and nonnegative, every other
     one (a precision, range or lengthscale) finite and positive. A value is
-    one number or a sequence of them, never text."""
+    one number or a sequence of them, never text or a boolean."""
     for name, value in values.items():
         try:
             array = np.asarray(value)
         except ValueError:  # a ragged sequence
             array = np.array(None)
         nonnegative = name in ("nugget", "tol")
-        if array.dtype.kind not in "biuf" or array.ndim > 1 or not (
+        if array.dtype.kind not in "iuf" or array.ndim > 1 or not (
                 np.isfinite(array) & (array >= 0 if nonnegative else array > 0)).all():
             rule = "nonnegative" if nonnegative else "positive"
             raise ValidationError(f"{name} must be finite and {rule}, got {value}")
@@ -283,9 +289,14 @@ def sq_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     one BLAS call summed in place into the output, in block order, for each
     of two fixed halves of the call. The result is clamped at 0. The error
     is of the order of machine epsilon times the centred squared row norms.
+    DimensionMismatchError, before any thread starts, unless x and y are
+    2-D and of one width.
     """
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise DimensionMismatchError(f"squared distances need two (N, W) matrices of one "
+                                     f"width W, got shapes {x.shape} and {y.shape}")
     return pdist(x) if y is x else cdist(x, y)
 
 
@@ -418,9 +429,10 @@ def correlation_from_distances(
     the nugget."""
     if len(scalar_abs) != len(lengthscales):
         raise LengthMismatchError(f"{len(scalar_abs)} scalars but {len(lengthscales)} lengthscales")
-    corr = np.exp(-gamma * sw_sq)
+    corr = np.multiply(sw_sq, -gamma)
+    np.exp(corr, out=corr)
     for dist, ls in zip(scalar_abs, np.asarray(lengthscales, dtype=float)):
-        corr = corr * matern52(dist, ls)
+        corr *= matern52(dist, ls)
     if nugget:
         corr.flat[:: corr.shape[1] + 1] += nugget
     return corr
@@ -460,8 +472,8 @@ def assemble_gram_aniso(store: PqStore, gammas: np.ndarray) -> GramMatrix:
     its precision. The product is evaluated as exp(-1 * sum_h gamma_h d_h^2).
     The Gram carries the fingerprint of ``blocks[1]``.
     """
-    gammas = np.asarray(gammas, dtype=float).reshape(-1)
     check_parameters(gamma=gammas)
+    gammas = np.asarray(gammas, dtype=float).reshape(-1)
     iteration_blocks = store.blocks[1:]
     if not iteration_blocks:
         raise ValidationError("the store has no per-iteration blocks (embed --aniso)")

@@ -1071,12 +1071,15 @@ def test_bench_takes_the_iterations_embed_takes(tmp_path, capsys, mode):
 
 
 @pytest.mark.parametrize("mode", ["timing", "rmse"])
-@pytest.mark.parametrize("repeats", [0, -2])
-def test_bench_refuses_fewer_than_one_repeat_exits_2(tmp_path, capsys, mode, repeats):
+@pytest.mark.parametrize("flag, value", [("--repeats", 0), ("--repeats", -2),
+                                         ("--graphs", 0), ("--graphs", -5)])
+def test_bench_refuses_a_count_below_one_exits_2(tmp_path, capsys, mode, flag, value):
+    # rmse mode adds test graphs to --graphs; the refusal names the value given
     out = tmp_path / "bench.csv"
-    assert run("bench", "--out", out, "--mode", mode, "--nodes", 10, "--graphs", 3,
-               "--projections", 2, "--quantiles", 3, "--repeats", repeats) == 2
-    assert f"--repeats must be at least 1, got {repeats}" in capsys.readouterr().err
+    argv = {"--graphs": 3, "--repeats": 1, flag: value}
+    assert run("bench", "--out", out, "--mode", mode, "--nodes", 10, "--projections", 2,
+               "--quantiles", 3, *[x for item in argv.items() for x in item]) == 2
+    assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 

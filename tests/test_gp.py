@@ -524,7 +524,7 @@ def _fit_inputs():
     return rng.standard_normal((25, 4)), rng.standard_normal((25, 1)), rng.standard_normal(25)
 
 
-@pytest.mark.parametrize("nugget", [-1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("nugget", [-1e-3, np.nan, np.inf, True, np.bool_(False)])
 def test_posterior_parts_refuses_the_nuggets_gp_settings_refuses(nugget):
     with pytest.raises(ValidationError, match="nugget must be finite and nonnegative"):
         GpSettings(nugget=nugget)
@@ -585,8 +585,11 @@ def test_fit_scores_each_point_once(monkeypatch):
     assert len(calls) == len(set(calls)) == model.diagnostics.posterior_evaluations
     assert model.diagnostics.repeated_points > 0
 
+    # every call scored afresh; each point's first score is still recorded,
+    # as fit reads the best point from the record
     calls.clear()
-    monkeypatch.setattr(gp._Search, "__call__", lambda self, x: self.score(x))
+    monkeypatch.setattr(gp._Search, "__call__",
+                        lambda self, x: self.scores.setdefault(x.tobytes(), self.score(x)))
     bypassed = fit(features, None, y, settings=settings)
     assert len(calls) == len(set(calls)) + model.diagnostics.repeated_points
     assert np.array_equal(model.ranges, bypassed.ranges)
@@ -783,6 +786,12 @@ def test_settings_refuse_out_of_range_values(settings):
         GpSettings(**settings)
 
 
+@pytest.mark.parametrize("nugget", [0, np.float32(0.5), np.int64(2), np.array(1e-6)])
+def test_settings_keep_the_nugget_as_a_float(nugget):
+    kept = GpSettings(nugget=nugget).nugget
+    assert type(kept) is float and kept == float(nugget)
+
+
 @pytest.mark.parametrize(
     "ids, error",
     [(("a",), LengthMismatchError), (tuple(map(str, range(26))), LengthMismatchError),
@@ -852,13 +861,52 @@ def test_fit_keeps_the_factor_of_the_best_point_scored(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
     model = fit(features, scalars, y, settings=GpSettings(multistarts=2))
-    # one factorization per scored point, none more at the optimum
-    assert len(calls) == model.diagnostics.posterior_evaluations
+    # one factorization per scored point, and one more at the optimum: the
+    # search keeps scores, not factors
+    assert len(calls) == model.diagnostics.posterior_evaluations + 1
     monkeypatch.undo()
     distances = build_train_distances(features, scalars)
     parts = posterior_parts(np.log(model.ranges), distances, y, model.nugget)
     assert np.array_equal(model.chol, parts.chol)
     assert model.diagnostics.log_posterior == parts.value
+
+
+@pytest.mark.parametrize("n_scalars", [0, 2])
+def test_fit_calls_each_probed_name_once_per_scored_point(monkeypatch, n_scalars):
+    """perfbench/spans.py times the search through these names: one
+    marginal_posterior call per scored point, one mean_scales call, and one
+    Cholesky factorization per scored point plus the winner's."""
+    features, scalars, y = _fit_inputs()
+    scalars = np.hstack([scalars, np.cos(scalars)])[:, :n_scalars]
+    calls = {"marginal_posterior": 0, "mean_scales": 0, "cholesky": 0}
+    for owner, name in ((gp, "marginal_posterior"), (TrainDistances, "mean_scales"),
+                        (np.linalg, "cholesky")):
+        def counting(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    scored = fit(features, scalars, y, settings=GpSettings(multistarts=2)).diagnostics
+    assert calls == {"marginal_posterior": scored.posterior_evaluations, "mean_scales": 1,
+                     "cholesky": scored.posterior_evaluations + 1}
+
+
+def test_fit_holds_three_training_matrices_at_its_peak():
+    """The distances, one candidate's correlation matrix and its factor:
+    the search keeps no factor beside them (4 matrices when it kept the
+    best one's)."""
+    n = 400
+    rng = np.random.default_rng(15)
+    features = rng.standard_normal((n, 50))
+    y = np.sin(features[:, :5].sum(axis=1))
+    fit(features[:40], None, y[:40])  # first calls allocate lasting caches
+    tracemalloc.start()
+    try:
+        fit(features, None, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * n * n * 8, peak / (n * n * 8)
 
 
 @pytest.mark.parametrize("n_scalars", [0, 2])

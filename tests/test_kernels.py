@@ -33,7 +33,13 @@ from swwl import (
     sample_projections,
 )
 from swwl.binio import write_container
-from swwl.errors import LengthMismatchError, NonSymmetricError, ParseError, ValidationError
+from swwl.errors import (
+    DimensionMismatchError,
+    LengthMismatchError,
+    NonSymmetricError,
+    ParseError,
+    ValidationError,
+)
 from swwl.kernels import (
     GRAM_MAGIC,
     GramMatrix,
@@ -145,7 +151,7 @@ class TestMatern52:
         assert np.all(np.diff(vals) < 0)
         assert np.all((vals > 0) & (vals <= 1.0))
 
-    @pytest.mark.parametrize("lengthscale", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("lengthscale", [np.nan, np.inf, 0.0, -1.0, True])
     def test_lengthscale_must_be_finite_and_positive(self, lengthscale):
         with pytest.raises(ValidationError, match="lengthscale must be finite and positive"):
             matern52(np.array([0.0, 1.0]), lengthscale)
@@ -257,7 +263,7 @@ class TestAssembleGram:
                 assert gram.values[i, j] == pytest.approx(want, rel=1e-12)
         assert check_psd(gram).is_psd
 
-    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf, True])
     def test_both_assemblies_refuse_bad_hyperparameters(self, gamma):
         # precisions finite and > 0
         embs = random_embeddings(np.random.default_rng(7), 3)
@@ -341,7 +347,7 @@ class TestCheckPsd:
         values[3, 129] = 1e-9
         assert check_psd(values).is_psd
 
-    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, True, np.bool_(True)])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
         with pytest.raises(ValidationError, match="tol must be finite and nonnegative"):
             check_psd(np.eye(2), tol=tol)
@@ -700,6 +706,23 @@ def test_distances_of_any_memory_layout_are_the_same_bytes():
         assert np.array_equal(sq_distances(other), sq_distances(want))
         assert np.array_equal(sq_distances(y, other), sq_distances(y, want))
         assert np.array_equal(sq_distances(other, y), sq_distances(want, y))
+
+
+def test_distances_refuse_inputs_that_are_not_matrices_of_one_width(monkeypatch):
+    # a narrower second set once gave the distances over the first set's
+    # first 128 columns, a wider one a bare numpy error from a worker
+    # thread, and a 1-D input a bare IndexError
+    def no_threads(calls):
+        raise AssertionError("a distance half started")
+
+    monkeypatch.setattr(swwl.kernels, "run_calls", no_threads)
+    rng = np.random.default_rng(9)
+    cases = [(rng.standard_normal((3, 256)), rng.standard_normal((4, 128))),
+             (rng.standard_normal((3, 100)), rng.standard_normal((4, 300))),
+             (rng.standard_normal(5), None)]
+    for x, y in cases:
+        with pytest.raises(DimensionMismatchError, match="two \\(N, W\\) matrices of one width"):
+            sq_distances(x, y)
 
 
 def test_blas_refuses_an_array_it_cannot_hand_over_as_it_is():

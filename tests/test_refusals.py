@@ -75,6 +75,11 @@ SITES = {
         "gamma must be one number and matern_lengthscales a sequence of them"),
     "GpSettings-nugget-text": (
         lambda: GpSettings(nugget="a"), "nugget must be finite and nonnegative"),
+    "GpSettings-nugget-sequence": (
+        lambda: GpSettings(nugget=[1e-8]), "nugget must be one number"),
+    "KernelConfig-matern_lengthscales-booleans": (
+        lambda: KernelConfig(matern_lengthscales=(True, False)),
+        "matern_lengthscales must be finite and positive"),
     "KernelConfig-gamma-array": (
         lambda: KernelConfig(gamma=np.array([0.5, 1.0, 2.0])), "gamma must be one number"),
     "KernelConfig-gamma-list": (lambda: KernelConfig(gamma=[1, 2]), "gamma must be one number"),
