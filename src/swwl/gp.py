@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -431,7 +432,9 @@ class PredictiveDistribution:
         return np.sqrt(self.scale)
 
     def interval(self, level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
-        if not 0.0 < level < 1.0:
+        """The bounds of each point's central interval of probability
+        ``level``; ValidationError unless ``level`` is one number in (0, 1)."""
+        if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
             raise ValidationError(f"an interval's level must lie in (0, 1), got {level}")
         half = scipy.stats.t.ppf(0.5 + level / 2.0, self.dof) * self.standard_errors()
         return self.mean - half, self.mean + half
@@ -715,19 +718,14 @@ def model_from_container(path, header: dict, arrays: dict) -> dict:
 
 
 def write_predictions_csv(path, ids: list[str], dist: PredictiveDistribution) -> None:
-    """Prediction table with mean, Student-t scale and 95% interval bounds."""
-    lo, hi = dist.interval()
-    sd = dist.standard_errors()
+    """Prediction table with mean, Student-t scale and 95% interval bounds,
+    one row per id; LengthMismatchError, and no file, unless there is one
+    id per prediction."""
+    if len(ids) != len(dist.mean):
+        raise LengthMismatchError(f"{len(ids)} ids for {len(dist.mean)} predictions")
+    columns = (column.tolist() for column in (dist.mean, dist.standard_errors(), *dist.interval()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "mean", "scale", "lo95", "hi95"])
-        for i, rec_id in enumerate(ids):
-            writer.writerow(
-                [
-                    rec_id,
-                    f"{dist.mean[i]:.17g}",
-                    f"{sd[i]:.17g}",
-                    f"{lo[i]:.17g}",
-                    f"{hi[i]:.17g}",
-                ]
-            )
+        writer.writerows([rec_id, f"{mean:.17g}", f"{sd:.17g}", f"{lo:.17g}", f"{hi:.17g}"]
+                         for rec_id, mean, sd, lo, hi in zip(ids, *columns))

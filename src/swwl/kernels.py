@@ -9,15 +9,15 @@ the number of graphs and the embedding width only, never on graph node
 counts. One routine, :func:`sq_distances`, computes every squared distance
 of the package: centred, column-blocked BLAS, a SYRK per block for a set
 with itself (:func:`pdist`) and a GEMM per block between two sets
-(:func:`cdist`). Each call is cut into two fixed halves, which one
-runner, :func:`_halves`, hands to :func:`run_calls`: on two threads, or
-in turn on one CPU, each half's BLAS calls on one BLAS thread
-(:func:`blas_threads`) and without the GIL. :func:`pdist` halves its
-column blocks, :func:`cdist` its output rows. Each half centres its own
-blocks, so both halves of :func:`cdist` centre every block of its second
-set, also on one CPU, where :func:`cdist` takes about a tenth longer
-than in earlier releases, which centred each block once there (0.233 ->
-0.256 s at 400 x 25,000, x86_64). Where the BLAS is OpenBLAS, the
+(:func:`cdist`). Each call is cut into two fixed parts of one shape, which
+one runner, :func:`_halves`, hands to :func:`run_calls`: on two threads,
+or in turn on one CPU, each part's BLAS calls on one BLAS thread
+(:func:`blas_threads`) and without the GIL. A part centres its column
+blocks of every array it reads and sums their squared row norms.
+:func:`pdist` halves its column blocks, one triangle of the output each,
+and :func:`_finish_square` adds the triangles, the norms and the mirror
+image in one pass; :func:`cdist` halves its output rows, and both halves
+centre every block of its second set. Where the BLAS is OpenBLAS, the
 distance bytes therefore depend neither on the CPU count nor on the BLAS
 thread count, and the distances use at most two cores; the Cholesky
 factors, the solves and ``eigvalsh`` still follow the BLAS thread count.
@@ -279,8 +279,8 @@ def _syrk_update(c: np.ndarray, x: np.ndarray, upper: bool) -> None:
 
 def sq_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Squared distances between the rows of x and those of y: ``cdist(x,
-    y)``; without y (or with y the array x itself), ``pdist(x)``, of x with
-    itself, symmetric with a zero diagonal.
+    y)``; without y (or with y the object x itself, of any type),
+    ``pdist(x)``, of x with itself, symmetric with a zero diagonal.
 
     ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b on the rows centred on one
     vector, the column mean of y (of x without y): without the centring, a
@@ -292,12 +292,7 @@ def sq_distances(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     DimensionMismatchError, before any thread starts, unless x and y are
     2-D and of one width.
     """
-    x = np.asarray(x, dtype=float)
-    y = x if y is None else np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise DimensionMismatchError(f"squared distances need two (N, W) matrices of one "
-                                     f"width W, got shapes {x.shape} and {y.shape}")
-    return pdist(x) if y is x else cdist(x, y)
+    return pdist(x) if y is None or y is x else cdist(x, y)
 
 
 # pdist and cdist keep the names and argument names of the scipy functions
@@ -308,59 +303,65 @@ def pdist(X: np.ndarray) -> np.ndarray:
     """``sq_distances(X)``: one BLAS SYRK per column block, into the upper
     triangle of the output for the first half of the blocks (the larger
     one by a block when their count is odd) and into the lower one for the
-    second half. The lower triangle is then added onto the upper one, which
-    is mirrored; the diagonal, which both halves write, is set to 0."""
-    X = np.ascontiguousarray(X, dtype=float)
+    second half; :func:`_finish_square` then makes the square."""
+    X, _ = _matrices(X)
     out = np.zeros((len(X), len(X)))
     if out.size:
         starts = range(0, X.shape[1], DISTANCE_BLOCK_COLUMNS)
         middle = (len(starts) + 1) // 2
         (upper,), (lower,) = _halves(X.mean(axis=0), [
-            (starts[:middle], (X,), (), lambda xc: _syrk_update(out, xc, True)),
-            (starts[middle:], (X,), (), lambda xc: _syrk_update(out, xc, False)),
+            (starts[:middle], (X,), lambda xc: _syrk_update(out, xc, True)),
+            (starts[middle:], (X,), lambda xc: _syrk_update(out, xc, False)),
         ])
-        norms = upper + lower
-        _fold_lower(out)
-        _add_norms(out, norms, norms)
-        _mirror_upper(out)
+        _finish_square(out, upper + lower)
     return out
 
 
 def cdist(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
     """``sq_distances(XA, XB)``: one BLAS GEMM per column block, for each
     half of the output's rows (the first the larger by a row when their
-    count is odd) into those rows of the output. Each half centres every
-    block of XB, also on one CPU, where the halves run in turn and so take
-    about a tenth longer than one pass that centres each block once (0.233
-    -> 0.256 s at 400 x 25,000, x86_64); the first half sums XB's norms."""
-    XA, XB = np.ascontiguousarray(XA, dtype=float), np.ascontiguousarray(XB, dtype=float)
+    count is odd) into those rows of the output. Both halves centre every
+    block of XB and sum its norms: on one CPU, where they run in turn, that
+    work is done twice."""
+    XA, XB = _matrices(XA, XB)
     out = np.zeros((len(XA), len(XB)))
     if out.size:
         starts = range(0, XB.shape[1], DISTANCE_BLOCK_COLUMNS)
         middle = (len(XA) + 1) // 2
-        (top_norms, b_norms), (bottom_norms,) = _halves(XB.mean(axis=0), [
-            (starts, (XA[:middle], XB), (), lambda ac, bc: _gemm_update(out[:middle], ac, bc)),
-            (starts, (XA[middle:],), (XB,), lambda ac, bc: _gemm_update(out[middle:], ac, bc)),
+        (top_norms, b_norms), (bottom_norms, _) = _halves(XB.mean(axis=0), [
+            (starts, (XA[:middle], XB), lambda ac, bc: _gemm_update(out[:middle], ac, bc)),
+            (starts, (XA[middle:], XB), lambda ac, bc: _gemm_update(out[middle:], ac, bc)),
         ])
         _add_norms(out, np.concatenate([top_norms, bottom_norms]), b_norms)
     return out
 
 
+def _matrices(x: np.ndarray, y: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """C-ordered float64 copies of x and y (y is x's when None, as in
+    :func:`pdist`), or DimensionMismatchError unless both are 2-D and of
+    one width: the input rule of every distance call."""
+    x = np.ascontiguousarray(x, dtype=float)
+    y = x if y is None else np.ascontiguousarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise DimensionMismatchError(f"squared distances need two (N, W) matrices of one "
+                                     f"width W, got shapes {x.shape} and {y.shape}")
+    return x, y
+
+
 def _halves(centre: np.ndarray, parts: list) -> list:
     """The squared row norms of each part of a distance call, one vector per
-    array of its ``normed``, from running the ``parts`` through
-    :func:`run_calls` with BLAS on one thread. A part is ``(starts, normed,
-    others, update)``: at each of ``starts``, in order, the
-    ``DISTANCE_BLOCK_COLUMNS``-wide column block of every array of ``normed
-    + others`` is copied once, C-ordered and centred on that block of
-    ``centre``, the norms of the ``normed`` blocks are summed, and
+    array of the part, from running the ``parts`` through :func:`run_calls`
+    with BLAS on one thread. A part is ``(starts, arrays, update)``: at each
+    of ``starts``, in order, the ``DISTANCE_BLOCK_COLUMNS``-wide column
+    block of every array is copied once, C-ordered and centred on that
+    block of ``centre``, its squared row norms are summed, and
     ``update(*blocks)`` is called."""
 
-    def run(starts, normed, others, update):
-        norms = [np.zeros(len(a)) for a in normed]
+    def run(starts, arrays, update):
+        norms = [np.zeros(len(a)) for a in arrays]
         for start in starts:
             cols = slice(start, start + DISTANCE_BLOCK_COLUMNS)
-            blocks = [a[:, cols] - centre[cols] for a in normed + others]
+            blocks = [a[:, cols] - centre[cols] for a in arrays]
             for total, block in zip(norms, blocks):
                 total += np.einsum("ij,ij->i", block, block)
             update(*blocks)
@@ -377,24 +378,22 @@ def _add_norms(out: np.ndarray, row_norms: np.ndarray, col_norms: np.ndarray) ->
     np.maximum(out, 0.0, out=out)
 
 
-def _fold_lower(square: np.ndarray) -> None:
-    """Add the strict lower triangle of ``square`` onto the strict upper
-    one, entry (i, j) onto (j, i), in place, 64 rows at a time."""
+def _finish_square(square: np.ndarray, norms: np.ndarray) -> None:
+    """Make pdist's square from its two triangles of -2 x.x' sums, in place,
+    in one pass of 64-column stripes. In each, the strict lower triangle is
+    added onto the strict upper one, entry (j, i) onto (i, j) for i < j;
+    the stripe's upper triangle takes ``norms[i] + norms[j]``
+    (:func:`_add_norms`) and is copied onto the lower one; the diagonal is
+    set to 0."""
     for start in range(0, len(square), 64):
-        rows = slice(start, start + 64)
-        square[:start, rows] += square[rows, :start].T
-        block = square[rows, rows]
+        cols = slice(start, start + 64)
+        square[:start, cols] += square[cols, :start].T
+        block = square[cols, cols]
         block += np.tril(block, -1).T
-
-
-def _mirror_upper(square: np.ndarray) -> None:
-    """Copy the strict upper triangle of ``square`` onto the lower one and
-    zero the diagonal, in place, 64 rows at a time."""
-    for start in range(0, len(square), 64):
-        rows = slice(start, start + 64)
-        square[rows, :start] = square[:start, rows].T
-        upper = np.triu(square[rows, rows], 1)
-        square[rows, rows] = upper + upper.T
+        _add_norms(square[:start + 64, cols], norms[:start + 64], norms[cols])
+        square[cols, :start] = square[:start, cols].T
+        upper = np.triu(block, 1)
+        block[...] = upper + upper.T
 
 
 def scalar_matrix(scalars: np.ndarray | None, n: int) -> np.ndarray:

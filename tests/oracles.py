@@ -18,7 +18,9 @@ edges with ``np.unique`` and counted degrees with ``np.add.at``, the
 standardization that rebuilt every record, the dataset embedding that ran
 WL on one graph at a time, and the stacking of embedding rows into a store.
 So is the one-graph generator whose sizes the complexity acceptance test
-sweeps.
+sweeps, and the three-pass finish of a set's distance square (fold the
+lower triangle, add the norms, mirror) that ``kernels._finish_square``
+does in one pass.
 """
 
 import itertools
@@ -509,6 +511,28 @@ def grid_then_local_search(distances, targets, nugget, multistarts=1, seed=0):
         starts.append((-start_best if start_best < 1e300 else None, len(scores) - scored))
     log_ranges, parts = record["best"]
     return log_ranges, parts, len(scores), record["hits"], starts
+
+
+def three_pass_finish(square, norms):
+    """The square of squared distances from the two triangles that
+    ``kernels.pdist``'s halves sum, in place, in three passes of 64-row
+    stripes: the strict lower triangle added onto the strict upper one,
+    then ``norms[i] + norms[j]`` added to every entry and the result
+    clamped at 0, then the upper triangle copied onto the lower one and the
+    diagonal set to 0."""
+    for start in range(0, len(square), 64):
+        rows = slice(start, start + 64)
+        square[:start, rows] += square[rows, :start].T
+        block = square[rows, rows]
+        block += np.tril(block, -1).T
+    square += norms[:, None]
+    square += norms
+    np.maximum(square, 0.0, out=square)
+    for start in range(0, len(square), 64):
+        rows = slice(start, start + 64)
+        square[rows, :start] = square[:start, rows].T
+        upper = np.triu(square[rows, rows], 1)
+        square[rows, rows] = upper + upper.T
 
 
 def floor_psd_matrix(matrix):

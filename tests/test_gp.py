@@ -63,6 +63,16 @@ class TestPosterior:
         assert parts.log_det == pytest.approx(0.0, abs=1e-12)
         assert parts.h_rinv_h == pytest.approx(2.0, abs=1e-12)
 
+    def test_all_zero_distances_score_the_likelihood_alone(self):
+        # degenerate geometry: every prior scale is 0, so the log prior is 0
+        # and the value is the profile log likelihood of the parts returned
+        parts = posterior_parts(np.zeros(1), TrainDistances(np.zeros((3, 3))),
+                                np.array([1.0, 2.0, 4.0]))
+        assert parts.flag is None and np.isfinite(parts.value)
+        want = (-0.5 * parts.log_det - 0.5 * np.log(parts.h_rinv_h)
+                - 0.5 * (3 - 1) * np.log(parts.s2))
+        assert parts.value == pytest.approx(want, rel=1e-14, abs=1e-14)
+
     def test_jr_prior_rate_value(self):
         assert jr_prior_rate(100, 1) == pytest.approx(0.012)
 

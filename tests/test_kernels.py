@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist, pdist, squareform
 
@@ -62,6 +62,7 @@ from oracles import (
     sw_estimate,
     swwl_kernel,
     tensorized_kernel,
+    three_pass_finish,
     two_step_kernel_matrix,
     value_by_value_gram_text,
 )
@@ -697,13 +698,17 @@ def test_cross_distances_need_no_second_output_sized_matrix(monkeypatch, cpus):
 
 
 def test_distances_of_any_memory_layout_are_the_same_bytes():
-    # a Fortran-ordered array, a strided view and float32 values: the bytes
-    # of their C-ordered float64 copies
+    # a Fortran-ordered array, a strided view, float32 values and a list:
+    # the bytes of their C-ordered float64 copies; one input given twice is
+    # a set with itself (float32 values and a list once went to cdist, whose
+    # result was neither symmetric nor zero on the diagonal)
     x = np.random.default_rng(5).standard_normal((40, 300))
     y = x[:15] + 1
-    for other in (np.asfortranarray(x), np.repeat(x, 2, axis=0)[::2], x.astype(np.float32)):
+    for other in (np.asfortranarray(x), np.repeat(x, 2, axis=0)[::2], x.astype(np.float32),
+                  x.tolist()):
         want = np.ascontiguousarray(other, dtype=float)
         assert np.array_equal(sq_distances(other), sq_distances(want))
+        assert np.array_equal(sq_distances(other, other), sq_distances(want))
         assert np.array_equal(sq_distances(y, other), sq_distances(y, want))
         assert np.array_equal(sq_distances(other, y), sq_distances(want, y))
 
@@ -711,7 +716,8 @@ def test_distances_of_any_memory_layout_are_the_same_bytes():
 def test_distances_refuse_inputs_that_are_not_matrices_of_one_width(monkeypatch):
     # a narrower second set once gave the distances over the first set's
     # first 128 columns, a wider one a bare numpy error from a worker
-    # thread, and a 1-D input a bare IndexError
+    # thread, and a 1-D input a bare IndexError, through sq_distances and
+    # through pdist and cdist, which other modules may call by name
     def no_threads(calls):
         raise AssertionError("a distance half started")
 
@@ -721,8 +727,33 @@ def test_distances_refuse_inputs_that_are_not_matrices_of_one_width(monkeypatch)
              (rng.standard_normal((3, 100)), rng.standard_normal((4, 300))),
              (rng.standard_normal(5), None)]
     for x, y in cases:
-        with pytest.raises(DimensionMismatchError, match="two \\(N, W\\) matrices of one width"):
-            sq_distances(x, y)
+        calls = [lambda: sq_distances(x, y),
+                 lambda: swwl.kernels.pdist(x) if y is None else swwl.kernels.cdist(x, y)]
+        for call in calls:
+            with pytest.raises(DimensionMismatchError,
+                               match="two \\(N, W\\) matrices of one width"):
+                call()
+
+
+# the stripe edges of the 64-row passes: one row, one stripe less, equal
+# and more by one, two stripes and one more
+@example(n=1, seed=0)
+@example(n=63, seed=1)
+@example(n=64, seed=2)
+@example(n=65, seed=3)
+@example(n=128, seed=4)
+@example(n=129, seed=5)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+def test_the_one_pass_finish_is_the_three_pass_finish_bit_for_bit(n, seed):
+    # -2 x.x' sums of either sign, some of which the norms do not make up,
+    # so that the clamp at 0 acts
+    rng = np.random.default_rng(seed)
+    square, norms = rng.standard_normal((n, n)) * 10, rng.uniform(0, 8, n)
+    want = square.copy()
+    three_pass_finish(want, norms)
+    swwl.kernels._finish_square(square, norms)
+    assert square.tobytes() == want.tobytes()
 
 
 def test_blas_refuses_an_array_it_cannot_hand_over_as_it_is():

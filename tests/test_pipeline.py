@@ -1,6 +1,7 @@
 """Batched dataset embedding against the per-graph reference."""
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,3 +190,13 @@ def test_library_dataset_ids_round_trip_through_a_saved_store(tmp_path):
     dataset = _random_dataset(2, [3, 5, 4])
     save_pq_store(tmp_path, embed_dataset(dataset, CONFIG, **KWARGS))
     assert list(load_pq_store(tmp_path).ids) == dataset.ids == ["g0", "g1", "g2"]
+
+
+def test_the_readme_library_example_runs_as_written():
+    # README's first python block, executed as a reader would paste it
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    lo, hi = namespace["lo"], namespace["hi"]
+    assert lo.shape == hi.shape == (30,) and np.all(lo < hi)
